@@ -85,12 +85,6 @@ def mixed_radix_digits(a: int, radix: Radix) -> tuple[int, ...]:
     )
 
 
-def radic_product_spec(radix: Radix, t: ScaleSeq | None = None) -> ProductSpec:
-    if t is None:
-        t = default_scales(radix)
-    return ProductSpec(radix.factors, t.scales)
-
-
 def build_radic_isometry(
     radix: Radix,
     t: ScaleSeq | None = None,
@@ -106,7 +100,7 @@ def build_radic_isometry(
     """
     if t is None:
         t = default_scales(radix)
-    spec = radic_product_spec(radix, t)
+    spec = ProductSpec(radix.factors, t.scales)
     R = radix.modulus
 
     def psi(a: int) -> tuple[int, ...]:
@@ -141,8 +135,12 @@ def build_radic_isometry(
             if d_r != d_img:
                 isometric = False
                 break
-        # bijectivity verified level-by-level on a tractable prefix depth
-        k_max = max(k for k in range(1, radix.depth + 1) if radix.cumulative(k) <= exhaustive_cap)
+        # bijectivity verified level-by-level on a tractable prefix depth,
+        # which is 0 when already the first factor exceeds the cap
+        k_max = max(
+            (k for k in range(1, radix.depth + 1) if radix.cumulative(k) <= exhaustive_cap),
+            default=0,
+        )
         bijective = len({psi(a)[:k_max] for a in range(radix.cumulative(k_max))}) == radix.cumulative(k_max)
         enum_bound = radix.cumulative(k_max)
 

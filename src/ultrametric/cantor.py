@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 from .errors import (
     DepthInsufficient,
@@ -20,41 +20,25 @@ from .errors import (
     OverlappingCylinders,
     ScaleMismatch,
 )
+from .radic import LevelGrid, check_scales, default_scales
 
 
 @dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(LevelGrid):
     """Factor sizes n_1..n_L and scales t_0 = 1 > t_1 > ... > t_L."""
 
-    factors: tuple[int, ...]
     scales: tuple[Fraction, ...]
 
     def __post_init__(self):
-        fs = tuple(int(n) for n in self.factors)
-        ts = tuple(Fraction(t) for t in self.scales)
-        object.__setattr__(self, "factors", fs)
-        object.__setattr__(self, "scales", ts)
-        if any(n < 2 for n in fs):
-            raise ValueError("every factor must have >= 2 points")
-        if len(ts) != len(fs) + 1 or ts[0] != 1:
+        super().__post_init__()
+        ts = check_scales(self.scales)
+        if len(ts) != self.depth + 1:
             raise ValueError("need scales t_0 = 1 .. t_L")
-        if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)) or ts[-1] <= 0:
-            raise ValueError("scales must be strictly decreasing and positive")
-
-    @property
-    def depth(self) -> int:
-        return len(self.factors)
+        object.__setattr__(self, "scales", ts)
 
     def branching(self, k: int) -> int:
         """Number of children of a depth-k node (factor n_{k+1})."""
         return self.factors[k]
-
-    def cumulative(self, k: int) -> int:
-        """N_k = prod_{j<=k} n_j."""
-        out = 1
-        for n in self.factors[:k]:
-            out *= n
-        return out
 
     @classmethod
     def geometric(cls, factors, theta) -> "ProductSpec":
@@ -65,17 +49,10 @@ class ProductSpec:
     @classmethod
     def reciprocal(cls, factors) -> "ProductSpec":
         """The canonical t_l = 1/N_l scales."""
-        fs = tuple(factors)
-        ts = []
-        N = 1
-        ts.append(Fraction(1))
-        for n in fs:
-            N *= n
-            ts.append(Fraction(1, N))
-        return cls(fs, tuple(ts))
+        return cls(factors, default_scales(LevelGrid(factors)).scales)
 
     def is_reciprocal(self) -> bool:
-        return all(self.scales[k] == Fraction(1, self.cumulative(k)) for k in range(self.depth + 1))
+        return self.scales == default_scales(self).scales
 
     def points(self):
         """All depth-L digit words, lexicographic."""
@@ -187,16 +164,23 @@ class Gauge:
         return cls(table=table)
 
 
-def _iroot(n: int, k: int) -> tuple[int, bool]:
-    """Floor k-th root of n >= 0 plus exactness flag (Newton on integers)."""
-    if n < 2:
-        return n, True
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
+def iroot(n: int, k: int) -> tuple[int, bool]:
+    """Floor k-th root of n >= 0 plus exactness flag.
+
+    ``math.isqrt`` for k = 2; otherwise integer Newton from 2^ceil(bits/k),
+    which is at least the root, so the iterates decrease to the floor.
+    """
+    if k == 2:
+        x = isqrt(n)
+    elif n < 2:
+        x = n
+    else:
+        x = 1 << -(-n.bit_length() // k)
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
     return x, x**k == n
 
 
@@ -210,8 +194,8 @@ def _pow_exact_or_float(t: Fraction, alpha: Fraction):
     if abs(alpha.numerator) > _EXACT_POW_CAP or alpha.denominator > _EXACT_POW_CAP:
         return float(t) ** float(alpha)
     base = t**alpha.numerator
-    rn, okn = _iroot(base.numerator, alpha.denominator)
-    rd, okd = _iroot(base.denominator, alpha.denominator)
+    rn, okn = iroot(base.numerator, alpha.denominator)
+    rd, okd = iroot(base.denominator, alpha.denominator)
     if okn and okd:
         return Fraction(rn, rd)
     return float(base) ** (1.0 / alpha.denominator)
@@ -294,10 +278,6 @@ def hausdorff_measure(spec: ProductSpec, target: list[Cylinder], gauge: Gauge):
     return hausdorff_content(spec, target, gauge, measure=True)
 
 
-def whole_space(spec: ProductSpec) -> list[Cylinder]:
-    return [Cylinder(())]
-
-
 def dimension_estimate(spec: ProductSpec, tolerance: float = 1e-6) -> tuple[float, float]:
     """Bracket the critical exponent by bisection on min_k N_k t_k^alpha."""
     L = spec.depth
@@ -318,6 +298,8 @@ def dimension_estimate(spec: ProductSpec, tolerance: float = 1e-6) -> tuple[floa
         raise DepthInsufficient("content below 1 at alpha = 0")
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):  # no float lies strictly between the endpoints
+            break
         if crosses(mid):
             lo = mid
         else:
@@ -380,11 +362,7 @@ def snowflake(spec: ProductSpec, a) -> ProductSpec:
     a = Fraction(a)
     if a <= 0:
         raise InvalidGauge("snowflake exponent must be positive")
-    return ProductSpec(spec.factors, tuple(t**a.numerator for t in spec.scales)) if (
-        a.denominator == 1
-    ) else ProductSpec(
-        spec.factors, tuple(_pow_exact_or_float(t, a) for t in spec.scales)
-    )
+    return ProductSpec(spec.factors, tuple(_pow_exact_or_float(t, a) for t in spec.scales))
 
 
 @dataclass(frozen=True)
@@ -410,10 +388,6 @@ class ProductJoin:
             tuple(na * nb for na, nb in zip(self.a.factors, self.b.factors, strict=True)),
             self.a.scales,
         )
-
-
-def product_join(spec_a: ProductSpec, spec_b: ProductSpec) -> ProductJoin:
-    return ProductJoin(spec_a, spec_b)
 
 
 def measure_bound_check(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import PAdicInt, PAdicScalar, check_prime
+from .padic import PAdicInt, PAdicScalar, check_prime, vp
 from .radic import Radix
 
 TABLE_CAP = 4096
@@ -64,10 +64,6 @@ class CyclicCharacter:
         return TurnValue(Fraction(self.j * a, self.n))
 
 
-def cyclic_eval(chi: CyclicCharacter, a: int) -> TurnValue:
-    return chi.eval(a)
-
-
 def ep_eval(x: PAdicScalar) -> TurnValue:
     """E_p(x) = e(x') where x' in Z[1/p] carries the negative-exponent digits.
 
@@ -112,12 +108,7 @@ class PadicCharacter:
         """phi_y is trivial exactly on p^k Z_p, k = conductor - v_p(y_residue)."""
         if self.trivial:
             return 0
-        v = 0
-        r = self.y_residue
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return self.conductor - v
+        return self.conductor - vp(self.y_residue, self.p)
 
 
 def phi_y(y: PadicCharacter, x: PAdicScalar) -> TurnValue:
@@ -211,12 +202,6 @@ def sup_distance_exceeds_one(n: int, j1: int, j2: int, margin: float = 1e-9) -> 
         abs(1 - cmath.exp(2j * cmath.pi * a * d / n)) for a in range(n)
     )
     return best > 1 + margin
-
-
-def padic_character_count(p: int, k: int) -> int:
-    """Characters on Z_p trivial on p^k Z_p: one per element of Z/p^k Z."""
-    check_prime(p)
-    return p**k
 
 
 def padic_characters(p: int, k: int) -> list[PadicCharacter]:

@@ -117,7 +117,7 @@ def cmd_hausdorff(args) -> int:
     gauge = cantor.Gauge.power(Fraction(args.alpha))
     value = cantor.hausdorff_content(
         spec,
-        cantor.whole_space(spec),
+        [cantor.Cylinder(())],
         gauge,
         delta=None if args.delta is None else Fraction(args.delta),
     )
@@ -141,6 +141,8 @@ def cmd_audit(args) -> int:
             args.format,
         )
         return 0 if ok else 1
+    if args.factors is None:
+        raise UltrametricError("audit needs --factors or --isometry")
     spec = _spec_from_args(args)
     if args.measure_weights:
         weights = tuple(
@@ -175,17 +177,22 @@ def _tree_from_json(path: str) -> harmonic.FiniteUltraTree:
     )
 
 
+def _verdict(rep: dict) -> dict:
+    """A report with ``holds`` as a boolean and every other value as a string."""
+    return {k: v if k == "holds" else str(v) for k, v in rep.items()}
+
+
 def cmd_maximal(args) -> int:
     tree = _tree_from_json(args.tree)
     if args.weak_type is not None:
         rep = harmonic.weak_type_verify(tree, Fraction(args.weak_type))
-        _emit({k: str(v) for k, v in rep.items()}, args.format)
+        _emit(_verdict(rep), args.format)
         return 0 if rep["holds"] else 1
     if args.lp is not None:
         p, a = (Fraction(x) for x in args.lp)
         f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
         rep = harmonic.lp_maximal_bound(f, tree, p, a)
-        _emit({k: str(v) for k, v in rep.items()}, args.format)
+        _emit(_verdict(rep), args.format)
         return 0 if rep["holds"] else 1
     if args.doob is not None:
         f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
@@ -199,7 +206,8 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_characters(args) -> int:
-    n = args.table if args.table is not None else args.gram
+    if args.table is None and args.gram is None:
+        raise UltrametricError("characters needs --table or --gram")
     if args.gram is not None:
         g = characters.gram_exact(args.gram)
         identity = all(
@@ -207,9 +215,9 @@ def cmd_characters(args) -> int:
         )
         _emit({"gram_is_identity": identity, "n": args.gram}, args.format)
         return 0 if identity else 1
-    table = characters.character_table(n)
+    table = characters.character_table(args.table)
     _emit(
-        {"n": n, "table": [[str(v.turn) for v in row] for row in table]},
+        {"n": args.table, "table": [[str(v.turn) for v in row] for row in table]},
         args.format,
     )
     return 0
@@ -281,22 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    """Join flag values that begin with a dash (such as --coeffs -17,0,1)
-    into --flag=value form so argparse does not mistake them for options."""
+# flags whose values may be negative numbers, with the number of values each takes
+_NUMERIC_FLAGS = {
+    "--coeffs": 1, "--abs": 1, "--geom": 1, "--delta": 1, "--alpha": 1, "--add": 2, "--mul": 2,
+}
+
+
+def _mark_dash_values(argv: list[str]) -> list[str]:
+    """Prefix a space to flag values that begin with a dash (such as
+    --coeffs -17,0,1 or --add -3/5 1): argparse reads a token holding a
+    space as a value, never as an option, and int() and Fraction() ignore
+    the space."""
     out = []
     i = 0
     while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in ("--coeffs", "--abs", "--geom", "--delta", "--alpha")
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
+        out.append(argv[i])
+        n = _NUMERIC_FLAGS.get(argv[i], 0)
+        i += 1
+        for value in argv[i : i + n]:
+            if value.startswith("--"):
+                break
+            out.append(" " + value if value.startswith("-") else value)
             i += 1
     return out
 
@@ -306,7 +319,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_dash_values(list(argv)))
+        args = parser.parse_args(_mark_dash_values(list(argv)))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import Cylinder, ProductSpec
+from .cantor import Cylinder, ProductSpec, iroot
 from .errors import (
     DegenerateMeasure,
     DegeneratePartition,
@@ -25,17 +25,6 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # exact bounds on rational powers (needed for non-integer exponents)
 # ---------------------------------------------------------------------------
-
-
-def _iroot_floor(n: int, k: int) -> int:
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n < 2:
-        return n
-    x = int(round(n ** (1.0 / k))) + 1
-    while x**k > n:
-        x -= 1
-    return x
 
 
 def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
@@ -50,13 +39,9 @@ def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction,
     if k == 1:
         return q, q
     S = 1 << prec_bits
-    n_lo = q.numerator * S**k // q.denominator
-    r_lo = _iroot_floor(n_lo, k)
-    n_hi = -((-q.numerator * S**k) // q.denominator)  # ceil
-    r_hi = _iroot_floor(n_hi, k)
-    if r_hi**k < n_hi:
-        r_hi += 1
-    return Fraction(r_lo, S), Fraction(r_hi, S)
+    r_lo, _ = iroot(q.numerator * S**k // q.denominator, k)
+    r_hi, exact = iroot(-(-q.numerator * S**k // q.denominator), k)  # root of the ceiling
+    return Fraction(r_lo, S), Fraction(r_hi + (not exact), S)
 
 
 # ---------------------------------------------------------------------------

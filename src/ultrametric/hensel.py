@@ -20,7 +20,7 @@ from .errors import (
     KMismatch,
     PrecisionMismatch,
 )
-from .padic import PAdicInt, PAdicScalar, check_prime, rational_valuation
+from .padic import PAdicInt, PAdicScalar, check_prime, rational_valuation, vp
 
 
 @dataclass(frozen=True)
@@ -108,18 +108,6 @@ class LiftTrace:
         return out
 
 
-def _int_valuation(a: int, p: int, cap: int) -> int:
-    """v_p(a mod p^cap), saturating at cap."""
-    a %= p**cap
-    if a == 0:
-        return cap
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
 def _abs_from_valuation(v: int, p: int, cap: int) -> Fraction:
     return Fraction(0) if v >= cap else Fraction(p) ** (-v)
 
@@ -142,7 +130,7 @@ def hensel_v1(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, 
         raise HenselPreconditionFailed("|f'(x0)|_p < 1", "f'(x0) unit")
     trace = LiftTrace()
     trace.record(
-        PAdicInt(p, N, x), _abs_from_valuation(_int_valuation(f.eval_int(x, m), p, N), p, N)
+        PAdicInt(p, N, x), _abs_from_valuation(vp(f.eval_int(x, m), p, N), p, N)
     )
     for _ in range(N):
         fx = f.eval_int(x, m)
@@ -151,7 +139,7 @@ def hensel_v1(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, 
         x = (x - fx * pow(df.eval_int(x, m), -1, m)) % m
         trace.record(
             PAdicInt(p, N, x),
-            _abs_from_valuation(_int_valuation(f.eval_int(x, m), p, N), p, N),
+            _abs_from_valuation(vp(f.eval_int(x, m), p, N), p, N),
         )
     return PAdicInt(p, N, x), trace
 
@@ -161,8 +149,8 @@ def _v2_params(f: ZpPoly, x0_res: int, N: int) -> tuple[int, int, int]:
     p = f.p
     probe = N + 1
     mp = p**probe
-    k = _int_valuation(f.derivative().eval_int(x0_res % mp, mp), p, probe)
-    v_f = _int_valuation(f.eval_int(x0_res % mp, mp), p, probe)
+    k = vp(f.derivative().eval_int(x0_res % mp, mp), p, probe)
+    v_f = vp(f.eval_int(x0_res % mp, mp), p, probe)
     if v_f <= 2 * k:
         raise HenselPreconditionFailed(
             f"|f(x0)|_p = p^-{v_f} is not < |f'(x0)|_p^2 = p^-{2 * k}",
@@ -187,7 +175,7 @@ def hensel_v2(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, 
     if f.eval_int(x % p**N, p**N) % p**N == 0:
         return PAdicInt(p, N, x), trace
     trace.record(
-        PAdicInt(p, N, x), _abs_from_valuation(_int_valuation(f.eval_int(x, mw), p, N), p, N)
+        PAdicInt(p, N, x), _abs_from_valuation(vp(f.eval_int(x, mw), p, N), p, N)
     )
     for _ in range(N):
         fx = f.eval_int(x, mw)
@@ -200,7 +188,7 @@ def hensel_v2(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, 
         x = (x - delta) % mw
         trace.record(
             PAdicInt(p, N, x),
-            _abs_from_valuation(_int_valuation(f.eval_int(x, mw), p, N), p, N),
+            _abs_from_valuation(vp(f.eval_int(x, mw), p, N), p, N),
         )
     return PAdicInt(p, N, x), trace
 
@@ -230,7 +218,7 @@ def contraction_solve(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> PAdicInt
         if (y_next - y) % p**N == 0:
             y = y_next
             break
-        step_v = _int_valuation(y_next - y, p, work)
+        step_v = vp(y_next - y, p, work)
         if prev_step_v is not None and step_v < prev_step_v + 1:
             raise AssertionError("contraction factor above 1/p on the orbit")
         prev_step_v = step_v
@@ -250,7 +238,7 @@ def local_scaling_check(
     N = f.precision
     probe = N + k + 1
     mp = p**probe
-    actual_k = _int_valuation(f.derivative().eval_int(x0.residue, mp), p, probe)
+    actual_k = vp(f.derivative().eval_int(x0.residue, mp), p, probe)
     if actual_k != k:
         raise KMismatch(f"|f'(x0)|_p = p^-{actual_k}, expected p^-{k}")
     rng = random.Random(seed)
@@ -262,10 +250,10 @@ def local_scaling_check(
     for _ in range(samples):
         x = (x0.residue + step * rng.randrange(p ** (work - k - 1))) % mw
         y = (x0.residue + step * rng.randrange(p ** (work - k - 1))) % mw
-        v_xy = _int_valuation(x - y, p, work)
+        v_xy = vp(x - y, p, work)
         if v_xy >= N:  # difference below resolution; equality untestable
             continue
-        v_f = _int_valuation(f.eval_int(x, mw) - f.eval_int(y, mw), p, work)
+        v_f = vp(f.eval_int(x, mw) - f.eval_int(y, mw), p, work)
         checked += 1
         if v_f != v_xy + k:
             violations.append((x % p**N, y % p**N, v_xy, v_f))
@@ -294,7 +282,7 @@ class ZpSeries:
         if any(self.witness_index(m) > j0 for m in range(N)):
             raise DecayWitnessInvalid("witness index not monotone")
         for j in range(j0, j0 + window):
-            if _int_valuation(self.coeff(j), self.p, N + 1) < N:
+            if vp(self.coeff(j), self.p, N + 1) < N:
                 raise DecayWitnessInvalid(
                     f"coefficient {j} has valuation < {N} past J({N}) = {j0}"
                 )

@@ -34,6 +34,7 @@ class UltraVector:
         return len(self.entries)
 
     def norm(self) -> Fraction:
+        """The max ultranorm max(|v_1|_p, ..., |v_n|_p)."""
         return max(abs_p(e, self.p) for e in self.entries)
 
     def scale(self, t) -> "UltraVector":
@@ -44,11 +45,6 @@ class UltraVector:
         return UltraVector(
             self.p, tuple(a + b for a, b in zip(self.entries, other.entries, strict=True))
         )
-
-
-def ultranorm(v: UltraVector) -> Fraction:
-    """max(|v_1|_p, ..., |v_n|_p)."""
-    return v.norm()
 
 
 @dataclass(frozen=True)

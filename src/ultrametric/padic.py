@@ -27,11 +27,8 @@ def is_prime(n: int) -> bool:
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = vp(n - 1, 2)
+    d = (n - 1) >> s
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -51,20 +48,28 @@ def check_prime(p: int) -> int:
     return p
 
 
+def vp(n: int, p: int, cap: int | None = None) -> int:
+    """Exponent of p in the integer n, saturating at ``cap``.
+
+    With a cap this is v_p(n mod p^cap), so n = 0 gives cap; without one,
+    n must be nonzero.
+    """
+    if n == 0:
+        if cap is None:
+            raise ValueError("v_p(0) is infinite")
+        return cap
+    v = 0
+    while v != cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def rational_valuation(x: Fraction, p: int) -> int | None:
     """Exponent of p in x, or None for x = 0."""
     if x == 0:
         return None
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return vp(x.numerator, p) - vp(x.denominator, p)
 
 
 def abs_p(x, p: int) -> Fraction:
@@ -98,14 +103,7 @@ class PAdicInt:
     @property
     def valuation(self) -> int:
         """Largest l <= N with p^l | residue; saturates at N for residue 0."""
-        if self.residue == 0:
-            return self.precision
-        v = 0
-        r = self.residue
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
+        return vp(self.residue, self.p, self.precision)
 
     @property
     def valuation_saturated(self) -> bool:
@@ -285,11 +283,8 @@ class PAdicScalar:
         if s == 0:
             # cancellation below the working precision
             return PAdicScalar.zero(self.p, self.precision)
-        v = 0
-        while s % self.p == 0:
-            s //= self.p
-            v += 1
-        return PAdicScalar(self.p, self.precision, lo.exponent + v, s)
+        v = vp(s, self.p)
+        return PAdicScalar(self.p, self.precision, lo.exponent + v, s // self.p**v)
 
     def __sub__(self, other: "PAdicScalar") -> "PAdicScalar":
         return self + (-other)
@@ -352,8 +347,3 @@ def haar_measure(l: int, p: int) -> Fraction:
     """|p^l Z_p| = p^(-l); l may be negative."""
     check_prime(p)
     return Fraction(p) ** (-l)
-
-
-def haar_scale(a_abs: Fraction, m: Fraction) -> Fraction:
-    """|aE| = |a|_p |E|."""
-    return a_abs * m

@@ -9,21 +9,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import InvalidResidue, NotComparable, RadixMismatch
+from .padic import vp
 
 
 @dataclass(frozen=True)
-class Radix:
-    """Finite radix truncation; ``periodic`` means the digit list repeats."""
+class LevelGrid:
+    """Factors r_1, ..., r_L, each >= 2, with prefix products computed once.
+
+    ``prefix[l]`` is R_l = r_1 * ... * r_l, so ``prefix[0]`` = 1.  Radices
+    and Cantor products are level grids; a periodic radix repeats its
+    factors, which defines R_l past the stored depth.
+    """
 
     factors: tuple[int, ...]
-    periodic: bool = False
+    prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    periodic = False  # a field of Radix, a constant of every other grid
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(r) for r in self.factors))
-        if not self.factors or any(r < 2 for r in self.factors):
-            raise ValueError("all radix entries must be >= 2")
+        fs = tuple(int(r) for r in self.factors)
+        if any(r < 2 for r in fs):
+            raise ValueError("every factor must be >= 2")
+        object.__setattr__(self, "factors", fs)
+        object.__setattr__(self, "prefix", tuple(accumulate(fs, mul, initial=1)))
 
     @property
     def depth(self) -> int:
@@ -32,31 +43,49 @@ class Radix:
     def cumulative(self, l: int) -> int:
         """R_l = prod_{j<=l} r_j, with R_0 = 1.
 
-        For a periodic radix, l may exceed the stored depth.
+        For a periodic radix, l may exceed the stored depth:
+        R_l = R_L^(l // L) * R_(l mod L).
         """
         if l <= self.depth:
-            out = 1
-            for r in self.factors[:l]:
-                out *= r
-            return out
+            return self.prefix[l]
         if not self.periodic:
             raise ValueError(f"depth {l} exceeds truncation {self.depth}")
-        out = 1
-        for j in range(l):
-            out *= self.factors[j % self.depth]
-        return out
+        q, s = divmod(l, self.depth)
+        return self.prefix[-1] ** q * self.prefix[s]
 
     @property
     def modulus(self) -> int:
-        return self.cumulative(self.depth)
+        return self.prefix[-1]
+
+
+@dataclass(frozen=True)
+class Radix(LevelGrid):
+    """Finite radix truncation; ``periodic`` means the digit list repeats."""
+
+    periodic: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.factors:
+            raise ValueError("a radix needs at least one factor")
 
     def to_json(self) -> dict:
         return {"factors": list(self.factors), "periodic": self.periodic}
 
 
-def default_scales(radix: Radix) -> "ScaleSeq":
+def check_scales(scales) -> tuple[Fraction, ...]:
+    """The scales as Fractions, checked to satisfy 1 = t_0 > t_1 > ... > 0."""
+    t = tuple(Fraction(x) for x in scales)
+    if not t or t[0] != 1:
+        raise ValueError("t_0 must equal 1")
+    if any(a <= b for a, b in zip(t, t[1:])) or t[-1] <= 0:
+        raise ValueError("scales must be strictly decreasing and positive")
+    return t
+
+
+def default_scales(grid: LevelGrid) -> "ScaleSeq":
     """The canonical choice t_l = 1/R_l."""
-    return ScaleSeq(tuple(Fraction(1, radix.cumulative(l)) for l in range(radix.depth + 1)))
+    return ScaleSeq(tuple(Fraction(1, R) for R in grid.prefix))
 
 
 @dataclass(frozen=True)
@@ -66,12 +95,7 @@ class ScaleSeq:
     scales: tuple[Fraction, ...]
 
     def __post_init__(self):
-        t = tuple(Fraction(x) for x in self.scales)
-        object.__setattr__(self, "scales", t)
-        if not t or t[0] != 1:
-            raise ValueError("t_0 must equal 1")
-        if any(t[i] <= t[i + 1] for i in range(len(t) - 1)) or any(x <= 0 for x in t):
-            raise ValueError("scales must be strictly decreasing and positive")
+        object.__setattr__(self, "scales", check_scales(self.scales))
 
     def __getitem__(self, l: int) -> Fraction:
         return self.scales[l]
@@ -85,10 +109,7 @@ def lr_valuation(a: int, radix: Radix) -> int | None:
     """Largest l <= L with R_l | a; None flags saturation (a = 0 mod R_L)."""
     if a % radix.modulus == 0:
         return None
-    l = 0
-    while a % radix.cumulative(l + 1) == 0:
-        l += 1
-    return l
+    return next(l for l, R in enumerate(radix.prefix) if a % R) - 1
 
 
 def lr_and_abs(a: int, radix: Radix, t: ScaleSeq | None = None) -> tuple[int | None, Fraction]:
@@ -192,8 +213,7 @@ def _cycle_primes(radix: Radix) -> set[int]:
         while d * d <= r:
             if r % d == 0:
                 out.add(d)
-                while r % d == 0:
-                    r //= d
+                r //= d ** vp(r, d)
             d += 1
         if r > 1:
             out.add(r)
@@ -219,8 +239,7 @@ def preceq(r: Radix, r_prime: Radix, search_depth: int = 64) -> PrecedenceWitnes
         if found is None:
             rem = R_l
             for q in primes_rp:
-                while rem % q == 0:
-                    rem //= q
+                rem //= q ** vp(rem, q)
             reason = "coprime" if rem > 1 else "search-exhausted"
             raise NotComparable(
                 f"R_{l} = {R_l} divides no R'_n for n <= {max_n} ({reason})",

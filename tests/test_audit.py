@@ -65,6 +65,13 @@ def test_radic_isometry_single_level_and_binary():
     assert rep["isometric"]
 
 
+def test_radic_isometry_first_factor_above_cap():
+    # the sampled path checks bijectivity on no prefix level here, not on an empty max
+    rep = audit.build_radic_isometry(radic.Radix((5000, 3)))
+    assert rep["bijective"] and rep["isometric"] and rep["pushforward_uniform"]
+    assert rep["pairs_checked"] == 2000
+
+
 def test_radic_isometry_roundtrip():
     r = radic.Radix((3, 2, 2))
     rep = audit.build_radic_isometry(r)

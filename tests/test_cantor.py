@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import log
 
@@ -58,10 +59,10 @@ def test_h1_whole_space_is_one():
     spec = BINARY3
     for delta in (None, Fraction(1, 2), Fraction(1, 8)):
         val = cantor.hausdorff_content(
-            spec, cantor.whole_space(spec), gauge, delta=delta, closed_threshold=True
+            spec, [cantor.Cylinder(())], gauge, delta=delta, closed_threshold=True
         )
         assert val == 1
-    assert cantor.hausdorff_measure(spec, cantor.whole_space(spec), gauge) == 1
+    assert cantor.hausdorff_measure(spec, [cantor.Cylinder(())], gauge) == 1
 
 
 def test_h1_of_ball_is_diameter():
@@ -79,7 +80,7 @@ def test_log23_self_similar_content():
     alpha = Fraction(
         *Fraction(log(2) / log(3)).limit_denominator(10**6).as_integer_ratio()
     )
-    val = cantor.hausdorff_content(spec, cantor.whole_space(spec), cantor.Gauge.power(alpha))
+    val = cantor.hausdorff_content(spec, [cantor.Cylinder(())], cantor.Gauge.power(alpha))
     assert abs(float(val) - 1.0) < 1e-3
 
 
@@ -117,6 +118,26 @@ def test_dimension_estimates():
     assert lo2 - 1e-7 <= 1.0 <= hi2 + 1e-7
 
 
+def test_dimension_estimate_tolerance_zero():
+    # bisection stops at adjacent floats instead of looping forever
+    spec = cantor.ProductSpec.geometric((2,) * 10, Fraction(1, 3))
+    lo, hi = cantor.dimension_estimate(spec, 0)
+    assert lo - 1e-12 <= log(2) / log(3) <= hi + 1e-12
+    assert 0 < hi - lo <= 4e-16
+
+
+def test_iroot_against_defining_inequality():
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randrange(0, 1 << rng.randrange(1, 700))
+        k = rng.randrange(2, 8)
+        x, exact = cantor.iroot(n, k)
+        assert x**k <= n < (x + 1) ** k
+        assert exact == (x**k == n)
+    assert cantor.iroot(3**300, 3) == (3**100, True)
+    assert cantor.iroot(10**40 - 1, 2) == (10**20 - 1, False)
+
+
 def test_snowflake_halves_dimension():
     spec = cantor.ProductSpec.geometric((2,) * 10, Fraction(1, 2))
     flaked = cantor.snowflake(spec, 2)
@@ -124,10 +145,10 @@ def test_snowflake_halves_dimension():
     assert lo - 1e-7 <= 0.5 <= hi + 1e-7
     # alpha-content of d^a equals (alpha a)-content of d, exactly
     val_flaked = cantor.hausdorff_content(
-        flaked, cantor.whole_space(flaked), cantor.Gauge.power(Fraction(1, 2))
+        flaked, [cantor.Cylinder(())], cantor.Gauge.power(Fraction(1, 2))
     )
     val_orig = cantor.hausdorff_content(
-        spec, cantor.whole_space(spec), cantor.Gauge.power(1)
+        spec, [cantor.Cylinder(())], cantor.Gauge.power(1)
     )
     assert val_flaked == val_orig == 1
 
@@ -181,9 +202,9 @@ def test_gauge_transform():
     squared = cantor.gauge_transform(spec, lambda t: t**2)
     assert squared.scales == (1, Fraction(1, 4), Fraction(1, 16))
     # H^(1/2) of the transformed space equals H^1 of the original
-    v1 = cantor.hausdorff_measure(spec, cantor.whole_space(spec), cantor.Gauge.power(1))
+    v1 = cantor.hausdorff_measure(spec, [cantor.Cylinder(())], cantor.Gauge.power(1))
     v2 = cantor.hausdorff_measure(
-        squared, cantor.whole_space(squared), cantor.Gauge.power(Fraction(1, 2))
+        squared, [cantor.Cylinder(())], cantor.Gauge.power(Fraction(1, 2))
     )
     assert v1 == v2 == 1
     same = cantor.gauge_transform(spec, lambda t: t)
@@ -198,13 +219,13 @@ def test_gauge_table_correspondence():
     h = cantor.Gauge.from_table(
         [(spec.scales[k], Fraction(1, spec.cumulative(k))) for k in range(3)]
     )
-    assert cantor.hausdorff_content(spec, cantor.whole_space(spec), h) == 1
+    assert cantor.hausdorff_content(spec, [cantor.Cylinder(())], h) == 1
 
 
 def test_product_join():
     a = cantor.ProductSpec.geometric((2, 2), Fraction(1, 2))
     b = cantor.ProductSpec.geometric((2, 2), Fraction(1, 2))
-    join = cantor.product_join(a, b)
+    join = cantor.ProductJoin(a, b)
     # diam of a product rectangle is the max of the factor diameters
     for ka in range(3):
         for kb in range(3):
@@ -228,12 +249,12 @@ def test_product_join_grid_mismatch():
     from ultrametric.errors import GridMismatch
 
     with pytest.raises(GridMismatch):
-        cantor.product_join(a, b).as_product_spec()
+        cantor.ProductJoin(a, b).as_product_spec()
 
 
 def test_measure_bound_check():
     a = cantor.ProductSpec.geometric((2, 2), Fraction(1, 2))
-    join = cantor.product_join(a, a)
+    join = cantor.ProductJoin(a, a)
     mu = cantor.ProductMeasure.uniform(a)
     rep = cantor.measure_bound_check(join, mu, mu, cantor.Gauge.power(1), cantor.Gauge.power(1))
     assert rep["holds"]

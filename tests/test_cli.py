@@ -45,6 +45,15 @@ def test_padic_add_mul(capsys):
     assert last_json(out)["product"] == str(28 % 9)
 
 
+def test_padic_negative_operands(capsys):
+    code, out, _ = run(capsys, "padic", "--prime", "3", "--prec", "2", "--add", "-3/5", "1")
+    assert code == 0
+    assert last_json(out)["sum"] == str(2 * pow(5, -1, 9) % 9)
+    code, out, _ = run(capsys, "padic", "--prime", "3", "--prec", "2", "--mul", "-4", "-1/2")
+    assert code == 0
+    assert last_json(out)["product"] == str(2)
+
+
 def test_padic_no_operation(capsys):
     code, _, err = run(capsys, "padic", "--prime", "3")
     assert code == 2
@@ -159,7 +168,7 @@ def test_maximal_and_weak_type(capsys, tmp_path):
     assert code == 0
     assert last_json(out)["maximal"] == ["8", "4", "2", "2", "1", "1", "1", "1"]
     code, out, _ = run(capsys, "maximal", "--tree", path, "--weak-type", "3")
-    assert code == 0 and last_json(out)["holds"] == "True"
+    assert code == 0 and last_json(out)["holds"] is True
     code, out, _ = run(capsys, "maximal", "--tree", path, "--lp", "2", "1/2")
     assert code == 0
     code, out, _ = run(capsys, "maximal", "--tree", path, "--doob", "3")
@@ -177,6 +186,16 @@ def test_characters_table_and_gram(capsys):
     code, out, _ = run(capsys, "characters", "--table", "2")
     rep = last_json(out)
     assert rep["table"] == [["0", "0"], ["0", "1/2"]]
+
+
+def test_characters_no_operation(capsys):
+    code, out, err = run(capsys, "characters")
+    assert code == 2 and out == "" and "--table or --gram" in err
+
+
+def test_audit_no_operation(capsys):
+    code, out, err = run(capsys, "audit")
+    assert code == 2 and out == "" and "--factors or --isometry" in err
 
 
 def test_bad_subcommand(capsys):

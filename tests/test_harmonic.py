@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -221,6 +223,43 @@ def test_pow_bounds_brackets():
             assert hi - lo <= Fraction(1, 2**60)
     assert harmonic.pow_bounds(Fraction(0), Fraction(1, 2)) == (0, 0)
     assert harmonic.pow_bounds(Fraction(4), Fraction(1, 2)) == (2, 2)
+
+
+def test_pow_bounds_brackets_in_integers():
+    # lo <= x^(num/den) <= hi  iff  lo^den <= x^num <= hi^den, compared exactly
+    rng = random.Random(11)
+    for i in range(1200):
+        if i % 2:
+            x = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**6))
+        else:
+            x = Fraction(rng.randrange(1, 40), rng.randrange(1, 8))
+        den = rng.randrange(2, 8)
+        p = Fraction(rng.choice([n for n in range(1, 4 * den) if n % den]), den)
+        prec = rng.choice((64, 128, 256))
+        lo, hi = harmonic.pow_bounds(x, p, prec)
+        assert lo**p.denominator <= x**p.numerator <= hi**p.denominator
+        assert 0 <= hi - lo <= Fraction(1, 2**prec)
+
+
+def test_pow_bounds_512_bits_is_fast():
+    start = time.perf_counter()
+    for prec in (64, 128, 256, 512):
+        lo, hi = harmonic.pow_bounds(Fraction(3, 7), Fraction(3, 2), prec)
+        assert lo**2 <= Fraction(3, 7) ** 3 <= hi**2
+    assert time.perf_counter() - start < 0.5
+
+
+def test_lp_maximal_bound_refines_past_64_bits():
+    # f = 1 on a uniform tree makes both integrals 1, so the inequality reads
+    # 1 <= 6 C1 sqrt(2) at p = 3/2, a = 1/2; C1 within 2^-100 of 1/(6 sqrt 2)
+    # puts the verdict below the 64-bit bracket of sqrt(2)
+    t = harmonic.FiniteUltraTree(BINARY3, (Fraction(1, 8),) * 8, (Fraction(1, 8),) * 8)
+    p, a = Fraction(3, 2), Fraction(1, 2)
+    root = isqrt(2 << 200)  # floor(sqrt(2) 2^100)
+    lo64, hi64 = harmonic.pow_bounds(a, Fraction(1, 2), 64)  # brackets sqrt(1/2)
+    for C1, holds in ((Fraction(root + 1, 12 << 100), True), (Fraction(root, 12 << 100), False)):
+        assert 6 * C1 / hi64 < 1 < 6 * C1 / lo64  # undecided at 64 bits
+        assert harmonic.lp_maximal_bound([1] * 8, t, p, a, C1)["holds"] is holds
 
 
 def test_lp_maximal_bound_constant_8_example():

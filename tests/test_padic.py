@@ -170,8 +170,20 @@ def test_cauchy_product_annihilation():
 def test_haar_measure():
     assert padic.haar_measure(3, 2) == Fraction(1, 8)
     assert padic.haar_measure(-2, 3) == 9
-    assert padic.haar_scale(Fraction(1), Fraction(1, 4)) == Fraction(1, 4)
-    assert padic.haar_scale(Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 8)
+    # |aE| = |a|_p |E|, here with E = 4 Z_2
+    assert padic.abs_p(1, 2) * padic.haar_measure(2, 2) == Fraction(1, 4)
+    assert padic.abs_p(2, 2) * padic.haar_measure(2, 2) == Fraction(1, 8) == padic.haar_measure(3, 2)
+
+
+def test_vp():
+    assert padic.vp(48, 2) == 4 and padic.vp(-48, 2) == 4 and padic.vp(7, 2) == 0
+    assert padic.vp(3**40 * 5, 3) == 40
+    assert padic.vp(3**40 * 5, 3, 12) == 12  # v_p(n mod p^cap)
+    assert padic.vp(0, 5, 7) == 7
+    with pytest.raises(ValueError):
+        padic.vp(0, 5)
+    assert padic.rational_valuation(Fraction(-9, 8), 2) == -3
+    assert padic.rational_valuation(Fraction(50, 3), 5) == 2
 
 
 def test_valuation_saturation():

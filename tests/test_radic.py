@@ -98,6 +98,33 @@ def test_ultrametric_and_translation_invariance(r, a, b, c):
     assert d(a + c, b + c, r, t) == d(a, b, r, t)
 
 
+@given(r=small_radix, periodic=st.booleans())
+def test_cumulative_matches_product_of_factors(r, periodic):
+    r = radic.Radix(r.factors, periodic)
+    top = 3 * r.depth if periodic else r.depth
+    for l in range(top + 1):
+        expect = 1
+        for j in range(l):
+            expect *= r.factors[j % r.depth]
+        assert r.cumulative(l) == expect
+    if not periodic:
+        with pytest.raises(ValueError):
+            r.cumulative(r.depth + 1)
+
+
+def test_radix_value_semantics():
+    r = radic.Radix([2, 3])
+    assert r == radic.Radix((2, 3)) and hash(r) == hash(radic.Radix((2, 3)))
+    assert r != radic.Radix((2, 3), periodic=True)
+    assert repr(r) == "Radix(factors=(2, 3), periodic=False)"
+    assert r.to_json() == {"factors": [2, 3], "periodic": False}
+    for bad in ((), (2, 1)):
+        with pytest.raises(ValueError):
+            radic.Radix(bad)
+    with pytest.raises(ValueError):
+        radic.ScaleSeq((1, Fraction(1, 2), Fraction(1, 2)))
+
+
 def test_haar_ball():
     r = radic.Radix((2, 3))
     assert radic.haar_ball(2, r) == Fraction(1, 6)
