@@ -4,7 +4,11 @@ Points are digit words x = (x_1, ..., x_L) with x_j < n_j; the distance
 between distinct points is t_l where l is the length of the common
 prefix.  Closed balls are exactly the cylinders fixing a prefix, which
 makes Hausdorff contents computable by an exact dynamic program over the
-prefix tree.
+prefix tree.  A cylinder inside the target costs an amount that depends
+only on its depth, so the program takes one gauge value per level, one
+inside-cost per depth and one step per proper prefix of a target word:
+O(L·max n) additions and O(|target|·L·max n) prefix lookups, whatever
+the leaf count N_L.
 """
 
 from __future__ import annotations
@@ -201,24 +205,18 @@ def _pow_exact_or_float(t: Fraction, alpha: Fraction):
     return float(base) ** (1.0 / alpha.denominator)
 
 
-def _check_antichain(target: list[Cylinder], spec: ProductSpec) -> None:
+def _check_antichain(target: list[Cylinder], spec: ProductSpec):
+    """The target's digit words and their proper prefixes; nested pairs raise."""
     for c in target:
         validate_cylinder(c, spec)
-    for i, a in enumerate(target):
-        for b in target[i + 1 :]:
-            if a.contains_prefix(b) or b.contains_prefix(a):
-                raise OverlappingCylinders(f"{a.digits} and {b.digits} are nested")
-
-
-def _target_relation(prefix: tuple[int, ...], target: list[Cylinder]):
-    """"disjoint", "inside" (prefix within a target cylinder), or "partial"."""
-    node = Cylinder(prefix)
-    inside = any(c.contains_prefix(node) for c in target)
-    if inside:
-        return "inside"
-    if any(node.contains_prefix(c) for c in target):
-        return "partial"
-    return "disjoint"
+    words = {c.digits for c in target}
+    prefixes = {c.digits[:k] for c in target for k in range(c.depth)}
+    if len(words) < len(target) or not words.isdisjoint(prefixes):
+        for i, a in enumerate(target):
+            for b in target[i + 1 :]:
+                if a.contains_prefix(b) or b.contains_prefix(a):
+                    raise OverlappingCylinders(f"{a.digits} and {b.digits} are nested")
+    return words, prefixes
 
 
 def hausdorff_content(
@@ -235,8 +233,14 @@ def hausdorff_content(
     ``closed_threshold``); None means unrestricted.  ``measure=True`` takes
     the finest admissible cover scale instead, i.e. the supremum of the
     delta-restricted contents realizable at this truncation depth.
+
+    A node's cost is min(h(t_k), sum of its children's costs), with
+    h(t_k) left out at inadmissible levels and inf for an inadmissible
+    leaf.  A node inside the target costs inside[k], which depends only
+    on its depth; a node disjoint from it costs 0.  So only the proper
+    prefixes of target words are visited, deepest first.
     """
-    _check_antichain(target, spec)
+    words, prefixes = _check_antichain(target, spec)
     if not target:
         return Fraction(0)
     L = spec.depth
@@ -249,28 +253,31 @@ def hausdorff_content(
         diam = spec.scales[k]
         return diam <= delta if closed_threshold else diam < delta
 
-    def cost(prefix: tuple[int, ...], rel: str):
-        k = len(prefix)
-        options = []
-        if allowed(k):
-            options.append(gauge.value(spec.scales[k]))
-        if k < L:
-            total = 0
-            for d in range(spec.branching(k)):
-                child = prefix + (d,)
-                crel = rel if rel == "inside" else _target_relation(child, target)
-                if crel == "disjoint":
-                    continue
-                total = total + cost(child, crel)
-            options.append(total)
-        if not options:
-            return inf
-        return min(options)
+    h = [gauge.value(spec.scales[k]) if allowed(k) else None for k in range(L + 1)]
 
-    rel0 = _target_relation((), target)
-    if rel0 == "disjoint":
-        return Fraction(0)
-    return cost((), rel0)
+    def best(k: int, total):
+        return total if h[k] is None else min(h[k], total)
+
+    inside = [inf] * (L + 1)
+    if h[L] is not None:
+        inside[L] = h[L]
+    for k in range(L - 1, -1, -1):
+        # one copy per child, added in turn as the children are visited
+        total = 0
+        for _ in range(spec.branching(k)):
+            total = total + inside[k + 1]
+        inside[k] = best(k, total)
+
+    cost = {w: inside[len(w)] for w in words}
+    for prefix in sorted(prefixes, key=len, reverse=True):
+        k = len(prefix)
+        total = 0
+        for d in range(spec.branching(k)):
+            child_cost = cost.get(prefix + (d,))
+            if child_cost is not None:
+                total = total + child_cost
+        cost[prefix] = best(k, total)
+    return cost[()]
 
 
 def hausdorff_measure(spec: ProductSpec, target: list[Cylinder], gauge: Gauge):

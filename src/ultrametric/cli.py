@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import inf
 
 from . import audit, cantor, characters, harmonic, hensel, padic, radic
-from .errors import UltrametricError
+from .errors import NotComparable, UltrametricError
 
 SCHEMA = "1"
 DEFAULT_SEED = 0
@@ -86,7 +87,11 @@ def cmd_radic(args) -> int:
         return 0
     if args.preceq is not None:
         r2 = radic.Radix(tuple(int(x) for x in args.preceq.split(",")), periodic=args.periodic)
-        w = radic.preceq(r, r2, args.depth)
+        try:
+            w = radic.preceq(r, r2, args.depth)
+        except NotComparable as e:
+            _emit({"holds": False, "reason": e.reason, "search_depth": e.search_depth}, args.format)
+            return 1
         _emit({"holds": True, "witness": {str(k): v for k, v in w.witnesses.items()}}, args.format)
         return 0
     if args.project is not None:
@@ -121,7 +126,11 @@ def cmd_hausdorff(args) -> int:
         gauge,
         delta=None if args.delta is None else Fraction(args.delta),
     )
-    _emit({"content": str(value)}, args.format)
+    report = {"content": str(value)}
+    if isinstance(value, float) and value != inf:
+        # some t^alpha fell back to a float, so the DP summed floats
+        report["exact"] = False
+    _emit(report, args.format)
     return 0
 
 

@@ -5,6 +5,10 @@ class UltrametricError(Exception):
     """Base class for all package errors."""
 
 
+class CertificationFailed(UltrametricError):
+    """A certificate's own check failed: the computation it vouches for is wrong."""
+
+
 class InvalidPrime(UltrametricError):
     pass
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .cantor import Cylinder, ProductSpec, iroot
 from .errors import (
+    CertificationFailed,
     DegenerateMeasure,
     DegeneratePartition,
     ExponentOutOfRange,
@@ -287,8 +288,10 @@ def interval_reduce(family: list[Interval]) -> list[Interval]:
         if not candidates:
             continue
         chosen.append(max(candidates, key=Interval.right_key))
-    assert same_union(chosen, family)
-    assert interval_multiplicity(chosen) <= 2
+    if not same_union(chosen, family):
+        raise CertificationFailed("interval reduction changed the union")
+    if interval_multiplicity(chosen) > 2:
+        raise CertificationFailed("interval reduction left multiplicity above 2")
     return chosen
 
 
@@ -339,8 +342,10 @@ def vitali_select(family: list[Ball]) -> tuple[list[Ball], dict[int, int]]:
         else:
             assignment[i] = hit
     for i, j in assignment.items():
-        assert family[j].radius >= family[i].radius or i == j
-        assert family[i].within_dilate(family[j])
+        if family[j].radius < family[i].radius and i != j:
+            raise CertificationFailed(f"ball {i} assigned to the smaller ball {j}")
+        if not family[i].within_dilate(family[j]):
+            raise CertificationFailed(f"ball {i} is not within 3x ball {j}")
     return [family[j] for j in selected], assignment
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UltrametricError
+from .errors import CertificationFailed, UltrametricError
 from .padic import abs_p, check_prime
 
 MAX_DIM = 64
@@ -116,9 +116,10 @@ def op_norm(T: UltraMatrix) -> Fraction:
 
 
 def det_abs(T: UltraMatrix) -> Fraction:
-    """|det T|_p, with the bound |det T|_p <= ||T||_op^n asserted."""
+    """|det T|_p, with the bound |det T|_p <= ||T||_op^n checked."""
     value = abs_p(T.det(), T.p)
-    assert value <= op_norm(T) ** T.dim
+    if not value <= op_norm(T) ** T.dim:
+        raise CertificationFailed("|det T|_p exceeds ||T||_op^n")
     return value
 
 

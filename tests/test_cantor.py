@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import log
+from math import inf, log
 
 import pytest
 
@@ -258,3 +258,205 @@ def test_measure_bound_check():
     mu = cantor.ProductMeasure.uniform(a)
     rep = cantor.measure_bound_check(join, mu, mu, cantor.Gauge.power(1), cantor.Gauge.power(1))
     assert rep["holds"]
+
+
+# ---------------------------------------------------------------------------
+# the recursive Hausdorff DP, kept as the oracle of hausdorff_content
+# ---------------------------------------------------------------------------
+
+
+def _oracle_target_relation(prefix, target):
+    """"disjoint", "inside" (prefix within a target cylinder), or "partial"."""
+    node = cantor.Cylinder(prefix)
+    inside = any(c.contains_prefix(node) for c in target)
+    if inside:
+        return "inside"
+    if any(node.contains_prefix(c) for c in target):
+        return "partial"
+    return "disjoint"
+
+
+def oracle_hausdorff_content(
+    spec, target, gauge, delta=None, closed_threshold=False, measure=False
+):
+    """Recursion over every node under the target, one gauge value per node."""
+    for c in target:
+        cantor.validate_cylinder(c, spec)
+    for i, a in enumerate(target):
+        for b in target[i + 1 :]:
+            if a.contains_prefix(b) or b.contains_prefix(a):
+                raise OverlappingCylinders(f"{a.digits} and {b.digits} are nested")
+    if not target:
+        return Fraction(0)
+    L = spec.depth
+
+    def allowed(k):
+        if measure:
+            return k == L
+        if delta is None:
+            return True
+        diam = spec.scales[k]
+        return diam <= delta if closed_threshold else diam < delta
+
+    def cost(prefix, rel):
+        k = len(prefix)
+        options = []
+        if allowed(k):
+            options.append(gauge.value(spec.scales[k]))
+        if k < L:
+            total = 0
+            for d in range(spec.branching(k)):
+                child = prefix + (d,)
+                crel = rel if rel == "inside" else _oracle_target_relation(child, target)
+                if crel == "disjoint":
+                    continue
+                total = total + cost(child, crel)
+            options.append(total)
+        if not options:
+            return inf
+        return min(options)
+
+    rel0 = _oracle_target_relation((), target)
+    if rel0 == "disjoint":
+        return Fraction(0)
+    return cost((), rel0)
+
+
+def _random_antichain(rng, factors):
+    """1-5 pairwise non-nested cylinders at mixed depths; the root alone at times."""
+    if rng.random() < 0.08:
+        return [cantor.Cylinder(())]
+    words = []
+    for _ in range(rng.randint(1, 5)):
+        d = rng.randint(1, len(factors))
+        w = tuple(rng.randrange(n) for n in factors[:d])
+        if not any(w[: len(e)] == e or e[: len(w)] == w for e in words):
+            words.append(w)
+    return [cantor.Cylinder(w) for w in words]
+
+
+def _random_case(rng):
+    L = rng.randint(1, 7)
+    factors = tuple(rng.randint(2, 4) for _ in range(L))
+    spec = rng.choice(
+        (
+            cantor.ProductSpec.reciprocal(factors),
+            cantor.ProductSpec.geometric(factors, Fraction(1, rng.randint(2, 5))),
+        )
+    )
+    target = _random_antichain(rng, factors)
+    kw = {}
+    r = rng.random()
+    if r < 0.2:
+        kw["measure"] = True
+    elif r < 0.8:
+        j = rng.randrange(L + 1)
+        t = spec.scales[j]
+        kw["delta"] = t if j == L or rng.random() < 0.5 else (t + spec.scales[j + 1]) / 2
+        kw["closed_threshold"] = rng.random() < 0.5
+    return spec, target, kw
+
+
+def test_hausdorff_content_against_recursive_oracle():
+    rng = random.Random(4)
+    alphas = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 7)]
+    floats = 0
+    for _ in range(2400):
+        spec, target, kw = _random_case(rng)
+        gauge = cantor.Gauge.power(rng.choice(alphas))
+        new = cantor.hausdorff_content(spec, target, gauge, **kw)
+        old = oracle_hausdorff_content(spec, target, gauge, **kw)
+        assert type(new) is type(old) and new == old, (spec, target, gauge, kw)
+        if kw.get("measure"):
+            assert cantor.hausdorff_measure(spec, target, gauge) == old
+        floats += type(old) is float
+    assert floats > 500  # the float fallback is exercised, not only exact values
+
+
+def test_hausdorff_content_table_gauge_against_recursive_oracle():
+    # integer and rational table values, so int, Fraction and inf results all occur
+    rng = random.Random(6)
+    for _ in range(600):
+        spec, target, kw = _random_case(rng)
+        values = sorted(rng.choice((0, 1, 2, Fraction(1, 3), Fraction(5, 2))) for _ in spec.scales)
+        gauge = cantor.Gauge.from_table(zip(sorted(spec.scales), values))
+        new = cantor.hausdorff_content(spec, target, gauge, **kw)
+        old = oracle_hausdorff_content(spec, target, gauge, **kw)
+        assert type(new) is type(old) and new == old, (spec, target, values, kw)
+
+
+def test_nested_targets_rejected_as_by_the_oracle():
+    rng = random.Random(8)
+    gauge = cantor.Gauge.power(1)
+    for _ in range(300):
+        spec, target, _ = _random_case(rng)
+        w = rng.choice(target).digits
+        # a repeat, a prefix or an extension of a target word, at a random place
+        nested = w[: rng.randrange(len(w) + 1)]
+        if rng.random() < 0.5:
+            nested = w + tuple(rng.randrange(n) for n in spec.factors[len(w) :])
+        target.insert(rng.randrange(len(target) + 1), cantor.Cylinder(nested))
+        with pytest.raises(OverlappingCylinders) as new:
+            cantor.hausdorff_content(spec, target, gauge)
+        with pytest.raises(OverlappingCylinders) as old:
+            oracle_hausdorff_content(spec, target, gauge)
+        assert str(new.value) == str(old.value)
+
+
+def test_hausdorff_float_sums_follow_the_recursion_on_wide_factors():
+    # ten float copies added one at a time differ from ten times one copy,
+    # so the inside-costs must add children in turn, as the recursion does
+    spec = cantor.ProductSpec.geometric((10, 7, 10), Fraction(1, 3))
+    gauge = cantor.Gauge.power(Fraction(3, 4))
+    for target in ([cantor.Cylinder(())], [cantor.Cylinder((3,)), cantor.Cylinder((4, 1))]):
+        new = cantor.hausdorff_measure(spec, target, gauge)
+        old = oracle_hausdorff_content(spec, target, gauge, measure=True)
+        assert type(new) is float and new == old
+
+
+def test_h1_measure_at_depth_128():
+    # 2^128 leaves: the cost depends on the depth and the target, not on N_L
+    spec = cantor.ProductSpec.reciprocal((2,) * 128)
+    gauge = cantor.Gauge.power(1)
+    assert cantor.hausdorff_measure(spec, [cantor.Cylinder(())], gauge) == 1
+    rng = random.Random(7)
+    B = cantor.Cylinder(tuple(rng.randrange(2) for _ in range(100)))
+    val = cantor.hausdorff_measure(spec, [B], gauge)
+    assert type(val) is Fraction and val == Fraction(1, 2**100)
+
+
+def test_delta_content_at_depth_128_matches_closed_form():
+    # one cylinder of depth j: a ball of depth k <= j covers it at cost t_k,
+    # otherwise N_k/N_j balls of depth k do
+    factors = (2, 3, 5) * 42 + (2, 3)
+    spec = cantor.ProductSpec.geometric(factors, Fraction(1, 3))
+    gauge = cantor.Gauge.power(1)
+    j = 60
+    B = cantor.Cylinder(tuple(n - 1 for n in factors[:j]))
+    t = spec.scales
+    for delta in (t[40], (t[90] + t[91]) / 2):
+        for closed in (False, True):
+            want = min(
+                max(1, Fraction(spec.cumulative(k), spec.cumulative(j))) * t[k]
+                for k in range(len(t))
+                if (t[k] <= delta if closed else t[k] < delta)
+            )
+            val = cantor.hausdorff_content(
+                spec, [B], gauge, delta=delta, closed_threshold=closed
+            )
+            assert type(val) is Fraction and val == want
+
+
+def test_square_root_gauge_on_4_adic_scales_is_exact_at_depth_100():
+    # h(4^-k) = 2^-k exactly, so no value falls back to floats
+    spec = cantor.ProductSpec.geometric((4,) * 100, Fraction(1, 4))
+    gauge = cantor.Gauge.power(Fraction(1, 2))
+    whole = [cantor.Cylinder(())]
+    val = cantor.hausdorff_measure(spec, whole, gauge)
+    assert type(val) is Fraction and val == 2**100
+    # covers by balls of depth k >= 2 cost 4^k 2^-k = 2^k, least at k = 2
+    val = cantor.hausdorff_content(spec, whole, gauge, delta=spec.scales[1])
+    assert type(val) is Fraction and val == 4
+    halves = [cantor.Cylinder((0,) * 50), cantor.Cylinder((1,) * 50)]
+    val = cantor.hausdorff_measure(spec, halves, gauge)
+    assert type(val) is Fraction and val == 2

@@ -89,6 +89,27 @@ def test_radic_preceq_and_project(capsys):
     assert last_json(out) == {"schema": "1", "residue": "1", "modulus": "4"}
 
 
+def test_radic_preceq_refuted_exits_1_with_witness(capsys):
+    # 5 divides no prefix product of 2,3
+    code, out, err = run(capsys, "radic", "--radix", "2,3", "--preceq", "5,5")
+    assert code == 1 and err == ""
+    assert last_json(out) == {
+        "schema": "1", "holds": False, "reason": "coprime", "search_depth": 2
+    }
+    # R_1 = 8 needs three periods of 2; a search of depth 2 runs out first
+    code, out, _ = run(
+        capsys, "radic", "--radix", "8", "--preceq", "2", "--periodic", "--depth", "2"
+    )
+    assert code == 1
+    assert last_json(out) == {
+        "schema": "1", "holds": False, "reason": "search-exhausted", "search_depth": 2
+    }
+    code, out, _ = run(
+        capsys, "radic", "--radix", "8", "--preceq", "2", "--periodic", "--depth", "3"
+    )
+    assert code == 0 and last_json(out)["witness"] == {"1": 3}
+
+
 def test_hausdorff_content_and_dimension(capsys):
     code, out, _ = run(
         capsys, "hausdorff", "--factors", "2,2,2", "--scales", "geometric:1/2"
@@ -105,6 +126,27 @@ def test_hausdorff_content_and_dimension(capsys):
     )
     lo, hi = (float(x) for x in last_json(out)["dimension_interval"])
     assert lo <= 1.0 <= hi + 1e-6
+
+
+def test_hausdorff_report_says_when_content_is_a_float(capsys):
+    # (1/3)^(3/4) is irrational: the content is a float and the report says so
+    code, out, _ = run(
+        capsys, "hausdorff", "--factors", "2,2,2", "--scales", "geometric:1/3",
+        "--alpha", "3/4",
+    )
+    assert code == 0
+    assert out == '{"content": "0.6754094983569712", "exact": false, "schema": "1"}'
+    # exact contents, and the infinite content of a cover-free delta, keep
+    # the report without the key
+    code, out, _ = run(
+        capsys, "hausdorff", "--factors", "2,2,2", "--scales", "geometric:1/9",
+        "--alpha", "1/2",
+    )
+    assert code == 0
+    assert out == '{"content": "8/27", "schema": "1"}'
+    code, out, _ = run(capsys, "hausdorff", "--factors", "2,2,2", "--delta", "0")
+    assert code == 0
+    assert out == '{"content": "inf", "schema": "1"}'
 
 
 def test_audit_metric_verdicts(capsys):

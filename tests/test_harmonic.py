@@ -419,3 +419,57 @@ def test_lp_norm_contraction():
             x * x * w for x, w in zip(f, mu)
         )
         assert max(abs(a) for a in fb) <= max(abs(x) for x in f)
+
+
+_BROKEN_CERTIFICATES = """
+import sys
+from fractions import Fraction
+from ultrametric import harmonic, linalg
+from ultrametric.errors import CertificationFailed
+
+print(sys.flags.optimize)
+fam = [harmonic.Interval(0, 2), harmonic.Interval(1, 3)]
+balls = [harmonic.Ball(0, 2), harmonic.Ball(1, 1)]
+cases = [
+    (linalg, "op_norm", lambda T: Fraction(0),
+     lambda: linalg.det_abs(linalg.UltraMatrix(2, ((1, 0), (0, 1))))),
+    (harmonic, "same_union", lambda a, b: False, lambda: harmonic.interval_reduce(fam)),
+    (harmonic, "interval_multiplicity", lambda f: 3, lambda: harmonic.interval_reduce(fam)),
+    # visiting the balls in input order assigns the larger to the smaller
+    (harmonic, "sorted", lambda it, key: list(it),
+     lambda: harmonic.vitali_select(balls[::-1])),
+    (harmonic.Ball, "within_dilate", lambda s, o, factor=3: False,
+     lambda: harmonic.vitali_select(balls)),
+]
+for owner, name, broken, call in cases:
+    setattr(owner, name, broken)
+    try:
+        call()
+        print("unchecked", name)
+    except CertificationFailed:
+        print("caught", name)
+"""
+
+
+def test_certificates_raise_typed_errors_under_python_O():
+    # each check is an explicit test, so stripping asserts does not skip it
+    import os
+    import subprocess
+    import sys
+
+    import ultrametric
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultrametric.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_CERTIFICATES],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split("\n")
+    assert out[0] == "1"
+    assert out[1:] == [
+        "caught op_norm",
+        "caught same_union",
+        "caught interval_multiplicity",
+        "caught sorted",
+        "caught within_dilate",
+        "",
+    ]
