@@ -11,8 +11,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cantor import Cylinder, ProductMeasure, ProductSpec, match_and_dist, match_length
 from .errors import EmptySet
 from .radic import Radix, ScaleSeq, default_scales, radic_dist
@@ -85,6 +83,32 @@ def mixed_radix_digits(a: int, radix: Radix) -> tuple[int, ...]:
     )
 
 
+def _per_level_check(words: list, radix: Radix) -> tuple[bool, bool]:
+    """(isometric, pushforward_uniform) for a -> words[a] on 0 <= a < n = len(words).
+
+    At each level k with R_k | n, "a = b mod R_k" must be the same relation
+    as "same first k digits": every k-prefix maps to one residue mod R_k and
+    there are R_k prefixes.  Each prefix must also carry n / R_k points, the
+    Haar mass 1/R_k.  Levels past the first R_k not dividing n are skipped.
+    """
+    n = len(words)
+    isometric = pushforward_uniform = True
+    for k in range(1, radix.depth + 1):
+        R_k = radix.cumulative(k)
+        if n % R_k:
+            break
+        residue: dict[tuple[int, ...], int] = {}
+        mass: dict[tuple[int, ...], int] = {}
+        for a, w in enumerate(words):
+            prefix = w[:k]
+            if residue.setdefault(prefix, a % R_k) != a % R_k:
+                isometric = False
+            mass[prefix] = mass.get(prefix, 0) + 1
+        isometric = isometric and len(residue) == R_k
+        pushforward_uniform = pushforward_uniform and all(c * R_k == n for c in mass.values())
+    return isometric, pushforward_uniform
+
+
 def build_radic_isometry(
     radix: Radix,
     t: ScaleSeq | None = None,
@@ -94,9 +118,14 @@ def build_radic_isometry(
 ) -> dict:
     """Bijection Z/R_L -> digit words preserving the r-adic metric.
 
-    Checked exhaustively (vectorized) when R_L <= exhaustive_cap, sampled
-    otherwise; also certifies that Haar mass pushes to the uniform
-    product measure.
+    The digit words of 0 <= a < B are computed once, B = R_L when
+    R_L <= exhaustive_cap, else the largest R_k <= exhaustive_cap (1 when
+    already r_1 exceeds it).  On them the map must be injective, and at
+    every level k with R_k | B the residues mod R_k must match the k-digit
+    prefixes one to one, each prefix receiving Haar mass 1/R_k; this costs
+    O(B * L) and is equivalent to l_r(a - b) = match length for all R_L^2
+    pairs when B = R_L.  Past the cap, ``samples`` seeded random pairs are
+    also compared in the metric.
     """
     if t is None:
         t = default_scales(radix)
@@ -106,26 +135,14 @@ def build_radic_isometry(
     def psi(a: int) -> tuple[int, ...]:
         return mixed_radix_digits(a, radix)
 
+    enum_bound = max((R_k for R_k in radix.prefix if R_k <= exhaustive_cap), default=1)
+    words = [psi(a) for a in range(enum_bound)]
+    bijective = len(set(words)) == enum_bound
+    isometric, pushforward_uniform = _per_level_check(words, radix)
     if R <= exhaustive_cap:
-        a = np.arange(R, dtype=np.int32)
-        diff = a[None, :] - a[:, None]
-        # l_r(a-b) via divisibility by successive R_l
-        lvl = np.zeros((R, R), dtype=np.int8)
-        for l in range(1, radix.depth + 1):
-            lvl += (diff % radix.cumulative(l) == 0).astype(np.int8)
-        digits = np.array([psi(i) for i in range(R)], dtype=np.int16)
-        still = np.ones((R, R), dtype=bool)
-        acc = np.zeros((R, R), dtype=np.int8)
-        for k in range(radix.depth):
-            still &= digits[None, :, k] == digits[:, None, k]
-            acc += still.astype(np.int8)
-        isometric = bool(np.array_equal(lvl, acc))
         pairs_checked = R * R
-        bijective = len({psi(i) for i in range(R)}) == R
-        enum_bound = R
     else:
         rng = random.Random(seed)
-        isometric = True
         pairs_checked = samples
         for _ in range(samples):
             x, y = rng.randrange(R), rng.randrange(R)
@@ -135,27 +152,6 @@ def build_radic_isometry(
             if d_r != d_img:
                 isometric = False
                 break
-        # bijectivity verified level-by-level on a tractable prefix depth,
-        # which is 0 when already the first factor exceeds the cap
-        k_max = max(
-            (k for k in range(1, radix.depth + 1) if radix.cumulative(k) <= exhaustive_cap),
-            default=0,
-        )
-        bijective = len({psi(a)[:k_max] for a in range(radix.cumulative(k_max))}) == radix.cumulative(k_max)
-        enum_bound = radix.cumulative(k_max)
-
-    # Haar pushforward: each depth-k cylinder must receive R_k^{-1} mass
-    pushforward_uniform = True
-    counts: dict[tuple[int, ...], int] = {}
-    for a in range(enum_bound):
-        w = psi(a)
-        for k in range(1, radix.depth + 1):
-            if radix.cumulative(k) > enum_bound:
-                break
-            counts[w[:k]] = counts.get(w[:k], 0) + 1
-    for prefix, c in counts.items():
-        if Fraction(c, enum_bound) != Fraction(1, radix.cumulative(len(prefix))):
-            pushforward_uniform = False
     return {
         "bijective": bijective,
         "isometric": isometric,

@@ -11,11 +11,11 @@ multiset-shift symmetry.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from .errors import CertificationFailed
 from .padic import PAdicInt, PAdicScalar, check_prime, vp
 from .radic import Radix
 
@@ -129,8 +129,6 @@ def turn_sum_is_zero(turns: list[Fraction]) -> bool:
     If the multiset of turns is invariant under adding some nonzero shift
     s, the sum S satisfies S = e(s) S with e(s) != 1, hence S = 0.
     """
-    from collections import Counter
-
     bag = Counter(Fraction(t) % 1 for t in turns)
     shifts = {t for t in bag if t != 0}
     for s in shifts:
@@ -152,8 +150,6 @@ def gram_exact(n: int) -> list[list[Fraction]]:
     The entry is (1/n) sum_a e(a (j - j')/n): n/n = 1 on the diagonal and
     an exactly-certified 0 off it.
     """
-    from collections import Counter
-
     entry = [Fraction(1)]
     for d in range(1, n):
         # the entry depends only on d = j - j' mod n, so certify once per d;
@@ -166,13 +162,16 @@ def gram_exact(n: int) -> list[list[Fraction]]:
             if s != 0
         )
         if not certified:
-            raise AssertionError("sum lemma failed to certify vanishing")
+            raise CertificationFailed("sum lemma failed to certify vanishing")
         entry.append(Fraction(0))
     return [[entry[(j - jp) % n] for jp in range(n)] for j in range(n)]
 
 
-def gram_float(n: int) -> np.ndarray:
-    """Numerical Gram matrix of the character table, for the 1e-12 cross-check."""
+def gram_float(n: int):
+    """Numerical Gram matrix of the character table as a numpy array, for
+    the 1e-12 cross-check; the one function of the package that uses numpy."""
+    import numpy as np
+
     j = np.arange(n)
     W = np.exp(2j * np.pi * np.outer(j, j) / n)
     return W @ W.conj().T / n
@@ -189,7 +188,7 @@ def l2_distance_squared(n: int, j1: int, j2: int) -> Fraction:
     d = (j1 - j2) % n
     turns = [Fraction(a * d, n) for a in range(n)]
     if not turn_sum_is_zero(turns):
-        raise AssertionError("sum lemma failed to certify vanishing")
+        raise CertificationFailed("sum lemma failed to certify vanishing")
     return Fraction(2)
 
 

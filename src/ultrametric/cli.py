@@ -90,7 +90,8 @@ def cmd_radic(args) -> int:
         try:
             w = radic.preceq(r, r2, args.depth)
         except NotComparable as e:
-            _emit({"holds": False, "reason": e.reason, "search_depth": e.search_depth}, args.format)
+            _emit({"holds": False, "reason": e.reason, "search_depth": e.search_depth,
+                   "level": e.level, "modulus": str(e.modulus)}, args.format)
             return 1
         _emit({"holds": True, "witness": {str(k): v for k, v in w.witnesses.items()}}, args.format)
         return 0

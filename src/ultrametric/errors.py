@@ -41,13 +41,16 @@ class NotComparable(UltrametricError):
     """Raised when no projection witness is found between two radices.
 
     ``reason`` is "coprime" when refuted outright, "search-exhausted" when
-    the bounded witness search ran out; ``search_depth`` records the bound.
+    the bounded witness search ran out; ``search_depth`` records the bound,
+    ``level`` the first level l whose ``modulus`` R_l divides no R'_n.
     """
 
-    def __init__(self, message, reason, search_depth):
+    def __init__(self, message, reason, search_depth, level, modulus):
         super().__init__(message)
         self.reason = reason
         self.search_depth = search_depth
+        self.level = level
+        self.modulus = modulus
 
 
 class HenselPreconditionFailed(UltrametricError):

@@ -129,17 +129,15 @@ def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
     return out
 
 
-def weak_type_verify(tree: FiniteUltraTree, t: Fraction, mode: str = "ultrametric") -> dict:
+def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
     """Check mu{M(nu) > t} <= C1 t^{-1} nu(X); C1 = 1 on trees, 2 on grids."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    if mode == "ultrametric":
-        m = maximal_function(tree)
-        lhs = sum((w for w, v in zip(tree.mu, m) if v > t), Fraction(0))
-        rhs = Fraction(1) / t * sum(tree.nu, Fraction(0))
-        return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": 1}
-    raise ValueError(f"unknown mode {mode}")
+    m = maximal_function(tree)
+    lhs = sum((w for w, v in zip(tree.mu, m) if v > t), Fraction(0))
+    rhs = Fraction(1) / t * sum(tree.nu, Fraction(0))
+    return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": 1}
 
 
 def ratio_grid(tree: FiniteUltraTree) -> list[Fraction]:
@@ -397,6 +395,17 @@ def pow_bounds_signed(x: Fraction, e: Fraction, prec_bits: int = 64):
     return 1 / hi, 1 / lo
 
 
+def _power_integral_bounds(values, mu, p: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """Bounds on sum |v|^p w over the nonzero values, one bracket per value."""
+    lo = hi = Fraction(0)
+    for v, w in zip(values, mu):
+        if v != 0:
+            v_lo, v_hi = pow_bounds_signed(abs(v), p, prec)
+            lo += v_lo * w
+            hi += v_hi * w
+    return lo, hi
+
+
 def lp_maximal_bound(
     f: list[Fraction], tree: FiniteUltraTree, p, a, C1: int = 1
 ) -> dict:
@@ -419,27 +428,14 @@ def lp_maximal_bound(
             Fraction(p) * C1 / (1 - a) / (p - 1) * b
             for b in pow_bounds_signed(a, 1 - p, prec)
         )
-        lhs_lo = sum(
-            (pow_bounds_signed(v, p, prec)[0] * w for v, w in zip(m, tree.mu) if v > 0),
-            Fraction(0),
-        )
-        lhs_hi = sum(
-            (pow_bounds_signed(v, p, prec)[1] * w for v, w in zip(m, tree.mu) if v > 0),
-            Fraction(0),
-        )
-        rhs_lo = c_lo * sum(
-            (pow_bounds_signed(abs(x), p, prec)[0] * w for x, w in zip(f, tree.mu) if x != 0),
-            Fraction(0),
-        )
-        rhs_hi = c_hi * sum(
-            (pow_bounds_signed(abs(x), p, prec)[1] * w for x, w in zip(f, tree.mu) if x != 0),
-            Fraction(0),
-        )
+        lhs_lo, lhs_hi = _power_integral_bounds(m, tree.mu, p, prec)
+        f_lo, f_hi = _power_integral_bounds(f, tree.mu, p, prec)
+        rhs_lo, rhs_hi = c_lo * f_lo, c_hi * f_hi
         if lhs_hi <= rhs_lo:
             return {"holds": True, "lhs": float(lhs_hi), "rhs": float(rhs_lo)}
         if lhs_lo > rhs_hi:
             return {"holds": False, "lhs": float(lhs_lo), "rhs": float(rhs_hi)}
-    raise ArithmeticError("power bracket did not resolve the comparison")
+    raise CertificationFailed("power bracket did not resolve the comparison")
 
 
 def lp_best_a(p, C1: int = 1, grid: int = 32) -> tuple[Fraction, Fraction]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    CertificationFailed,
     DecayWitnessInvalid,
     HenselPreconditionFailed,
     KMismatch,
@@ -220,7 +221,7 @@ def contraction_solve(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> PAdicInt
             break
         step_v = vp(y_next - y, p, work)
         if prev_step_v is not None and step_v < prev_step_v + 1:
-            raise AssertionError("contraction factor above 1/p on the orbit")
+            raise CertificationFailed("contraction factor above 1/p on the orbit")
         prev_step_v = step_v
         y = y_next
     return PAdicInt(p, N, x0_res + y)

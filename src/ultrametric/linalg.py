@@ -153,7 +153,7 @@ def zp_invertibility(T: UltraMatrix, samples: int = 20, seed: int = 0) -> dict:
             )
         for v in probes:
             if v.norm() != 0 and T.apply(v).norm() != v.norm():
-                raise AssertionError("isometry cross-check failed")
+                raise CertificationFailed("isometry cross-check failed")
     return verdict
 
 

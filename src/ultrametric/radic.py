@@ -243,8 +243,7 @@ def preceq(r: Radix, r_prime: Radix, search_depth: int = 64) -> PrecedenceWitnes
             reason = "coprime" if rem > 1 else "search-exhausted"
             raise NotComparable(
                 f"R_{l} = {R_l} divides no R'_n for n <= {max_n} ({reason})",
-                reason,
-                max_n,
+                reason, max_n, l, R_l,
             )
         witness.witnesses[l] = found
     return witness

@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 from ultrametric import audit, cantor, radic
@@ -78,6 +81,87 @@ def test_radic_isometry_roundtrip():
     psi = rep["map"]
     inverse = {psi(a): a for a in range(r.modulus)}
     assert all(inverse[psi(a)] == a for a in range(r.modulus))
+
+
+def test_radic_isometry_refutes_a_broken_digit_map(monkeypatch):
+    digits = audit.mixed_radix_digits
+    monkeypatch.setattr(audit, "mixed_radix_digits", lambda a, radix: digits(a - a % 2, radix))
+    for factors, pairs in (((2, 3), 36), ((4, 5, 10, 25, 20), 2000)):
+        rep = audit.build_radic_isometry(radic.Radix(factors))
+        assert not (rep["bijective"] or rep["isometric"] or rep["pushforward_uniform"])
+        assert rep["pairs_checked"] == pairs
+    # dropping digit 4 changes none of the R_3 = 200 enumerated points, so
+    # only the sampled pairs can refute it
+    monkeypatch.setattr(
+        audit, "mixed_radix_digits", lambda a, r: digits(a, r)[:3] + (0, digits(a, r)[4])
+    )
+    rep = audit.build_radic_isometry(radic.Radix((4, 5, 10, 25, 20)))
+    assert rep["bijective"] and rep["pushforward_uniform"] and not rep["isometric"]
+
+
+def oracle_isometric(words, radix) -> bool:
+    """The pairwise R x R check, in blocks of rows: for every pair a, b the
+    number of levels l with R_l | b - a equals the number of leading digits
+    words[a] and words[b] share."""
+    R = len(words)
+    a = np.arange(R)
+    d = np.arange(-(R - 1), R)
+    levels = sum((d % radix.cumulative(l) == 0).astype(np.int8) for l in range(1, radix.depth + 1))
+    digits = np.array(words, dtype=np.int64)
+    for lo in range(0, R, 256):
+        rows = slice(lo, lo + 256)
+        lvl = levels[a[None, :] - a[rows, None] + R - 1]
+        still = np.ones(lvl.shape, dtype=bool)
+        acc = np.zeros(lvl.shape, dtype=np.int8)
+        for k in range(radix.depth):
+            still &= digits[None, :, k] == digits[rows, None, k]
+            acc += still
+        if not np.array_equal(lvl, acc):
+            return False
+    return True
+
+
+def _random_radix(rng):
+    while True:
+        fs = tuple(rng.randrange(2, 9) for _ in range(rng.randrange(1, 9)))
+        if radic.Radix(fs).modulus <= 4096:
+            return radic.Radix(fs)
+
+
+def test_per_level_check_against_numpy_oracle():
+    rng = random.Random(17)
+    radices = [radic.Radix((2,) * 12), radic.Radix((4, 4, 4, 8, 8))]
+    radices += [_random_radix(rng) for _ in range(30)]
+    for r in radices:
+        R = r.modulus
+        canonical = [audit.mixed_radix_digits(a, r) for a in range(R)]
+        unit = next(u for u in range(R // 2 + 1, 2 * R) if gcd(u, R) == 1)
+        perms = [rng.sample(range(n), n) for n in r.factors]
+        # r-adic isometries: the digit map itself, after multiplying by a
+        # unit, and followed by a digit permutation at every level
+        isometries = [
+            canonical,
+            [canonical[unit * a % R] for a in range(R)],
+            [tuple(s[d] for s, d in zip(perms, w)) for w in canonical],
+        ]
+        # most-significant digit first: bijective, and not isometric as soon
+        # as 0 and 1 share their leading digit
+        msd_first = [w[::-1] for w in canonical]
+        # a leading digit that also carries the second one: each prefix has
+        # one residue mod R_1, but past depth 1 there are R_2 prefixes
+        finer = [(a % r.cumulative(min(2, r.depth)),) + w[1:] for a, w in enumerate(canonical)]
+        shuffled = rng.sample(canonical, R)
+        collapsed = [canonical[a - a % 2] for a in range(R)]
+        for words in isometries:
+            assert audit._per_level_check(words, r) == (True, True)
+            assert oracle_isometric(words, r)
+        for words in (msd_first, finer, shuffled, collapsed):
+            assert audit._per_level_check(words, r)[0] == oracle_isometric(words, r)
+        # only even points have images, so prefixes carry no uniform mass
+        assert audit._per_level_check(collapsed, r) == (False, False)
+        if r.depth >= 2:
+            assert not audit._per_level_check(msd_first, r)[0]
+            assert not audit._per_level_check(finer, r)[0]
 
 
 def test_doubling_metric_examples():

@@ -94,7 +94,8 @@ def test_radic_preceq_refuted_exits_1_with_witness(capsys):
     code, out, err = run(capsys, "radic", "--radix", "2,3", "--preceq", "5,5")
     assert code == 1 and err == ""
     assert last_json(out) == {
-        "schema": "1", "holds": False, "reason": "coprime", "search_depth": 2
+        "schema": "1", "holds": False, "reason": "coprime", "search_depth": 2,
+        "level": 1, "modulus": "2",
     }
     # R_1 = 8 needs three periods of 2; a search of depth 2 runs out first
     code, out, _ = run(
@@ -102,7 +103,8 @@ def test_radic_preceq_refuted_exits_1_with_witness(capsys):
     )
     assert code == 1
     assert last_json(out) == {
-        "schema": "1", "holds": False, "reason": "search-exhausted", "search_depth": 2
+        "schema": "1", "holds": False, "reason": "search-exhausted", "search_depth": 2,
+        "level": 1, "modulus": "8",
     }
     code, out, _ = run(
         capsys, "radic", "--radix", "8", "--preceq", "2", "--periodic", "--depth", "3"
@@ -250,3 +252,18 @@ def test_reports_deterministic(capsys, tmp_path):
         _, out, _ = run(capsys, "audit", "--isometry", "2,3,2")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only characters.gram_float needs numpy, and it imports it when called
+    import os
+    import subprocess
+    import sys
+
+    import ultrametric
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultrametric.__file__)))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, ultrametric.cli; assert 'numpy' not in sys.modules"],
+        env=env, check=True,
+    )

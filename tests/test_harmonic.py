@@ -424,12 +424,24 @@ def test_lp_norm_contraction():
 _BROKEN_CERTIFICATES = """
 import sys
 from fractions import Fraction
-from ultrametric import harmonic, linalg
+from unittest import mock
+from ultrametric import cantor, characters, harmonic, hensel, linalg, padic
 from ultrametric.errors import CertificationFailed
 
 print(sys.flags.optimize)
 fam = [harmonic.Interval(0, 2), harmonic.Interval(1, 3)]
 balls = [harmonic.Ball(0, 2), harmonic.Ball(1, 1)]
+f = hensel.ZpPoly.from_rationals([Fraction(-17), Fraction(0), Fraction(1)], 2, 8)
+x0 = padic.PAdicInt(2, 8, 1)
+quarter = (Fraction(1, 4),) * 4
+tree = harmonic.FiniteUltraTree(cantor.ProductSpec.reciprocal((2, 2)), quarter, quarter)
+
+
+class NeverEqual(characters.Counter):
+    def __eq__(self, other):
+        return False
+
+
 cases = [
     (linalg, "op_norm", lambda T: Fraction(0),
      lambda: linalg.det_abs(linalg.UltraMatrix(2, ((1, 0), (0, 1))))),
@@ -440,14 +452,27 @@ cases = [
      lambda: harmonic.vitali_select(balls[::-1])),
     (harmonic.Ball, "within_dilate", lambda s, o, factor=3: False,
      lambda: harmonic.vitali_select(balls)),
+    # the orbit's step valuations, capped at the working precision
+    # 8 + 2 v_2(f'(1)) + 2 = 12, stop growing
+    (hensel, "vp", lambda n, p, cap=None: 0 if cap == 12 else padic.vp(n, p, cap),
+     lambda: hensel.contraction_solve(f, x0)),
+    (linalg.UltraMatrix, "apply", lambda T, v: linalg.UltraVector(T.p, (0,) * T.dim),
+     lambda: linalg.zp_invertibility(linalg.UltraMatrix(2, ((1, 0), (0, 1))))),
+    (characters, "Counter", NeverEqual, lambda: characters.gram_exact(4)),
+    (characters, "turn_sum_is_zero", lambda turns: False,
+     lambda: characters.l2_distance_squared(4, 0, 1)),
+    # a bracket of width 2 around every power never decides 1 <= 4
+    (harmonic, "pow_bounds_signed", lambda x, e, prec: (Fraction(0), Fraction(2)),
+     lambda: harmonic.lp_maximal_bound([1] * 4, tree, 2, Fraction(1, 2))),
 ]
 for owner, name, broken, call in cases:
-    setattr(owner, name, broken)
-    try:
-        call()
-        print("unchecked", name)
-    except CertificationFailed:
-        print("caught", name)
+    # undone after each case, so a check is never caught by an earlier break
+    with mock.patch.object(owner, name, broken, create=True):
+        try:
+            call()
+            print("unchecked", name)
+        except CertificationFailed:
+            print("caught", name)
 """
 
 
@@ -471,5 +496,10 @@ def test_certificates_raise_typed_errors_under_python_O():
         "caught interval_multiplicity",
         "caught sorted",
         "caught within_dilate",
+        "caught vp",
+        "caught apply",
+        "caught Counter",
+        "caught turn_sum_is_zero",
+        "caught pow_bounds_signed",
         "",
     ]

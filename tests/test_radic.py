@@ -146,6 +146,7 @@ def test_preceq_coprime_refuted():
     with pytest.raises(NotComparable) as exc:
         radic.preceq(r, rp)
     assert exc.value.reason == "coprime"
+    assert (exc.value.level, exc.value.modulus) == (1, 2)
 
 
 def test_preceq_search_exhausted():
@@ -155,6 +156,7 @@ def test_preceq_search_exhausted():
     with pytest.raises(NotComparable) as exc:
         radic.preceq(r, rp)
     assert exc.value.reason == "search-exhausted"
+    assert (exc.value.level, exc.value.modulus) == (5, 32)
 
 
 def test_preceq_alternating_equivalence():
