@@ -192,15 +192,16 @@ def l2_distance_squared(n: int, j1: int, j2: int) -> Fraction:
     return Fraction(2)
 
 
-def sup_distance_exceeds_one(n: int, j1: int, j2: int, margin: float = 1e-9) -> bool:
-    """Distinct characters are more than 1 apart in the supremum metric."""
+def sup_distance_exceeds_one(n: int, j1: int, j2: int) -> bool:
+    """Distinct characters are more than 1 apart in the supremum metric.
+
+    |1 - e(theta)| > 1 exactly when theta mod 1 lies in (1/6, 5/6), so the
+    test at theta = a d / n is n < 6 (a d mod n) < 5 n, in integers.
+    """
     if j1 % n == j2 % n:
         return False
     d = (j1 - j2) % n
-    best = max(
-        abs(1 - cmath.exp(2j * cmath.pi * a * d / n)) for a in range(n)
-    )
-    return best > 1 + margin
+    return any(n < 6 * (a * d % n) < 5 * n for a in range(n))
 
 
 def padic_characters(p: int, k: int) -> list[PadicCharacter]:

@@ -6,6 +6,11 @@ cylinders), the Euclidean model is a finite rational grid on the line
 (balls are contiguous index ranges).  Weak-type inequalities hold with
 constant 1 on trees and constant 2 on the grid, and both constants are
 verified exactly rather than numerically.
+
+Ball masses are integers over one common denominator per weight vector,
+so ratios compare by cross-multiplication.  The tree maximal function
+costs O(nodes) (top-down, one ratio per node) and the grid maximal
+function O(m^2) (one sweep of right ends per left end).
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .cantor import Cylinder, ProductSpec, iroot
 from .errors import (
@@ -66,57 +73,66 @@ class FiniteUltraTree:
         object.__setattr__(self, "nu", nu)
         if len(mu) != m or len(nu) != m:
             raise ValueError(f"need {m} leaf weights")
-        if any(w < 0 for w in mu) or any(w < 0 for w in nu):
+        if any(w.numerator < 0 for w in mu + nu):
             raise ValueError("weights must be nonnegative")
-        if any(w == 0 for w in self._level_sums(mu)[-1]):
+        if not all(mu):  # a leaf's ball is the leaf, its mass its own weight
             raise DegenerateMeasure("a leaf has zero mu-mass")
 
     @property
     def leaves(self) -> int:
         return len(self.mu)
 
-    def _level_sums(self, weights) -> list[list[Fraction]]:
-        """Ball masses per depth, index = cylinder rank at that depth."""
-        sums = [list(weights)]
-        for k in range(self.spec.depth, 0, -1):
-            n = self.spec.branching(k - 1)
-            prev = sums[-1]
-            sums.append(
-                [sum(prev[i * n : (i + 1) * n], Fraction(0)) for i in range(len(prev) // n)]
-            )
-        sums.reverse()  # depth 0 first
-        return sums
 
-    def ball_mass(self, weights, depth: int, rank: int) -> Fraction:
-        return self._level_sums(weights)[depth][rank]
+def _integer_masses(weights) -> tuple[int, list[int]]:
+    """(D, [D * w for w in weights]), D the lcm of the denominators."""
+    D = lcm(*(w.denominator for w in weights))
+    return D, [w.numerator * (D // w.denominator) for w in weights]
+
+
+def _ball_masses(spec: ProductSpec, weights) -> tuple[int, list[list[int]]]:
+    """(D, masses): masses[k][r] is D times the weight of the depth-k
+    cylinder of rank r, an integer over one common denominator D."""
+    D, level = _integer_masses(weights)
+    masses = [level]
+    for k in range(spec.depth, 0, -1):
+        n = spec.branching(k - 1)
+        level = [sum(level[i : i + n]) for i in range(0, len(level), n)]
+        masses.append(level)
+    masses.reverse()  # depth 0 first
+    return D, masses
 
 
 def maximal_function(tree: FiniteUltraTree) -> list[Fraction]:
-    """M(nu)(leaf) = max over ancestor cylinders of nu(B)/mu(B), exact."""
-    mu_sums = tree._level_sums(tree.mu)
-    nu_sums = tree._level_sums(tree.nu)
-    L = tree.spec.depth
-    sizes = [tree.spec.cumulative(L) // tree.spec.cumulative(k) for k in range(L + 1)]
-    out = []
-    for leaf in range(tree.leaves):
-        best = Fraction(0)
-        for k in range(L, -1, -1):
-            r = leaf // sizes[k]
-            ratio = nu_sums[k][r] / mu_sums[k][r]
-            if ratio > best:
-                best = ratio
-        out.append(best)
-    return out
+    """M(nu)(leaf) = max over ancestor cylinders of nu(B)/mu(B), exact.
+
+    Top-down in O(nodes): M(child) = max(M(parent), nu/mu(child)), one
+    ratio per node, compared as integer ball masses; each Fraction is
+    built at most once per maximizing ball.
+    """
+    spec = tree.spec
+    d_mu, mu = _ball_masses(spec, tree.mu)
+    d_nu, nu = _ball_masses(spec, tree.nu)
+    # best[r] = (a, b): M = (a / d_nu) / (b / d_mu) on the rank-r ball
+    best = [(nu[0][0], mu[0][0])]
+    for k in range(1, spec.depth + 1):
+        n = spec.branching(k - 1)
+        parents = (p for p in best for _ in range(n))
+        best = [(a, b) if a * p[1] > p[0] * b else p for p, a, b in zip(parents, nu[k], mu[k])]
+    fracs = {pair: Fraction(pair[0] * d_mu, pair[1] * d_nu) for pair in set(best)}
+    return [fracs[pair] for pair in best]
 
 
 def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
     """{M(nu) > t} as a disjoint union of maximal cylinders."""
-    mu_sums = tree._level_sums(tree.mu)
-    nu_sums = tree._level_sums(tree.nu)
+    t = Fraction(t)
+    d_mu, mu = _ball_masses(tree.spec, tree.mu)
+    d_nu, nu = _ball_masses(tree.spec, tree.nu)
+    # nu/mu > t  <=>  a * d_mu * t.den > t.num * b * d_nu
+    lhs, rhs = d_mu * t.denominator, t.numerator * d_nu
     out: list[Cylinder] = []
 
     def rec(depth: int, rank: int, digits: tuple[int, ...]):
-        if nu_sums[depth][rank] / mu_sums[depth][rank] > t:
+        if nu[depth][rank] * lhs > mu[depth][rank] * rhs:
             out.append(Cylinder(digits))
             return
         if depth == tree.spec.depth:
@@ -170,23 +186,27 @@ class GridMeasure:
 
 
 def grid_maximal(g: GridMeasure) -> list[Fraction]:
-    """Uncentered maximal function over all subintervals of the grid."""
+    """Uncentered maximal function over all subintervals of the grid.
+
+    O(m^2): M(i) is the max over left ends a <= i of a suffix maximum over
+    right ends b >= i, so one downward sweep of b per a.  Ratios are
+    compared as integer prefix masses over a common denominator.
+    """
     m = len(g.points)
-    mu_pref = [Fraction(0)]
-    nu_pref = [Fraction(0)]
-    for w, v in zip(g.mu, g.nu):
-        mu_pref.append(mu_pref[-1] + w)
-        nu_pref.append(nu_pref[-1] + v)
-    out = []
-    for i in range(m):
-        best = Fraction(0)
-        for a in range(i + 1):
-            for b in range(i, m):
-                ratio = (nu_pref[b + 1] - nu_pref[a]) / (mu_pref[b + 1] - mu_pref[a])
-                if ratio > best:
-                    best = ratio
-        out.append(best)
-    return out
+    d_mu, mu = _integer_masses(g.mu)
+    d_nu, nu = _integer_masses(g.nu)
+    pm, pn = list(accumulate(mu, initial=0)), list(accumulate(nu, initial=0))
+    best_n, best_d = [0] * m, [1] * m  # M(i) = (best_n[i] / d_nu) / (best_d[i] / d_mu)
+    for a in range(m):
+        pn_a, pm_a = pn[a], pm[a]
+        run_n, run_d = 0, 1
+        for b in range(m - 1, a - 1, -1):
+            num, den = pn[b + 1] - pn_a, pm[b + 1] - pm_a
+            if num * run_d > run_n * den:
+                run_n, run_d = num, den
+            if run_n * best_d[b] > best_n[b] * run_d:
+                best_n[b], best_d[b] = run_n, run_d
+    return [Fraction(n * d_mu, d * d_nu) for n, d in zip(best_n, best_d)]
 
 
 def grid_weak_type(g: GridMeasure, t: Fraction, C1: Fraction = Fraction(2)) -> dict:

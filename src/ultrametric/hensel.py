@@ -153,10 +153,14 @@ def _v2_params(f: ZpPoly, x0_res: int, N: int) -> tuple[int, int, int]:
     k = vp(f.derivative().eval_int(x0_res % mp, mp), p, probe)
     v_f = vp(f.eval_int(x0_res % mp, mp), p, probe)
     if v_f <= 2 * k:
-        raise HenselPreconditionFailed(
-            f"|f(x0)|_p = p^-{v_f} is not < |f'(x0)|_p^2 = p^-{2 * k}",
-            "|f(x0)| < |f'(x0)|^2",
-        )
+        if k == probe:  # vp saturated at the cap, which is not a valuation
+            reason = (
+                f"f'(x0) = 0 mod p^{probe}, so |f(x0)|_p < |f'(x0)|_p^2 "
+                f"cannot be checked at precision {N}"
+            )
+        else:
+            reason = f"|f(x0)|_p = p^-{v_f} is not < |f'(x0)|_p^2 = p^-{2 * k}"
+        raise HenselPreconditionFailed(reason, "|f(x0)| < |f'(x0)|^2")
     return k, N + 2 * k + 2, x0_res
 
 

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -113,6 +114,23 @@ def test_sup_distance_exceeds_one():
         for j2 in range(1, n):
             assert ch.sup_distance_exceeds_one(n, 0, j2)
     assert not ch.sup_distance_exceeds_one(6, 2, 2)
+
+
+def sup_distance_exceeds_one_cmath(n, j1, j2, margin=1e-9):
+    """The floating test the integer one replaced; the oracle below."""
+    if j1 % n == j2 % n:
+        return False
+    d = (j1 - j2) % n
+    best = max(abs(1 - cmath.exp(2j * cmath.pi * a * d / n)) for a in range(n))
+    return best > 1 + margin
+
+
+def test_sup_distance_matches_cmath_oracle():
+    for n in range(1, 65):
+        for j1 in range(n):
+            for j2 in range(n):
+                want = sup_distance_exceeds_one_cmath(n, j1, j2)
+                assert ch.sup_distance_exceeds_one(n, j1, j2) is want
 
 
 def test_padic_character_count_and_kernels():

@@ -31,6 +31,18 @@ def test_hensel_invalid_prime(capsys):
     assert "4" in err
 
 
+def test_hensel_zero_derivative_is_not_reported_as_a_valuation(capsys):
+    # f = x^2 - 2 at x0 = 0: f'(0) = 0, which the capped valuation once
+    # printed as |f'(x0)|_p^2 = p^-22 (p^-62 at --prec 30)
+    for prec, probe in (((), 11), (("--prec", "30"), 31)):
+        code, out, err = run(
+            capsys, "hensel", "--prime", "2", "--coeffs", "-2,0,1", "--x0", "0", *prec
+        )
+        assert code == 2 and out == ""
+        assert f"f'(x0) = 0 mod p^{probe}" in err
+        assert f"p^-{2 * probe}" not in err
+
+
 def test_padic_abs(capsys):
     code, out, _ = run(capsys, "padic", "--prime", "2", "--abs", "12")
     assert code == 0

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -115,6 +115,185 @@ def test_grid_weak_type_c2_random():
         for thr in sorted(set(harmonic.grid_maximal(g))):
             if thr > 0:
                 assert harmonic.grid_weak_type(g, thr)["holds"]
+
+
+# The per-(leaf, level) maximal function, the Fraction superlevel recursion and
+# the cubic grid maximal function that the integer kernels replaced; they are
+# the oracles of the tests below.
+
+
+def level_sums_oracle(spec, weights):
+    sums = [list(weights)]
+    for k in range(spec.depth, 0, -1):
+        n = spec.branching(k - 1)
+        prev = sums[-1]
+        sums.append([sum(prev[i * n : (i + 1) * n], Fraction(0)) for i in range(len(prev) // n)])
+    sums.reverse()
+    return sums
+
+
+def maximal_function_oracle(tree):
+    mu_sums = level_sums_oracle(tree.spec, tree.mu)
+    nu_sums = level_sums_oracle(tree.spec, tree.nu)
+    L = tree.spec.depth
+    sizes = [tree.spec.cumulative(L) // tree.spec.cumulative(k) for k in range(L + 1)]
+    out = []
+    for leaf in range(tree.leaves):
+        best = Fraction(0)
+        for k in range(L, -1, -1):
+            r = leaf // sizes[k]
+            ratio = nu_sums[k][r] / mu_sums[k][r]
+            if ratio > best:
+                best = ratio
+        out.append(best)
+    return out
+
+
+def superlevel_cylinders_oracle(tree, t, mu_sums, nu_sums):
+    out = []
+
+    def rec(depth, rank, digits):
+        if nu_sums[depth][rank] / mu_sums[depth][rank] > t:
+            out.append(Cylinder(digits))
+            return
+        if depth == tree.spec.depth:
+            return
+        n = tree.spec.branching(depth)
+        for d in range(n):
+            rec(depth + 1, rank * n + d, digits + (d,))
+
+    rec(0, 0, ())
+    return out
+
+
+def grid_maximal_oracle(g):
+    m = len(g.points)
+    mu_pref = [Fraction(0)]
+    nu_pref = [Fraction(0)]
+    for w, v in zip(g.mu, g.nu):
+        mu_pref.append(mu_pref[-1] + w)
+        nu_pref.append(nu_pref[-1] + v)
+    out = []
+    for i in range(m):
+        best = Fraction(0)
+        for a in range(i + 1):
+            for b in range(i, m):
+                ratio = (nu_pref[b + 1] - nu_pref[a]) / (mu_pref[b + 1] - mu_pref[a])
+                if ratio > best:
+                    best = ratio
+        out.append(best)
+    return out
+
+
+def assert_same(new, old):
+    assert type(new) is type(old) and len(new) == len(old)
+    for x, y in zip(new, old):
+        assert type(x) is type(y) and x == y
+
+
+def oracle_weights(rng, n, positive):
+    """Zero (nu only), integral and fractional weights.  The denominators
+    come from a pool of six up to 10^6, so ball sums keep a bounded lcm."""
+    pool = [rng.randrange(2, 10**6 + 1) for _ in range(6)]
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0 and not positive:
+            out.append(Fraction(0))
+        elif kind == 1:
+            out.append(Fraction(rng.randrange(1, 10)))
+        else:
+            out.append(Fraction(rng.randrange(1, 10**4), rng.choice(pool)))
+    return tuple(out)
+
+
+def oracle_trees(seed, count, max_leaves):
+    """Depth 1..8 in turn, branching 2..4 mixed within a tree, the largest
+    factors lowered until the tree has at most max_leaves leaves."""
+    rng = random.Random(seed)
+    trees = []
+    for i in range(count):
+        factors = [rng.randrange(2, 5) for _ in range(1 + i % 8)]
+        while prod(factors) > max_leaves:
+            factors[factors.index(max(factors))] -= 1
+        spec = ProductSpec.reciprocal(tuple(factors))
+        n = spec.cumulative(spec.depth)
+        trees.append(harmonic.FiniteUltraTree(
+            spec, oracle_weights(rng, n, True), oracle_weights(rng, n, False)
+        ))
+    return trees
+
+
+def test_maximal_function_matches_per_level_oracle():
+    trees = oracle_trees(61, 64, 400)
+    for t in trees:
+        assert_same(harmonic.maximal_function(t), maximal_function_oracle(t))
+    zero = harmonic.FiniteUltraTree(BINARY3, leaf0_tree().mu, (Fraction(0),) * 8)
+    assert_same(harmonic.maximal_function(zero), maximal_function_oracle(zero))
+
+
+def test_superlevel_cylinders_and_weak_type_match_oracles():
+    rng = random.Random(62)
+    for t in oracle_trees(62, 12, 256):
+        mu_sums = level_sums_oracle(t.spec, t.mu)
+        nu_sums = level_sums_oracle(t.spec, t.nu)
+        M = maximal_function_oracle(t)
+        grid = harmonic.ratio_grid(t)
+        assert grid == sorted(set(M))
+        for thr in grid + [grid[0] / 2, grid[-1] + 1]:
+            new = harmonic.superlevel_cylinders(t, thr)
+            assert_same(new, superlevel_cylinders_oracle(t, thr, mu_sums, nu_sums))
+        for thr in rng.sample(grid, min(6, len(grid))):
+            if thr > 0:
+                rep = harmonic.weak_type_verify(t, thr)
+                assert rep["lhs"] == sum((w for w, v in zip(t.mu, M) if v > thr), Fraction(0))
+                assert rep["holds"]
+
+
+def test_grid_maximal_matches_cubic_oracle():
+    rng = random.Random(63)
+    grids = [harmonic.adversarial_grid()[0]]
+    for m in [rng.randrange(1, 40) for _ in range(30)] + [40] * 3:
+        grids.append(harmonic.GridMeasure(
+            tuple(Fraction(i, 3) for i in range(m)),
+            oracle_weights(rng, m, True),
+            oracle_weights(rng, m, False) if rng.randrange(5) else (Fraction(0),) * m,
+        ))
+    for g in grids:
+        assert_same(harmonic.grid_maximal(g), grid_maximal_oracle(g))
+
+
+def test_grid_maximal_m200():
+    rng = random.Random(64)
+    m = 200
+    g = harmonic.GridMeasure(
+        tuple(Fraction(i) for i in range(m)),
+        tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(m)),
+        tuple(Fraction(rng.randrange(0, 9), rng.randrange(1, 4)) for _ in range(m)),
+    )
+    start = time.perf_counter()
+    M = harmonic.grid_maximal(g)
+    assert time.perf_counter() - start < 2  # the cubic scan took 11 s
+    whole = sum(g.nu) / sum(g.mu)
+    assert all(v >= nu / mu and v >= whole for v, mu, nu in zip(M, g.mu, g.nu))
+    assert max(M) == max(nu / mu for mu, nu in zip(g.mu, g.nu))
+
+
+def test_maximal_function_2_to_the_14_leaves():
+    rng = random.Random(65)
+    t = harmonic.random_tree(ProductSpec.reciprocal((2,) * 14), rng)
+    spec, n = t.spec, t.leaves
+    start = time.perf_counter()
+    M = harmonic.maximal_function(t)
+    assert time.perf_counter() - start < 5
+    whole = sum(t.nu) / sum(t.mu)
+    assert len(M) == n
+    assert all(v >= nu / mu and v >= whole for v, mu, nu in zip(M, t.mu, t.nu))
+    thr = sorted(M)[n // 2]
+    covered = 0
+    for c in harmonic.superlevel_cylinders(t, thr):
+        covered += n // spec.cumulative(c.depth)
+    assert covered == sum(1 for v in M if v > thr)
 
 
 def test_interval_reduce_example():
