@@ -157,7 +157,10 @@ class Gauge:
 
     @classmethod
     def power(cls, alpha) -> "Gauge":
-        return cls(alpha=Fraction(alpha))
+        alpha = Fraction(alpha)
+        if alpha < 0:
+            raise InvalidGauge("t^alpha with alpha < 0 decreases, so it is no gauge")
+        return cls(alpha=alpha)
 
     @classmethod
     def from_table(cls, pairs) -> "Gauge":
@@ -287,6 +290,8 @@ def hausdorff_measure(spec: ProductSpec, target: list[Cylinder], gauge: Gauge):
 
 def dimension_estimate(spec: ProductSpec, tolerance: float = 1e-6) -> tuple[float, float]:
     """Bracket the critical exponent by bisection on min_k N_k t_k^alpha."""
+    if not tolerance >= 0:  # also rejects nan
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     L = spec.depth
 
     def crosses(alpha: float) -> bool:

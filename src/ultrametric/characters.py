@@ -139,6 +139,8 @@ def turn_sum_is_zero(turns: list[Fraction]) -> bool:
 
 def character_table(n: int) -> list[list[TurnValue]]:
     """Row j, column a: value of the j-th character of Z/nZ at a."""
+    if n < 1:
+        raise ValueError(f"n = {n} is not a group order")
     if n > TABLE_CAP:
         raise ValueError(f"n = {n} exceeds cap {TABLE_CAP}")
     return [[CyclicCharacter(n, j).eval(a) for a in range(n)] for j in range(n)]
@@ -150,6 +152,8 @@ def gram_exact(n: int) -> list[list[Fraction]]:
     The entry is (1/n) sum_a e(a (j - j')/n): n/n = 1 on the diagonal and
     an exactly-certified 0 off it.
     """
+    if n < 1:
+        raise ValueError(f"n = {n} is not a group order")
     entry = [Fraction(1)]
     for d in range(1, n):
         # the entry depends only on d = j - j' mod n, so certify once per d;

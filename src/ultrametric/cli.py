@@ -2,6 +2,9 @@
 
 Exit codes: 0 = verified or solved, 1 = a property was refuted (the report
 carries a witness), 2 = invalid input.
+
+Each ``cmd_*`` returns ``(exit_code, report)``, and ``main`` prints the
+report through ``encode``, the one place where a value becomes JSON.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import inf
+from math import inf, isfinite
 
 from . import audit, cantor, characters, harmonic, hensel, padic, radic
 from .errors import NotComparable, UltrametricError
@@ -19,223 +22,192 @@ SCHEMA = "1"
 DEFAULT_SEED = 0
 
 
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
+def encode(value):
+    """A report value as JSON data.
+
+    A Fraction becomes "a/b" (an integral one its decimal digits), a finite
+    float a JSON number and inf the string "inf"; tuples and lists become
+    lists and dict keys strings; bool, int, str and None pass through.
+    Anything else raises TypeError, so a new value type fails a test instead
+    of printing as a repr.
+    """
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        if isfinite(value):
+            return value
+        if value == inf:
+            return "inf"
+    elif isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    elif isinstance(value, dict):
+        return {str(k): encode(v) for k, v in value.items()}
+    raise TypeError(f"a report cannot hold {type(value).__name__} {value!r}")
 
 
-def _emit(report: dict, fmt: str = "json") -> None:
-    report = {"schema": SCHEMA, **report}
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, default=str))
-    else:
-        for k, v in report.items():
-            print(f"{k}: {v}")
+def _emit(report: dict) -> None:
+    print(json.dumps(encode({"schema": SCHEMA, **report}), sort_keys=True))
 
 
-def _parse_coeffs(s: str) -> list[Fraction]:
-    return [Fraction(c.strip()) for c in s.split(",")]
+def _rational(text) -> Fraction:
+    """Fraction(text) for outside input: a zero denominator is invalid input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def cmd_hensel(args) -> int:
-    f = hensel.ZpPoly.from_rationals(_parse_coeffs(args.coeffs), args.prime, args.prec)
+def _ints(s: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in s.split(","))
+
+
+def cmd_hensel(args) -> tuple[int, dict]:
+    coeffs = [_rational(c) for c in args.coeffs.split(",")]
+    f = hensel.ZpPoly.from_rationals(coeffs, args.prime, args.prec)
     x0 = padic.PAdicInt(args.prime, args.prec, args.x0)
-    if args.variant == "v1":
-        root, trace = hensel.hensel_v1(f, x0, args.prec)
-    else:
-        root, trace = hensel.hensel_v2(f, x0, args.prec)
-    _emit(
-        {
-            "root": f"{root.residue} mod {args.prime ** args.prec}",
-            "residue": str(root.residue),
-            "modulus": str(args.prime**args.prec),
-            "trace_exponents": trace.residual_exponents(args.prime),
-        },
-        args.format,
-    )
-    return 0
+    lift = hensel.hensel_v1 if args.variant == "v1" else hensel.hensel_v2
+    root, trace = lift(f, x0, args.prec)
+    modulus = args.prime**args.prec
+    return 0, {
+        "root": f"{root.residue} mod {modulus}",
+        "residue": str(root.residue),
+        "modulus": str(modulus),
+        "trace_exponents": trace.residual_exponents(args.prime),
+    }
 
 
-def cmd_padic(args) -> int:
+def cmd_padic(args) -> tuple[int, dict]:
     if args.abs is not None:
-        _emit({"abs": str(padic.abs_p(Fraction(args.abs), args.prime))}, args.format)
-        return 0
+        return 0, {"abs": padic.abs_p(_rational(args.abs), args.prime)}
     if args.geom is not None:
-        y = padic.PAdicScalar.from_rational(Fraction(args.geom), args.prime, args.prec)
-        s = padic.geometric_sum(y)
-        _emit({"geometric_sum": repr(s)}, args.format)
-        return 0
+        y = padic.PAdicScalar.from_rational(_rational(args.geom), args.prime, args.prec)
+        return 0, {"geometric_sum": repr(padic.geometric_sum(y))}
     if args.add:
-        a, b = (padic.padic_from_rational(Fraction(x), args.prime, args.prec) for x in args.add)
-        _emit({"sum": str((a + b).residue), "modulus": str(a.modulus)}, args.format)
-        return 0
+        a, b = (padic.padic_from_rational(_rational(x), args.prime, args.prec) for x in args.add)
+        return 0, {"sum": str((a + b).residue), "modulus": str(a.modulus)}
     if args.mul:
-        a, b = (padic.padic_from_rational(Fraction(x), args.prime, args.prec) for x in args.mul)
-        _emit({"product": str((a * b).residue), "modulus": str(a.modulus)}, args.format)
-        return 0
+        a, b = (padic.padic_from_rational(_rational(x), args.prime, args.prec) for x in args.mul)
+        return 0, {"product": str((a * b).residue), "modulus": str(a.modulus)}
     raise UltrametricError("no padic operation requested")
 
 
-def cmd_radic(args) -> int:
-    r = radic.Radix(tuple(int(x) for x in args.radix.split(",")))
+def cmd_radic(args) -> tuple[int, dict]:
+    r = radic.Radix(_ints(args.radix))
     if args.embed is not None:
-        seq = radic.embed_q(args.embed, r)
-        _emit({"sequence": [str(x) for x in seq]}, args.format)
-        return 0
+        return 0, {"sequence": [str(x) for x in radic.embed_q(args.embed, r)]}
     if args.abs is not None:
         l, a = radic.lr_and_abs(args.abs, r)
-        _emit({"valuation": "saturated" if l is None else l, "abs": str(a)}, args.format)
-        return 0
+        return 0, {"valuation": "saturated" if l is None else l, "abs": a}
     if args.preceq is not None:
-        r2 = radic.Radix(tuple(int(x) for x in args.preceq.split(",")), periodic=args.periodic)
+        r2 = radic.Radix(_ints(args.preceq), periodic=args.periodic)
         try:
             w = radic.preceq(r, r2, args.depth)
         except NotComparable as e:
-            _emit({"holds": False, "reason": e.reason, "search_depth": e.search_depth,
-                   "level": e.level, "modulus": str(e.modulus)}, args.format)
-            return 1
-        _emit({"holds": True, "witness": {str(k): v for k, v in w.witnesses.items()}}, args.format)
-        return 0
+            return 1, {"holds": False, "reason": e.reason, "search_depth": e.search_depth,
+                       "level": e.level, "modulus": str(e.modulus)}
+        return 0, {"holds": True, "witness": w.witnesses}
     if args.project is not None:
-        r2 = radic.Radix(tuple(int(x) for x in args.project.split(",")))
-        x = radic.RadicInt(r2, args.residue)
+        x = radic.RadicInt(radic.Radix(_ints(args.project)), args.residue)
         y = radic.project(x, r, args.depth)
-        _emit({"residue": str(y.residue), "modulus": str(r.modulus)}, args.format)
-        return 0
+        return 0, {"residue": str(y.residue), "modulus": str(r.modulus)}
     raise UltrametricError("no radic operation requested")
 
 
 def _spec_from_args(args) -> cantor.ProductSpec:
-    factors = tuple(int(x) for x in args.factors.split(","))
+    factors = _ints(args.factors)
     if args.scales == "reciprocal":
         return cantor.ProductSpec.reciprocal(factors)
     if args.scales.startswith("geometric:"):
-        return cantor.ProductSpec.geometric(factors, Fraction(args.scales.split(":", 1)[1]))
-    scales = tuple(Fraction(s) for s in args.scales.split(","))
-    return cantor.ProductSpec(factors, scales)
+        return cantor.ProductSpec.geometric(factors, _rational(args.scales.split(":", 1)[1]))
+    return cantor.ProductSpec(factors, tuple(_rational(s) for s in args.scales.split(",")))
 
 
-def cmd_hausdorff(args) -> int:
+def cmd_hausdorff(args) -> tuple[int, dict]:
     spec = _spec_from_args(args)
     if args.dimension:
-        lo, hi = cantor.dimension_estimate(spec, args.tolerance)
-        _emit({"dimension_interval": [lo, hi]}, args.format)
-        return 0
-    gauge = cantor.Gauge.power(Fraction(args.alpha))
-    value = cantor.hausdorff_content(
-        spec,
-        [cantor.Cylinder(())],
-        gauge,
-        delta=None if args.delta is None else Fraction(args.delta),
-    )
-    report = {"content": str(value)}
+        return 0, {"dimension_interval": cantor.dimension_estimate(spec, args.tolerance)}
+    gauge = cantor.Gauge.power(_rational(args.alpha))
+    delta = None if args.delta is None else _rational(args.delta)
+    value = cantor.hausdorff_content(spec, [cantor.Cylinder(())], gauge, delta=delta)
     if isinstance(value, float) and value != inf:
         # some t^alpha fell back to a float, so the DP summed floats
-        report["exact"] = False
-    _emit(report, args.format)
-    return 0
+        return 0, {"content": str(value), "exact": False}
+    return 0, {"content": value}
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> tuple[int, dict]:
     if args.isometry is not None:
-        r = radic.Radix(tuple(int(x) for x in args.isometry.split(",")))
-        rep = audit.build_radic_isometry(r, seed=args.seed)
-        ok = rep["bijective"] and rep["isometric"] and rep["pushforward_uniform"]
-        _emit(
-            {
-                "seed": args.seed,
-                "bijective": rep["bijective"],
-                "isometric": rep["isometric"],
-                "pushforward_uniform": rep["pushforward_uniform"],
-                "pairs_checked": rep["pairs_checked"],
-            },
-            args.format,
-        )
-        return 0 if ok else 1
+        rep = audit.build_radic_isometry(radic.Radix(_ints(args.isometry)), seed=args.seed)
+        keys = ("bijective", "isometric", "pushforward_uniform")
+        out = {k: rep[k] for k in keys}
+        code = 0 if all(out.values()) else 1
+        return code, {**out, "pairs_checked": rep["pairs_checked"], "seed": args.seed}
     if args.factors is None:
         raise UltrametricError("audit needs --factors or --isometry")
     spec = _spec_from_args(args)
+    out = {"seed": args.seed}
     if args.measure_weights:
         weights = tuple(
-            tuple(Fraction(w) for w in level.split(","))
+            tuple(_rational(w) for w in level.split(","))
             for level in args.measure_weights.split(";")
         )
         mu = cantor.ProductMeasure(weights)
         rep = audit.doubling_measure(spec, mu, args.candidate)
         c2 = audit.ratio_c2(spec, mu)
-        out = rep.to_json()
-        out["ratio_c2"] = "infinite" if c2 is None else str(c2)
-        out["seed"] = args.seed
-        _emit(out, args.format)
+        out["ratio_c2"] = "infinite" if c2 is None else c2
     else:
         rep = audit.doubling_metric(spec, args.candidate)
-        out = rep.to_json()
-        out["seed"] = args.seed
-        _emit(out, args.format)
-    return 0 if rep.verdict else 1
+    return (0 if rep.verdict else 1), {**rep.to_json(), **out}
 
 
 def _tree_from_json(path: str) -> harmonic.FiniteUltraTree:
     with open(path) as fh:
         obj = json.load(fh)
-    spec = cantor.ProductSpec(
-        tuple(obj["spec"]["factors"]), tuple(Fraction(s) for s in obj["spec"]["scales"])
-    )
-    return harmonic.FiniteUltraTree(
-        spec,
-        tuple(Fraction(w) for w in obj["mu"]),
-        tuple(Fraction(w) for w in obj["nu"]),
-    )
-
-
-def _verdict(rep: dict) -> dict:
-    """A report with ``holds`` as a boolean and every other value as a string."""
-    return {k: v if k == "holds" else str(v) for k, v in rep.items()}
-
-
-def cmd_maximal(args) -> int:
-    tree = _tree_from_json(args.tree)
-    if args.weak_type is not None:
-        rep = harmonic.weak_type_verify(tree, Fraction(args.weak_type))
-        _emit(_verdict(rep), args.format)
-        return 0 if rep["holds"] else 1
-    if args.lp is not None:
-        p, a = (Fraction(x) for x in args.lp)
-        f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
-        rep = harmonic.lp_maximal_bound(f, tree, p, a)
-        _emit(_verdict(rep), args.format)
-        return 0 if rep["holds"] else 1
-    if args.doob is not None:
-        f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
-        filt = harmonic.Filtration.dyadic(tree.spec)
-        rep = harmonic.martingale_maximal(f, filt, list(tree.mu), Fraction(args.doob))
-        _emit({"holds": rep["holds"]}, args.format)
-        return 0 if rep["holds"] else 1
-    values = harmonic.maximal_function(tree)
-    _emit({"maximal": [str(v) for v in values]}, args.format)
-    return 0
-
-
-def cmd_characters(args) -> int:
-    if args.table is None and args.gram is None:
-        raise UltrametricError("characters needs --table or --gram")
-    if args.gram is not None:
-        g = characters.gram_exact(args.gram)
-        identity = all(
-            g[i][j] == (1 if i == j else 0) for i in range(args.gram) for j in range(args.gram)
+    try:
+        factors = tuple(obj["spec"]["factors"])
+        scales, mu, nu = (
+            tuple(_rational(x) for x in xs) for xs in (obj["spec"]["scales"], obj["mu"], obj["nu"])
         )
-        _emit({"gram_is_identity": identity, "n": args.gram}, args.format)
-        return 0 if identity else 1
-    table = characters.character_table(args.table)
-    _emit(
-        {"n": args.table, "table": [[str(v.turn) for v in row] for row in table]},
-        args.format,
-    )
-    return 0
+    except (KeyError, TypeError):
+        raise ValueError(
+            f'{path}: expected {{"spec": {{"factors": [...], "scales": [...]}}, '
+            '"mu": [...], "nu": [...]}'
+        ) from None
+    return harmonic.FiniteUltraTree(cantor.ProductSpec(factors, scales), mu, nu)
+
+
+def cmd_maximal(args) -> tuple[int, dict]:
+    tree = _tree_from_json(args.tree)
+    f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
+    if args.weak_type is not None:
+        rep = harmonic.weak_type_verify(tree, _rational(args.weak_type))
+    elif args.lp is not None:
+        rep = harmonic.lp_maximal_bound(f, tree, *map(_rational, args.lp))
+    elif args.doob is not None:
+        filt = harmonic.Filtration.dyadic(tree.spec)
+        doob = harmonic.martingale_maximal(f, filt, list(tree.mu), _rational(args.doob))
+        rep = {"holds": doob["holds"]}
+    else:
+        return 0, {"maximal": harmonic.maximal_function(tree)}
+    return (0 if rep["holds"] else 1), rep
+
+
+def cmd_characters(args) -> tuple[int, dict]:
+    if args.gram is not None:
+        n = args.gram
+        g = characters.gram_exact(n)
+        identity = all(g[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+        return (0 if identity else 1), {"gram_is_identity": identity, "n": n}
+    if args.table is not None:
+        table = characters.character_table(args.table)
+        return 0, {"n": args.table, "table": [[v.turn for v in row] for row in table]}
+    raise UltrametricError("characters needs --table or --gram")
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ultrametric")
-    top.add_argument("--format", choices=("json", "table"), default="json")
     top.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -333,10 +305,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (UltrametricError, ValueError, OSError, json.JSONDecodeError) as e:
+        code, report = args.func(args)
+    except (UltrametricError, ValueError, OSError) as e:  # JSONDecodeError is a ValueError
         print(str(e), file=sys.stderr)
         return 2
+    _emit(report)
+    return code
 
 
 if __name__ == "__main__":

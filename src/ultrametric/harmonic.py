@@ -153,7 +153,7 @@ def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
     m = maximal_function(tree)
     lhs = sum((w for w, v in zip(tree.mu, m) if v > t), Fraction(0))
     rhs = Fraction(1) / t * sum(tree.nu, Fraction(0))
-    return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": 1}
+    return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(1)}
 
 
 def ratio_grid(tree: FiniteUltraTree) -> list[Fraction]:
@@ -375,36 +375,36 @@ def vitali_select(family: list[Ball]) -> tuple[list[Ball], dict[int, int]]:
 def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     """int g^p dmu against the layer-cake integral over lambda's jumps.
 
-    Exact for integer p; for fractional p both sides are bracketed by
-    exact rational bounds at 2^-64 resolution and compared to 1e-12.
+    Exact for integer p: ``lhs`` and ``rhs`` are Fractions and ``equal``
+    says they agree.  For fractional p each side is a rational bracket
+    (lo, hi) built from ``pow_bounds`` at 2^-64 resolution per power, and
+    ``equal`` says the two brackets intersect.
     """
     g = [Fraction(x) for x in g]
     mu = [Fraction(w) for w in mu]
     if any(x < 0 for x in g):
         raise NotNonnegative("g must be nonnegative")
+    if any(w < 0 for w in mu):
+        raise NotNonnegative("mu must be nonnegative")
     p = Fraction(p)
     if p <= 0:
         raise ExponentOutOfRange("p must be positive")
 
-    values = sorted({x for x in g if x > 0})
-    jumps = [Fraction(0)] + values
-
-    def lam(t: Fraction) -> Fraction:
-        return sum((w for x, w in zip(g, mu) if x > t), Fraction(0))
-
+    jumps = [Fraction(0)] + sorted({x for x in g if x > 0})
+    # lam[i] = mu{g > jumps[i]}, constant on [jumps[i], jumps[i + 1])
+    lam = [sum((w for x, w in zip(g, mu) if x > t), Fraction(0)) for t in jumps[:-1]]
     if p.denominator == 1:
-        lhs = sum((x**p.numerator * w for x, w in zip(g, mu)), Fraction(0))
-        rhs = sum(
-            lam(jumps[i]) * (jumps[i + 1] ** p.numerator - jumps[i] ** p.numerator)
-            for i in range(len(jumps) - 1)
-        )
+        k = p.numerator
+        lhs = sum((x**k * w for x, w in zip(g, mu)), Fraction(0))
+        rhs = sum((m * (b**k - a**k) for m, a, b in zip(lam, jumps, jumps[1:])), Fraction(0))
         return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
-    lhs = sum(float(x) ** float(p) * float(w) for x, w in zip(g, mu))
-    rhs = sum(
-        float(lam(jumps[i])) * (float(jumps[i + 1]) ** float(p) - float(jumps[i]) ** float(p))
-        for i in range(len(jumps) - 1)
+    lhs = _power_integral_bounds(g, mu, p, 64)
+    powers = [pow_bounds(t, p) for t in jumps]
+    rhs = (
+        sum((m * (b[0] - a[1]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)),
+        sum((m * (b[1] - a[0]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)),
     )
-    return {"lhs": lhs, "rhs": rhs, "equal": abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))}
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs[0] <= rhs[1] and rhs[0] <= lhs[1]}
 
 
 def pow_bounds_signed(x: Fraction, e: Fraction, prec_bits: int = 64):
@@ -433,6 +433,7 @@ def lp_maximal_bound(
 
     The comparison is exact: for fractional p both sides are bracketed by
     rational bounds, refined until the bracket decides the inequality.
+    ``lhs`` and ``rhs`` are the bracket ends that decided it.
     """
     p, a = Fraction(p), Fraction(a)
     if p <= 1:
@@ -452,9 +453,9 @@ def lp_maximal_bound(
         f_lo, f_hi = _power_integral_bounds(f, tree.mu, p, prec)
         rhs_lo, rhs_hi = c_lo * f_lo, c_hi * f_hi
         if lhs_hi <= rhs_lo:
-            return {"holds": True, "lhs": float(lhs_hi), "rhs": float(rhs_lo)}
+            return {"holds": True, "lhs": lhs_hi, "rhs": rhs_lo}
         if lhs_lo > rhs_hi:
-            return {"holds": False, "lhs": float(lhs_lo), "rhs": float(rhs_hi)}
+            return {"holds": False, "lhs": lhs_lo, "rhs": rhs_hi}
     raise CertificationFailed("power bracket did not resolve the comparison")
 
 

@@ -126,6 +126,18 @@ def test_dimension_estimate_tolerance_zero():
     assert 0 < hi - lo <= 4e-16
 
 
+def test_power_gauge_and_tolerance_reject_values_they_cannot_honour():
+    # t^-1 decreases, which Gauge.from_table rejects as non-monotone
+    with pytest.raises(InvalidGauge):
+        cantor.Gauge.power(-1)
+    with pytest.raises(InvalidGauge):
+        cantor.Gauge.from_table([(Fraction(1, 2), 2), (Fraction(1), 1)])
+    assert cantor.Gauge.power(0).value(Fraction(1, 2)) == 1
+    for tolerance in (float("nan"), -1e-9):
+        with pytest.raises(ValueError):
+            cantor.dimension_estimate(BINARY3, tolerance)
+
+
 def test_iroot_against_defining_inequality():
     rng = random.Random(5)
     for _ in range(2000):

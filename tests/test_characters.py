@@ -17,6 +17,14 @@ def test_cyclic_examples():
     assert ch.CyclicCharacter(2, 1).eval(1).turn == Fraction(1, 2)
 
 
+def test_order_below_one_rejected():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            ch.character_table(n)
+        with pytest.raises(ValueError):
+            ch.gram_exact(n)
+
+
 def test_cyclic_homomorphism_law():
     rng = random.Random(1)
     for _ in range(200):

@@ -1,4 +1,9 @@
 import json
+from dataclasses import dataclass
+from fractions import Fraction
+from math import inf
+
+import pytest
 
 from ultrametric import cli
 
@@ -204,16 +209,24 @@ def test_audit_measure(capsys):
     assert last_json(out)["ratio_c2"] == "2"
 
 
-def tree_file(tmp_path):
-    obj = {
-        "spec": {
-            "factors": [2, 2, 2],
-            "scales": ["1", "1/2", "1/4", "1/8"],
-        },
-        "mu": ["1/8"] * 8,
-        "nu": ["1", "0", "0", "0", "0", "0", "0", "0"],
-    }
-    path = tmp_path / "tree.json"
+TREE = {
+    "spec": {
+        "factors": [2, 2, 2],
+        "scales": ["1", "1/2", "1/4", "1/8"],
+    },
+    "mu": ["1/8"] * 8,
+    "nu": ["1", "0", "0", "0", "0", "0", "0", "0"],
+}
+# fractional weights on mixed branching
+TREE2 = {
+    "spec": {"factors": [2, 3], "scales": ["1", "1/2", "1/6"]},
+    "mu": ["1/12", "1/6", "1/4", "1/12", "1/4", "1/6"],
+    "nu": ["1/3", "0", "2/5", "1", "0", "3/7"],
+}
+
+
+def tree_file(tmp_path, obj=TREE, name="tree.json"):
+    path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
 
@@ -279,3 +292,141 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", "import sys, ultrametric.cli; assert 'numpy' not in sys.modules"],
         env=env, check=True,
     )
+
+
+# Exit code and stdout of each subcommand branch, as printed before every
+# report went through cli.encode; only the two --lp reports differ, whose
+# lhs and rhs were floats and are now the exact bracket ends.  "{tree}" and
+# "{tree2}" name files holding TREE and TREE2.
+GOLDEN = [
+    ('hensel --prime 7 --coeffs -2,0,1 --x0 3 --prec 6 --variant v1', 0,
+     '{"modulus": "117649", "residue": "38181", "root": "38181 mod 117649", "schema": "1", "trace_exponents": [1, 2, 4, null]}'),
+    ('hensel --prime 2 --coeffs -17,0,1 --x0 1 --prec 5', 0,
+     '{"modulus": "32", "residue": "9", "root": "9 mod 32", "schema": "1", "trace_exponents": [4, null]}'),
+    ('hensel --prime 2 --coeffs -17,0,1 --x0 1 --prec 5 --variant v1', 2,
+     ''),
+    ('hensel --prime 2 --coeffs -2,0,1 --x0 0', 2,
+     ''),
+    ('padic --prime 2 --abs 12', 0,
+     '{"abs": "1/4", "schema": "1"}'),
+    ('padic --prime 3 --abs -5/18', 0,
+     '{"abs": "9", "schema": "1"}'),
+    ('padic --prime 3 --prec 6 --geom 3/2', 0,
+     '{"geometric_sum": "3^0 * (727 mod 3^6)", "schema": "1"}'),
+    ('padic --prime 5 --prec 4 --geom -5', 0,
+     '{"geometric_sum": "5^0 * (521 mod 5^4)", "schema": "1"}'),
+    ('padic --prime 3 --prec 2 --add 4 7', 0,
+     '{"modulus": "9", "schema": "1", "sum": "2"}'),
+    ('padic --prime 3 --prec 2 --add -3/5 1', 0,
+     '{"modulus": "9", "schema": "1", "sum": "4"}'),
+    ('padic --prime 3 --prec 2 --mul -4 -1/2', 0,
+     '{"modulus": "9", "product": "2", "schema": "1"}'),
+    ('radic --radix 2,3,2 --embed 7', 0,
+     '{"schema": "1", "sequence": ["1", "1", "7"]}'),
+    ('radic --radix 2,3,2 --abs 6', 0,
+     '{"abs": "1/6", "schema": "1", "valuation": 2}'),
+    ('radic --radix 2,3,2 --abs 0', 0,
+     '{"abs": "0", "schema": "1", "valuation": "saturated"}'),
+    ('radic --radix 2,3,2 --abs 24', 0,
+     '{"abs": "0", "schema": "1", "valuation": "saturated"}'),
+    ('radic --radix 2,2,2,2,2,2,2,2,2,2,2,2 --preceq 4,4,4,4,4,4,4', 0,
+     '{"holds": true, "schema": "1", "witness": {"1": 1, "10": 5, "11": 6, "12": 6, "2": 1, "3": 2, "4": 2, "5": 3, "6": 3, "7": 4, "8": 4, "9": 5}}'),
+    ('radic --radix 2,3 --preceq 5,5', 1,
+     '{"holds": false, "level": 1, "modulus": "2", "reason": "coprime", "schema": "1", "search_depth": 2}'),
+    ('radic --radix 8 --preceq 2 --periodic --depth 2', 1,
+     '{"holds": false, "level": 1, "modulus": "8", "reason": "search-exhausted", "schema": "1", "search_depth": 2}'),
+    ('radic --radix 2,2 --project 2,2,2 --residue 5 --depth 8', 0,
+     '{"modulus": "4", "residue": "1", "schema": "1"}'),
+    ('hausdorff --factors 2,2,2 --scales geometric:1/2', 0,
+     '{"content": "1", "schema": "1"}'),
+    ('hausdorff --factors 2,2,2 --scales geometric:1/9 --alpha 1/2', 0,
+     '{"content": "8/27", "schema": "1"}'),
+    ('hausdorff --factors 2,2,2 --scales geometric:1/3 --alpha 3/4', 0,
+     '{"content": "0.6754094983569712", "exact": false, "schema": "1"}'),
+    ('hausdorff --factors 2,2,2 --delta 0', 0,
+     '{"content": "inf", "schema": "1"}'),
+    ('hausdorff --factors 2,3,2 --delta 1/6', 0,
+     '{"content": "1", "schema": "1"}'),
+    ('hausdorff --factors 2,2,2,2,2,2,2,2,2,2 --scales geometric:1/2 --dimension', 0,
+     '{"dimension_interval": [1.0, 1.0000009536743164], "schema": "1"}'),
+    ('hausdorff --factors 2,3,2 --scales geometric:1/5 --dimension --tolerance 1e-9', 0,
+     '{"dimension_interval": [0.4306765580549836, 0.4306765589863062], "schema": "1"}'),
+    ('audit --factors 2,2,2 --scales geometric:1/2', 0,
+     '{"constant": "{\'factor_bound\': 2, \'scale_census\': 2}", "degenerate": false, "schema": "1", "seed": 0, "verdict": true, "witness": null}'),
+    ('audit --factors 3,4,5,6 --candidate 4', 1,
+     '{"constant": "{\'factor_bound\': 6, \'scale_census\': 1}", "degenerate": false, "schema": "1", "seed": 0, "verdict": false, "witness": {"kind": "factor", "level": 4}}'),
+    ('audit --factors 2,2 --scales geometric:1/2 --measure-weights 1/2,1/2;1/2,1/2', 0,
+     '{"constant": "{\'min_weight\': Fraction(1, 2), \'metric\': {\'factor_bound\': 2, \'scale_census\': 2}}", "degenerate": false, "ratio_c2": "2", "schema": "1", "seed": 0, "verdict": true, "witness": null}'),
+    ('audit --factors 2,2 --scales geometric:1/2 --measure-weights 1/3,2/3;1/2,1/2 --candidate 2', 1,
+     '{"constant": "{\'min_weight\': Fraction(1, 3), \'metric\': {\'factor_bound\': 2, \'scale_census\': 2}}", "degenerate": false, "ratio_c2": "3", "schema": "1", "seed": 0, "verdict": false, "witness": {"kind": "weight", "level": 1}}'),
+    ('audit --factors 2,2 --measure-weights 1,0;1/2,1/2', 1,
+     '{"constant": "{\'min_weight\': 0}", "degenerate": true, "ratio_c2": "infinite", "schema": "1", "seed": 0, "verdict": false, "witness": null}'),
+    ('audit --isometry 2,3', 0,
+     '{"bijective": true, "isometric": true, "pairs_checked": 36, "pushforward_uniform": true, "schema": "1", "seed": 0}'),
+    ('--seed 7 audit --isometry 2,4,8,16,8', 0,
+     '{"bijective": true, "isometric": true, "pairs_checked": 2000, "pushforward_uniform": true, "schema": "1", "seed": 7}'),
+    ('maximal --tree {tree}', 0,
+     '{"maximal": ["8", "4", "2", "2", "1", "1", "1", "1"], "schema": "1"}'),
+    ('maximal --tree {tree2}', 0,
+     '{"maximal": ["4", "227/105", "227/105", "12", "20/7", "20/7"], "schema": "1"}'),
+    ('maximal --tree {tree} --weak-type 3', 0,
+     '{"C1": "1", "holds": true, "lhs": "1/4", "rhs": "1/3", "schema": "1"}'),
+    ('maximal --tree {tree2} --weak-type 1/2', 0,
+     '{"C1": "1", "holds": true, "lhs": "1", "rhs": "454/105", "schema": "1"}'),
+    ('maximal --tree {tree} --lp 2 1/2', 0,
+     '{"holds": true, "lhs": "23/2", "rhs": "64", "schema": "1"}'),
+    ('maximal --tree {tree2} --lp 3/2 1/2', 0,
+     '{"holds": true, "lhs": "1653016012403405422399/221360928884514619392", "rhs": "589260125393261048500/13043817825332782213", "schema": "1"}'),
+    ('maximal --tree {tree} --doob 3', 0,
+     '{"holds": true, "schema": "1"}'),
+    ('maximal --tree {tree2} --doob 1/2', 0,
+     '{"holds": true, "schema": "1"}'),
+    ('characters --table 3', 0,
+     '{"n": 3, "schema": "1", "table": [["0", "0", "0"], ["0", "1/3", "2/3"], ["0", "2/3", "1/3"]]}'),
+    ('characters --gram 4', 0,
+     '{"gram_is_identity": true, "n": 4, "schema": "1"}'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_report(capsys, tmp_path, argv, code, stdout):
+    trees = {"tree": tree_file(tmp_path), "tree2": tree_file(tmp_path, TREE2, "tree2.json")}
+    assert cli.main(argv.format(**trees).split()) == code
+    assert capsys.readouterr().out == (stdout + "\n" if stdout else "")
+
+
+@pytest.mark.parametrize("argv", [
+    "padic --prime 2 --abs 1/0",
+    "hensel --prime 3 --coeffs 1/0,1 --x0 1",
+    "hausdorff --factors 2,2 --alpha 1/0",
+    "hausdorff --factors 2,2 --delta 1/0",
+    "hausdorff --factors 2,2 --alpha -1",
+    "hausdorff --factors 2,2 --dimension --tolerance nan",
+    "maximal --tree {empty}",
+    "maximal --tree {list}",
+    "maximal --tree {zero_denominator}",
+    "characters --table 0",
+    "characters --gram -1",
+    "characters --gram 0",
+])
+def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
+    files = {
+        "empty": tree_file(tmp_path, {}, "empty.json"),
+        "list": tree_file(tmp_path, [1, 2], "list.json"),
+        "zero_denominator": tree_file(tmp_path, dict(TREE, nu=["1/0"] + TREE["nu"][1:]), "z.json"),
+    }
+    code, out, err = run(capsys, *argv.format(**files).split())
+    assert code == 2 and out == "" and err
+
+
+def test_encode_rejects_values_without_a_report_form():
+    @dataclass
+    class Report:
+        holds: bool
+
+    for value in ({1}, 1j, Report(True), float("nan"), -inf):
+        with pytest.raises(TypeError):
+            cli.encode({"v": [value]})
+    assert cli.encode({1: (Fraction(1, 2), Fraction(3), inf, 0.5, None, True, 7, "s")}) == {
+        "1": ["1/2", "3", "inf", 0.5, None, True, 7, "s"]
+    }

@@ -392,6 +392,42 @@ def test_distribution_identity_random_integer_p():
             assert harmonic.distribution_identity(g, mu, p)["equal"]
 
 
+def layer_cake_floats(g, mu, p):
+    """The float sums that distribution_identity compared at 1e-12 before it
+    bracketed fractional powers; kept as the oracle."""
+    jumps = [Fraction(0)] + sorted({x for x in g if x > 0})
+
+    def lam(t):
+        return sum((w for x, w in zip(g, mu) if x > t), Fraction(0))
+
+    lhs = sum(float(x) ** float(p) * float(w) for x, w in zip(g, mu))
+    rhs = sum(
+        float(lam(jumps[i])) * (float(jumps[i + 1]) ** float(p) - float(jumps[i]) ** float(p))
+        for i in range(len(jumps) - 1)
+    )
+    return lhs, rhs
+
+
+def test_distribution_identity_fractional_p_brackets():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        g = [Fraction(rng.randrange(0, 9), rng.choice([1, 2, 3])) for _ in range(n)]
+        mu = [Fraction(rng.randrange(0, 6), rng.choice([1, 2])) for _ in range(n)]
+        p = rng.choice([Fraction(1, 2), Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)])
+        rep = harmonic.distribution_identity(g, mu, p)
+        assert rep["equal"]
+        for (lo, hi), oracle in zip((rep["lhs"], rep["rhs"]), layer_cake_floats(g, mu, p)):
+            assert type(lo) is type(hi) is Fraction
+            # each power is bracketed to 2^-64, so the bracket is narrow
+            assert 0 <= hi - lo <= Fraction(4 * n * (1 + sum(mu)), 1 << 64)
+            # the float sum lies in the bracket up to its own rounding error
+            err = 1e-12 * max(1.0, abs(oracle))
+            assert lo - err <= oracle <= hi + err
+    with pytest.raises(NotNonnegative):
+        harmonic.distribution_identity([1, 2], [Fraction(1), Fraction(-1)], Fraction(3, 2))
+
+
 def test_pow_bounds_brackets():
     for x in (Fraction(1, 3), Fraction(7, 2), Fraction(1)):
         for p in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)):
