@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cantor import Cylinder, ProductMeasure, ProductSpec, match_and_dist, match_length
 from .errors import EmptySet
-from .radic import Radix, ScaleSeq, default_scales, radic_dist
+from .radic import Radix, ScaleSeq, default_scales, lr_valuation
 
 
 @dataclass(frozen=True)
@@ -51,36 +51,36 @@ class DoublingReport:
 
 
 def classify_map(phi: DigitMapFamily, spec: ProductSpec) -> dict:
-    """Exhaustive semantic classification against brute-force distance checks."""
+    """Semantic classification of phi from its N images, in match lengths.
+
+    Scales strictly decrease, so phi is 1-Lipschitz iff at every level k
+    the k-prefix of x determines that of phi(x), and an isometry iff this
+    prefix map is also injective: one dict per level, O(N * L).  The
+    witness is the first violating pair at the shallowest such level.
+    """
     pts = list(spec.points())
-    images = {x: phi.apply(x) for x in pts}
-    one_lipschitz = True
+    images = [phi.apply(x) for x in pts]
+    if any(len(w) != spec.depth for w in images):
+        raise ValueError("points must have full depth")
+    onto = len(set(images)) == len(pts)
     isometry = True
-    witness = None
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            dx = match_and_dist(x, y, spec)[1]
-            dimg = match_and_dist(images[x], images[y], spec)[1]
-            if dimg > dx:
-                one_lipschitz = False
-                isometry = False
-                witness = (x, y)
-            elif dimg != dx:
-                isometry = False
-    onto = len(set(images.values())) == len(pts)
-    return {
-        "one_lipschitz": one_lipschitz,
-        "isometry": isometry,
-        "onto": onto,
-        "witness": witness,
-    }
+    for k in range(1, spec.depth + 1):
+        first: dict[tuple[int, ...], tuple] = {}  # k-prefix of x -> (x, k-prefix of phi(x))
+        for x, w in zip(pts, images):
+            y, v = first.setdefault(x[:k], (x, w[:k]))
+            if v != w[:k]:
+                return {"one_lipschitz": False, "isometry": False, "onto": onto, "witness": (y, x)}
+        isometry = isometry and len({v for _, v in first.values()}) == len(first)
+    return {"one_lipschitz": True, "isometry": isometry, "onto": onto, "witness": None}
 
 
 def mixed_radix_digits(a: int, radix: Radix) -> tuple[int, ...]:
     """theta_k(a) = (a div R_{k-1}) mod r_k, the canonical digit map."""
-    return tuple(
-        (a // radix.cumulative(k)) % radix.factors[k] for k in range(radix.depth)
-    )
+    digits = []
+    for r in radix.factors:
+        a, d = divmod(a, r)
+        digits.append(d)
+    return tuple(digits)
 
 
 def _per_level_check(words: list, radix: Radix) -> tuple[bool, bool]:
@@ -125,7 +125,8 @@ def build_radic_isometry(
     prefixes one to one, each prefix receiving Haar mass 1/R_k; this costs
     O(B * L) and is equivalent to l_r(a - b) = match length for all R_L^2
     pairs when B = R_L.  Past the cap, ``samples`` seeded random pairs are
-    also compared in the metric.
+    also compared in integers: l_r(a - b) against the match length, which
+    decides the metric because the scales strictly decrease.
     """
     if t is None:
         t = default_scales(radix)
@@ -146,10 +147,8 @@ def build_radic_isometry(
         pairs_checked = samples
         for _ in range(samples):
             x, y = rng.randrange(R), rng.randrange(R)
-            d_r = radic_dist(x, y, radix, t)
-            l = match_length(psi(x), psi(y))
-            d_img = Fraction(0) if l == radix.depth else t[l]
-            if d_r != d_img:
+            l = lr_valuation(x - y, radix)
+            if (radix.depth if l is None else l) != match_length(psi(x), psi(y)):
                 isometric = False
                 break
     return {
@@ -196,12 +195,13 @@ def doubling_measure(
     """Doubling of the product measure at finite depth.
 
     Needs the metric audit to pass and the digit weights to stay bounded
-    below; a zero weight is reported as degenerate rather than thrown.
+    below; a zero weight is reported as degenerate rather than thrown, and
+    weights that do not fit spec raise ValueError (from ``ratio_c2``).
     """
-    metric = doubling_metric(spec, candidate)
-    min_weight = min(w for level in mu.weights for w in level)
-    if min_weight == 0:
+    c2 = ratio_c2(spec, mu)
+    if c2 is None:
         return DoublingReport(False, {"min_weight": 0}, degenerate=True)
+    metric = doubling_metric(spec, candidate)
     verdict = metric.verdict
     witness = metric.witness
     if candidate is not None and verdict:
@@ -212,7 +212,7 @@ def doubling_measure(
                 witness = {"kind": "weight", "level": j + 1}
                 break
     constant = {
-        "min_weight": min_weight,
+        "min_weight": 1 / c2,
         "metric": metric.constant,
     }
     return DoublingReport(verdict, constant, witness)
@@ -223,14 +223,13 @@ def ratio_c2(spec: ProductSpec, mu: ProductMeasure) -> Fraction | None:
 
     At grid radius t_k the open ball is the depth-(k+1) cylinder and the
     closed ball the depth-k one, so the ratio is max_j max_x 1/mu_j({x}).
+    ValueError unless mu has one weight per digit at every level of spec.
     """
-    worst = Fraction(1)
-    for level in mu.weights:
-        for w in level:
-            if w == 0:
-                return None
-            worst = max(worst, Fraction(1) / w)
-    return worst
+    lengths = tuple(len(level) for level in mu.weights)
+    if lengths != spec.factors:
+        raise ValueError(f"weight lengths {list(lengths)} do not fit factors {list(spec.factors)}")
+    min_weight = min((w for level in mu.weights for w in level), default=Fraction(1))
+    return None if min_weight == 0 else 1 / min_weight
 
 
 def uniform_distribution_check(spec: ProductSpec, mu: ProductMeasure) -> dict:

@@ -137,12 +137,17 @@ def turn_sum_is_zero(turns: list[Fraction]) -> bool:
     return False
 
 
-def character_table(n: int) -> list[list[TurnValue]]:
-    """Row j, column a: value of the j-th character of Z/nZ at a."""
+def _check_order(n: int) -> None:
+    """Refuse n before any work: not a group order, or past ``TABLE_CAP``."""
     if n < 1:
         raise ValueError(f"n = {n} is not a group order")
     if n > TABLE_CAP:
         raise ValueError(f"n = {n} exceeds cap {TABLE_CAP}")
+
+
+def character_table(n: int) -> list[list[TurnValue]]:
+    """Row j, column a: value of the j-th character of Z/nZ at a."""
+    _check_order(n)
     return [[CyclicCharacter(n, j).eval(a) for a in range(n)] for j in range(n)]
 
 
@@ -152,8 +157,7 @@ def gram_exact(n: int) -> list[list[Fraction]]:
     The entry is (1/n) sum_a e(a (j - j')/n): n/n = 1 on the diagonal and
     an exactly-certified 0 off it.
     """
-    if n < 1:
-        raise ValueError(f"n = {n} is not a group order")
+    _check_order(n)
     entry = [Fraction(1)]
     for d in range(1, n):
         # the entry depends only on d = j - j' mod n, so certify once per d;
@@ -174,6 +178,7 @@ def gram_exact(n: int) -> list[list[Fraction]]:
 def gram_float(n: int):
     """Numerical Gram matrix of the character table as a numpy array, for
     the 1e-12 cross-check; the one function of the package that uses numpy."""
+    _check_order(n)
     import numpy as np
 
     j = np.arange(n)

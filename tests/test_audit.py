@@ -1,6 +1,8 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -54,6 +56,109 @@ def test_classify_agrees_with_brute_force():
     assert rep["isometry"]  # each level separates first differences
 
 
+def oracle_classify(phi, spec) -> dict:
+    """The pairwise check in Fractions: d(phi x, phi y) against d(x, y) for
+    all N^2 / 2 pairs; the witness is the last violating pair."""
+    pts = list(spec.points())
+    images = {x: phi.apply(x) for x in pts}
+    one_lipschitz = True
+    isometry = True
+    witness = None
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            dx = cantor.match_and_dist(x, y, spec)[1]
+            dimg = cantor.match_and_dist(images[x], images[y], spec)[1]
+            if dimg > dx:
+                one_lipschitz = False
+                isometry = False
+                witness = (x, y)
+            elif dimg != dx:
+                isometry = False
+    onto = len(set(images.values())) == len(pts)
+    return {"one_lipschitz": one_lipschitz, "isometry": isometry, "onto": onto, "witness": witness}
+
+
+def table_map(table):
+    """A map read from a table of whole words, which need not be causal."""
+
+    class TableMap(audit.DigitMapFamily):
+        def apply(self, x):
+            return table[x]
+
+    return TableMap(())
+
+
+def _random_map(rng, spec):
+    pts = list(spec.points())
+    kind = rng.randrange(5)
+    if kind == 0:
+        return audit.DigitMapFamily.from_level_permutations(
+            [rng.sample(range(n), n) for n in spec.factors])
+    if kind == 1:
+        return audit.DigitMapFamily.constant([rng.randrange(n) for n in spec.factors])
+    if kind == 2:
+        # causal: digit k of the image is a table of the first k digits; per
+        # prefix a permutation of the last digit, or arbitrary digits
+        tables = []
+        for k, n in enumerate(spec.factors):
+            table = {}
+            for head in itertools.product(*map(range, spec.factors[:k])):
+                last = rng.sample(range(n), n) if rng.random() < 0.5 else [
+                    rng.randrange(n) for _ in range(n)]
+                table.update({head + (d,): last[d] for d in range(n)})
+            tables.append(table)
+        return audit.DigitMapFamily(tuple(table.__getitem__ for table in tables))
+    if kind == 3:
+        return table_map(dict(zip(pts, rng.sample(pts, len(pts)))))
+    # collapse: images drawn from a few words, or a permutation of all points
+    # that merges one pair
+    if rng.random() < 0.5:
+        pool = rng.sample(pts, rng.randrange(1, len(pts)))
+        return table_map({x: rng.choice(pool) for x in pts})
+    images = rng.sample(pts, len(pts))
+    images[rng.randrange(len(pts))] = images[rng.randrange(len(pts))]
+    return table_map(dict(zip(pts, images)))
+
+
+def test_classify_map_against_pairwise_oracle():
+    rng = random.Random(8)
+    shapes = Counter()
+    for _ in range(2000):
+        # depths 1-6 and factors 2-4; at most max(24, 2^depth) points and
+        # few deep maps keep the pairwise oracle cheap
+        depth = rng.choices(range(1, 7), weights=(4, 4, 4, 4, 3, 1))[0]
+        factors = []
+        for k in range(depth):
+            room = max(24, 2**depth) // (prod(factors) * 2 ** (depth - k - 1))
+            factors.append(rng.randrange(2, min(4, room) + 1))
+        spec = cantor.ProductSpec.reciprocal(tuple(factors))
+        phi = _random_map(rng, spec)
+        rep = audit.classify_map(phi, spec)
+        want = oracle_classify(phi, spec)
+        verdict = (rep["one_lipschitz"], rep["isometry"], rep["onto"])
+        assert verdict == (want["one_lipschitz"], want["isometry"], want["onto"])
+        shapes[verdict] += 1
+        assert (rep["witness"] is None) == rep["one_lipschitz"]
+        if rep["witness"] is not None:
+            x, y = rep["witness"]
+            assert x < y
+            d = cantor.match_and_dist(x, y, spec)[1]
+            assert cantor.match_and_dist(phi.apply(x), phi.apply(y), spec)[1] > d
+    assert set(shapes) == {
+        (True, True, True), (True, False, False), (False, False, True), (False, False, False)
+    }
+    assert min(shapes.values()) >= 100, shapes
+
+
+def test_classify_rejects_images_of_the_wrong_length():
+    pts = list(BINARY3.points())
+    for image in ((0, 0), (0, 0, 0, 0)):
+        table = {x: x for x in pts}
+        table[pts[5]] = image
+        with pytest.raises(ValueError, match="full depth"):
+            audit.classify_map(table_map(table), BINARY3)
+
+
 def test_radic_isometry_2_3():
     rep = audit.build_radic_isometry(radic.Radix((2, 3)))
     assert rep["bijective"] and rep["isometric"] and rep["pushforward_uniform"]
@@ -97,6 +202,49 @@ def test_radic_isometry_refutes_a_broken_digit_map(monkeypatch):
     )
     rep = audit.build_radic_isometry(radic.Radix((4, 5, 10, 25, 20)))
     assert rep["bijective"] and rep["pushforward_uniform"] and not rep["isometric"]
+
+
+def oracle_sampled_pair(psi, radix, t, seed) -> tuple[int, int, bool]:
+    """One seeded pair (x, y) compared in the metric, in Fractions: radic_dist
+    against t at the match length of the images, 0 for equal words."""
+    rng = random.Random(seed)
+    x, y = rng.randrange(radix.modulus), rng.randrange(radix.modulus)
+    l = cantor.match_length(psi(x), psi(y))
+    return x, y, radic.radic_dist(x, y, radix, t) == (Fraction(0) if l == radix.depth else t[l])
+
+
+def test_sampled_pairs_against_fraction_oracle(monkeypatch):
+    # exhaustive_cap=1 enumerates one point, so the per-level check is vacuous
+    # and one sample makes "isometric" the integer verdict on one seeded pair
+    digits = audit.mixed_radix_digits
+    maps = {
+        "digit map": digits,
+        "collapse": lambda a, r: digits(a - a % 2, r),
+        "drop digit 4": lambda a, r: digits(a, r)[:3] + (0,) + digits(a, r)[4:],
+    }
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(12):
+        fs = [rng.randrange(2, rng.choice((3, 5))) for _ in range(rng.randrange(4, 8))]
+        r = radic.Radix(tuple(fs))
+        scales = [Fraction(1)]
+        for _ in r.factors:
+            scales.append(scales[-1] * Fraction(rng.randrange(1, 6), 6))
+        t = radic.ScaleSeq(tuple(scales))
+        for a in (rng.randrange(r.modulus) for _ in range(50)):
+            # the closed form theta_k(a) = (a div R_{k-1}) mod r_k
+            assert digits(a, r) == tuple(a // r.cumulative(k) % f for k, f in enumerate(fs))
+        for name, psi in maps.items():
+            monkeypatch.setattr(audit, "mixed_radix_digits", psi)
+            for seed in range(100):
+                x, y, want = oracle_sampled_pair(lambda a: psi(a, r), r, t, seed)
+                rep = audit.build_radic_isometry(r, t, exhaustive_cap=1, samples=1, seed=seed)
+                assert rep["isometric"] is want and rep["pairs_checked"] == 1
+                outcomes[name, want] += 1
+                outcomes["x = y"] += x == y
+    assert outcomes["digit map", False] == 0
+    assert outcomes["collapse", False] > 0 and outcomes["drop digit 4", False] > 0
+    assert outcomes["x = y"] > 0  # the saturated valuation, read as depth L
 
 
 def oracle_isometric(words, radix) -> bool:
@@ -200,6 +348,16 @@ def test_doubling_measure_degenerate():
     rep = audit.doubling_measure(spec, mu)
     assert rep.degenerate and not rep.verdict
     assert audit.ratio_c2(spec, mu) is None
+
+
+def test_measure_must_have_one_weight_per_digit():
+    spec = cantor.ProductSpec.geometric((2, 2), Fraction(1, 2))
+    half, third = (Fraction(1, 2),) * 2, (Fraction(1, 3),) * 3
+    for weights in ((half,), (half, half, half), (half, third), (third, half)):
+        mu = cantor.ProductMeasure(weights)
+        for check in (audit.doubling_measure, audit.ratio_c2):
+            with pytest.raises(ValueError, match="do not fit factors"):
+                check(spec, mu)
 
 
 def test_ratio_c2_uniform():

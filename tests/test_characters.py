@@ -1,5 +1,6 @@
 import cmath
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,9 @@ def test_cyclic_examples():
 
 def test_order_below_one_rejected():
     for n in (0, -1):
-        with pytest.raises(ValueError):
-            ch.character_table(n)
-        with pytest.raises(ValueError):
-            ch.gram_exact(n)
+        for check in (ch.character_table, ch.gram_exact, ch.gram_float):
+            with pytest.raises(ValueError):
+                check(n)
 
 
 def test_cyclic_homomorphism_law():
@@ -107,6 +107,19 @@ def test_table_cap_and_n1():
     assert len(t) == 1 and t[0][0].is_one()
     with pytest.raises(ValueError):
         ch.character_table(ch.TABLE_CAP + 1)
+
+
+def test_gram_cap_is_checked_before_any_work(monkeypatch):
+    # gram_exact certifies through Counter and gram_float needs numpy, so a
+    # refusal that reaches neither has built nothing
+    def no_work(*args):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(ch, "Counter", no_work)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for gram in (ch.gram_exact, ch.gram_float):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            gram(ch.TABLE_CAP + 1)
 
 
 def test_l2_distance_is_two():

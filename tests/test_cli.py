@@ -408,6 +408,9 @@ def test_golden_report(capsys, tmp_path, argv, code, stdout):
     "characters --table 0",
     "characters --gram -1",
     "characters --gram 0",
+    "characters --gram 5000",
+    "audit --factors 2,2 --measure-weights 1/2,1/2",
+    "audit --factors 2,2 --measure-weights 1/2,1/2;1/3,2/3;1,0,0",
 ])
 def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
     files = {
