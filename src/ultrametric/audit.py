@@ -218,6 +218,13 @@ def doubling_measure(
     return DoublingReport(verdict, constant, witness)
 
 
+def _check_fit(spec: ProductSpec, mu: ProductMeasure) -> None:
+    """ValueError unless mu has one weight per digit at every level of spec."""
+    lengths = tuple(len(level) for level in mu.weights)
+    if lengths != spec.factors:
+        raise ValueError(f"weight lengths {list(lengths)} do not fit factors {list(spec.factors)}")
+
+
 def ratio_c2(spec: ProductSpec, mu: ProductMeasure) -> Fraction | None:
     """Exact max closed-ball/open-ball measure ratio; None when infinite.
 
@@ -225,15 +232,15 @@ def ratio_c2(spec: ProductSpec, mu: ProductMeasure) -> Fraction | None:
     closed ball the depth-k one, so the ratio is max_j max_x 1/mu_j({x}).
     ValueError unless mu has one weight per digit at every level of spec.
     """
-    lengths = tuple(len(level) for level in mu.weights)
-    if lengths != spec.factors:
-        raise ValueError(f"weight lengths {list(lengths)} do not fit factors {list(spec.factors)}")
+    _check_fit(spec, mu)
     min_weight = min((w for level in mu.weights for w in level), default=Fraction(1))
     return None if min_weight == 0 else 1 / min_weight
 
 
 def uniform_distribution_check(spec: ProductSpec, mu: ProductMeasure) -> dict:
-    """mu(B_k(x)) independent of x at each depth, with the profile h(t_k)."""
+    """mu(B_k(x)) independent of x at each depth, with the profile h(t_k);
+    ValueError unless mu has one weight per digit at every level of spec."""
+    _check_fit(spec, mu)
     profile = {}
     witness = None
     uniform = True

@@ -6,6 +6,12 @@ cross-check of the Gram matrix.  The exact orthogonality path rests on
 the root-of-unity sum lemma: a finite sum invariant under multiplication
 by a nontrivial root of unity vanishes, which at the turn level is a
 multiset-shift symmetry.
+
+Costs: ``character_table(n)`` builds n turn values and indexes them by
+j a mod n; ``gram_exact(n)`` runs the shift certificate once per proper
+divisor of n, O(n) Counter work each, and slices its rows from one entry
+list; ``gram_float(n)`` takes n complex roots and indexes them by j j' mod
+n, reduced in integers, before one n x n matrix product.
 """
 
 from __future__ import annotations
@@ -148,22 +154,26 @@ def _check_order(n: int) -> None:
 def character_table(n: int) -> list[list[TurnValue]]:
     """Row j, column a: value of the j-th character of Z/nZ at a."""
     _check_order(n)
-    return [[CyclicCharacter(n, j).eval(a) for a in range(n)] for j in range(n)]
+    roots = [TurnValue(Fraction(k, n)) for k in range(n)]
+    return [[roots[j * a % n] for a in range(n)] for j in range(n)]
 
 
 def gram_exact(n: int) -> list[list[Fraction]]:
     """<chi_j, chi_j'> under normalized counting measure, by the sum lemma.
 
-    The entry is (1/n) sum_a e(a (j - j')/n): n/n = 1 on the diagonal and
-    an exactly-certified 0 off it.
+    The entry is (1/n) sum_a e(a d/n) with d = j - j' mod n: n/n = 1 on the
+    diagonal and an exactly-certified 0 off it.  The multiset {a d mod n}
+    depends only on g = gcd(d, n): a -> a d is onto the multiples of g, each
+    hit g times.  So one certificate per proper divisor g of n covers every
+    d in 1..n-1.
     """
     _check_order(n)
-    entry = [Fraction(1)]
-    for d in range(1, n):
-        # the entry depends only on d = j - j' mod n, so certify once per d;
+    for g in range(1, n):
+        if n % g:
+            continue
         # all turns share denominator n, so the shift symmetry of the sum
         # lemma is checked on integer numerators mod n
-        bag = Counter(a * d % n for a in range(n))
+        bag = Counter(a * g % n for a in range(n))
         certified = any(
             Counter((t + s) % n for t in bag.elements()) == bag
             for s in bag
@@ -171,18 +181,21 @@ def gram_exact(n: int) -> list[list[Fraction]]:
         )
         if not certified:
             raise CertificationFailed("sum lemma failed to certify vanishing")
-        entry.append(Fraction(0))
-    return [[entry[(j - jp) % n] for jp in range(n)] for j in range(n)]
+    entry = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    # row j is entry[(j - j') mod n] over j': a slice of the reversed list
+    rev = entry[::-1] * 2
+    return [rev[n - 1 - j : 2 * n - 1 - j] for j in range(n)]
 
 
 def gram_float(n: int):
     """Numerical Gram matrix of the character table as a numpy array, for
-    the 1e-12 cross-check; the one function of the package that uses numpy."""
+    the 1e-12 cross-check; the one function of the package that uses numpy.
+    j j' mod n indexes a table of n roots, so no angle exceeds one turn."""
     _check_order(n)
     import numpy as np
 
     j = np.arange(n)
-    W = np.exp(2j * np.pi * np.outer(j, j) / n)
+    W = np.exp(2j * np.pi * j / n)[np.outer(j, j) % n]
     return W @ W.conj().T / n
 
 

@@ -10,7 +10,12 @@ verified exactly rather than numerically.
 Ball masses are integers over one common denominator per weight vector,
 so ratios compare by cross-multiplication.  The tree maximal function
 costs O(nodes) (top-down, one ratio per node) and the grid maximal
-function O(m^2) (one sweep of right ends per left end).
+function O(m^2) (one sweep of right ends per left end).  A weak-type check
+on a tree is that pass plus one integer comparison per leaf.  The
+layer cake costs O(n log n): points grouped by value, one suffix sum over
+the sorted jumps.  Conditional expectations and Doob's inequality cost
+O(n) integer work per partition, and each builds one Fraction per
+distinct value.
 """
 
 from __future__ import annotations
@@ -102,22 +107,31 @@ def _ball_masses(spec: ProductSpec, weights) -> tuple[int, list[list[int]]]:
     return D, masses
 
 
-def maximal_function(tree: FiniteUltraTree) -> list[Fraction]:
-    """M(nu)(leaf) = max over ancestor cylinders of nu(B)/mu(B), exact.
+def _maximal_pairs(tree: FiniteUltraTree):
+    """(d_mu, mu, d_nu, nu, best): the ball masses of ``_ball_masses`` and,
+    per leaf, the integer pair (a, b) with M(nu) = (a / d_nu) / (b / d_mu).
 
     Top-down in O(nodes): M(child) = max(M(parent), nu/mu(child)), one
-    ratio per node, compared as integer ball masses; each Fraction is
-    built at most once per maximizing ball.
+    ratio per node, compared by cross-multiplication.
     """
     spec = tree.spec
     d_mu, mu = _ball_masses(spec, tree.mu)
     d_nu, nu = _ball_masses(spec, tree.nu)
-    # best[r] = (a, b): M = (a / d_nu) / (b / d_mu) on the rank-r ball
     best = [(nu[0][0], mu[0][0])]
     for k in range(1, spec.depth + 1):
         n = spec.branching(k - 1)
         parents = (p for p in best for _ in range(n))
         best = [(a, b) if a * p[1] > p[0] * b else p for p, a, b in zip(parents, nu[k], mu[k])]
+    return d_mu, mu, d_nu, nu, best
+
+
+def maximal_function(tree: FiniteUltraTree) -> list[Fraction]:
+    """M(nu)(leaf) = max over ancestor cylinders of nu(B)/mu(B), exact.
+
+    O(nodes) by ``_maximal_pairs``; each Fraction is built at most once per
+    maximizing ball.
+    """
+    d_mu, _, d_nu, _, best = _maximal_pairs(tree)
     fracs = {pair: Fraction(pair[0] * d_mu, pair[1] * d_nu) for pair in set(best)}
     return [fracs[pair] for pair in best]
 
@@ -150,9 +164,11 @@ def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    m = maximal_function(tree)
-    lhs = sum((w for w, v in zip(tree.mu, m) if v > t), Fraction(0))
-    rhs = Fraction(1) / t * sum(tree.nu, Fraction(0))
+    d_mu, mu, d_nu, nu, best = _maximal_pairs(tree)
+    # M > t  <=>  a * d_mu * t.den > t.num * b * d_nu
+    c_a, c_b = d_mu * t.denominator, t.numerator * d_nu
+    lhs = Fraction(sum(w for w, (a, b) in zip(mu[-1], best) if a * c_a > b * c_b), d_mu)
+    rhs = Fraction(nu[0][0] * t.denominator, d_nu * t.numerator)
     return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(1)}
 
 
@@ -210,7 +226,10 @@ def grid_maximal(g: GridMeasure) -> list[Fraction]:
 
 
 def grid_weak_type(g: GridMeasure, t: Fraction, C1: Fraction = Fraction(2)) -> dict:
+    """Check mu{M(nu) > t} <= C1 t^{-1} nu(X) on the grid, for t > 0."""
     t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
     m = grid_maximal(g)
     lhs = sum((w for w, v in zip(g.mu, m) if v > t), Fraction(0))
     rhs = Fraction(C1) / t * sum(g.nu, Fraction(0))
@@ -379,9 +398,14 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     says they agree.  For fractional p each side is a rational bracket
     (lo, hi) built from ``pow_bounds`` at 2^-64 resolution per power, and
     ``equal`` says the two brackets intersect.
+
+    The points are grouped by value on integer masses, and lambda at every
+    jump is one suffix sum over the sorted values.
     """
     g = [Fraction(x) for x in g]
     mu = [Fraction(w) for w in mu]
+    if len(mu) != len(g):
+        raise ValueError(f"{len(g)} points but {len(mu)} weights")
     if any(x < 0 for x in g):
         raise NotNonnegative("g must be nonnegative")
     if any(w < 0 for w in mu):
@@ -390,19 +414,25 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     if p <= 0:
         raise ExponentOutOfRange("p must be positive")
 
-    jumps = [Fraction(0)] + sorted({x for x in g if x > 0})
-    # lam[i] = mu{g > jumps[i]}, constant on [jumps[i], jumps[i + 1])
-    lam = [sum((w for x, w in zip(g, mu) if x > t), Fraction(0)) for t in jumps[:-1]]
+    D, masses = _integer_masses(mu)
+    at: dict[Fraction, int] = {}  # D times the mass of {g = x}, for x > 0
+    for x, w in zip(g, masses):
+        if x > 0:
+            at[x] = at.get(x, 0) + w
+    jumps = [Fraction(0)] + sorted(at)
+    # lam[i] = D mu{g > jumps[i]}, constant on [jumps[i], jumps[i + 1])
+    lam = list(accumulate(at[x] for x in reversed(jumps[1:])))[::-1]
     if p.denominator == 1:
         k = p.numerator
-        lhs = sum((x**k * w for x, w in zip(g, mu)), Fraction(0))
-        rhs = sum((m * (b**k - a**k) for m, a, b in zip(lam, jumps, jumps[1:])), Fraction(0))
+        powers = [x**k for x in jumps]
+        lhs = sum((x * at[v] for v, x in zip(jumps[1:], powers[1:])), Fraction(0)) / D
+        rhs = sum((m * (b - a) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D
         return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
     lhs = _power_integral_bounds(g, mu, p, 64)
     powers = [pow_bounds(t, p) for t in jumps]
     rhs = (
-        sum((m * (b[0] - a[1]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)),
-        sum((m * (b[1] - a[0]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)),
+        sum((m * (b[0] - a[1]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D,
+        sum((m * (b[1] - a[0]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D,
     )
     return {"lhs": lhs, "rhs": rhs, "equal": lhs[0] <= rhs[1] and rhs[0] <= lhs[1]}
 
@@ -501,17 +531,33 @@ def _validate_partition(P: Partition, size: int) -> None:
         raise ValueError("not a partition of the leaf set")
 
 
-def cond_expectation(f: list[Fraction], P: Partition, mu: list[Fraction]) -> list[Fraction]:
-    """Block-constant averages (1/mu(A)) int_A f dmu, exact."""
-    f = [Fraction(x) for x in f]
-    mu = [Fraction(w) for w in mu]
-    _validate_partition(P, len(f))
-    out = [Fraction(0)] * len(f)
+def _integer_products(f, mu) -> tuple[int, int, list[int], list[int]]:
+    """(d_f, d_mu, fm, m): integers fm[i] = d_f d_mu f_i mu_i, m[i] = d_mu mu_i."""
+    if len(mu) != len(f):
+        raise ValueError(f"{len(f)} points but {len(mu)} weights")
+    d_f, F = _integer_masses([Fraction(x) for x in f])
+    d_mu, m = _integer_masses([Fraction(w) for w in mu])
+    return d_f, d_mu, [x * w for x, w in zip(F, m)], m
+
+
+def _block_sums(fm: list[int], m: list[int], P: Partition) -> list[tuple[int, int]]:
+    """(sum fm, sum m) per block of P: f averages s / (d_f mass) there."""
+    _validate_partition(P, len(fm))
+    out = []
     for block in P:
-        mass = sum((mu[i] for i in block), Fraction(0))
+        mass = sum(m[i] for i in block)
         if mass == 0:
             raise DegeneratePartition(f"block {block} has zero mass")
-        avg = sum((f[i] * mu[i] for i in block), Fraction(0)) / mass
+        out.append((sum(fm[i] for i in block), mass))
+    return out
+
+
+def cond_expectation(f: list[Fraction], P: Partition, mu: list[Fraction]) -> list[Fraction]:
+    """Block-constant averages (1/mu(A)) int_A f dmu, exact."""
+    d_f, _, fm, m = _integer_products(f, mu)
+    out = [Fraction(0)] * len(m)
+    for block, (s, mass) in zip(P, _block_sums(fm, m, P)):
+        avg = Fraction(s, d_f * mass)
         for i in block:
             out[i] = avg
     return out
@@ -556,29 +602,39 @@ def martingale_maximal(
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    f = [Fraction(x) for x in f]
-    mu = [Fraction(w) for w in mu]
-    star = [Fraction(0)] * len(f)
+    d_f, d_mu, fm, m = _integer_products(f, mu)
+    # |f| mu / t over d_f d_mu, as one Fraction
+    scale = Fraction(t.denominator, d_f * d_mu * t.numerator)
+    rhs = sum(map(abs, fm)) * scale
+    # star[i] = (a, b): f^*(i) = a / b, compared by cross-multiplication; the
+    # levels are nested, so it is constant on each block of the last level
+    star = [(0, 1)] * len(m)
+    fracs: dict[tuple[int, int], Fraction] = {}
     levels = []
     reports = []
-    total = sum((abs(x) * w for x, w in zip(f, mu)), Fraction(0))
     for P in filtration.levels:
-        fj = cond_expectation(f, P, mu)
-        star = [max(s, abs(v)) for s, v in zip(star, fj)]
-        levels.append(list(star))
-        A = [i for i, s in enumerate(star) if s > t]
+        for block, (s, mass) in zip(P, _block_sums(fm, m, P)):
+            v, old = (abs(s), d_f * mass), star[block[0]]
+            if v[0] * old[1] > old[0] * v[1]:
+                for i in block:
+                    star[i] = v
+        values = set(star)
+        fracs.update((v, Fraction(*v)) for v in values if v not in fracs)
+        levels.append([fracs[v] for v in star])
+        # f^* > t  <=>  a t.den > t.num b, decided once per value
+        above = {v for v in values if v[0] * t.denominator > t.numerator * v[1]}
+        A = [i for i, v in enumerate(star) if v in above]
         # A is a union of blocks of the current level
-        blocks_ok = all(
-            set(block) <= set(A) or not (set(block) & set(A)) for block in P
-        )
-        lhs = sum((mu[i] for i in A), Fraction(0))
-        mid = sum((abs(f[i]) * mu[i] for i in A), Fraction(0)) / t
+        inside = set(A)
+        blocks_ok = all(set(block) <= inside or not (set(block) & inside) for block in P)
+        lhs = Fraction(sum(m[i] for i in A), d_mu)
+        mid = sum(abs(fm[i]) for i in A) * scale
         reports.append(
             {
                 "lhs": lhs,
                 "restricted": mid,
-                "rhs": total / t,
-                "holds": lhs <= mid <= total / t,
+                "rhs": rhs,
+                "holds": lhs <= mid <= rhs,
                 "superlevel_is_block_union": blocks_ok,
             }
         )

@@ -355,7 +355,7 @@ def test_measure_must_have_one_weight_per_digit():
     half, third = (Fraction(1, 2),) * 2, (Fraction(1, 3),) * 3
     for weights in ((half,), (half, half, half), (half, third), (third, half)):
         mu = cantor.ProductMeasure(weights)
-        for check in (audit.doubling_measure, audit.ratio_c2):
+        for check in (audit.doubling_measure, audit.ratio_c2, audit.uniform_distribution_check):
             with pytest.raises(ValueError, match="do not fit factors"):
                 check(spec, mu)
 

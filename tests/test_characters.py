@@ -1,12 +1,16 @@
 import cmath
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from ultrametric import characters as ch
+from ultrametric.characters import TurnValue
+from ultrametric.errors import CertificationFailed
 from ultrametric.padic import PAdicInt, PAdicScalar
 from ultrametric.radic import Radix
 
@@ -100,6 +104,90 @@ def test_gram_identity():
         )
         f = ch.gram_float(n)
         assert np.max(np.abs(f - np.eye(n))) < 1e-12
+
+
+# The per-cell character table, the per-d Gram certificate and the
+# exp-of-outer float Gram matrix that the per-residue and per-divisor kernels
+# replaced; they are the oracles of the tests below.
+
+
+def character_table_oracle(n):
+    return [[ch.CyclicCharacter(n, j).eval(a) for a in range(n)] for j in range(n)]
+
+
+def gram_exact_oracle(n):
+    entry = [Fraction(1)]
+    for d in range(1, n):
+        bag = Counter(a * d % n for a in range(n))
+        certified = any(
+            Counter((t + s) % n for t in bag.elements()) == bag for s in bag if s != 0
+        )
+        if not certified:
+            raise CertificationFailed("sum lemma failed to certify vanishing")
+        entry.append(Fraction(0))
+    return [[entry[(j - jp) % n] for jp in range(n)] for j in range(n)]
+
+
+def gram_float_oracle(n):
+    j = np.arange(n)
+    W = np.exp(2j * np.pi * np.outer(j, j) / n)
+    return W @ W.conj().T / n
+
+
+def test_character_table_matches_per_cell_oracle():
+    for n in range(1, 49):
+        new, old = ch.character_table(n), character_table_oracle(n)
+        assert len(new) == n and all(len(row) == n for row in new)
+        for row_new, row_old in zip(new, old):
+            for x, y in zip(row_new, row_old):
+                assert type(x) is TurnValue and type(x.turn) is Fraction and x == y
+
+
+def test_gram_exact_matches_per_d_oracle():
+    for n in range(1, 129):
+        # the lemma behind one certificate per divisor: {a d mod n} is the
+        # multiset {a gcd(d, n) mod n}
+        for d in range(1, n):
+            g = gcd(d, n)
+            assert Counter(a * d % n for a in range(n)) == Counter(a * g % n for a in range(n))
+        new, old = ch.gram_exact(n), gram_exact_oracle(n)
+        assert len(new) == n
+        for row_new, row_old in zip(new, old):
+            assert len(row_new) == n
+            assert all(type(x) is Fraction and x == y for x, y in zip(row_new, row_old))
+
+
+def test_gram_exact_certifies_once_per_proper_divisor(monkeypatch):
+    bags = []
+
+    class Recording(Counter):
+        def __init__(self, items):
+            super().__init__(items)
+            bags.append(self)
+
+    monkeypatch.setattr(ch, "Counter", Recording)
+    for n in (1, 7, 12, 64, 90):
+        bags.clear()
+        ch.gram_exact(n)
+        proper = [g for g in range(1, n) if n % g == 0]
+        # per divisor: the bag of numerators and the one shift that certifies it
+        assert len(bags) == 2 * len(proper)
+        assert [min(k for k in b if k) for b in bags[::2]] == proper
+
+
+def test_gram_float_matches_exp_of_outer_oracle():
+    rng = random.Random(5)
+    for n in [1, 2, 3] + rng.sample(range(4, 513), 12):
+        new, old = ch.gram_float(n), gram_float_oracle(n)
+        assert new.shape == (n, n) and new.dtype == np.complex128
+        assert np.max(np.abs(new - old)) < 1e-12
+
+
+def test_gram_float_1024_error():
+    # the roots are indexed by j j' mod n, so no angle exceeds one turn: the
+    # error is about 4e-16, where exp of the full angles left 7.6e-14
+    n = 1024
+    assert np.max(np.abs(ch.gram_float(n) - np.eye(n))) < 1e-14
 
 
 def test_table_cap_and_n1():

@@ -101,6 +101,9 @@ def test_grid_weak_type_and_adversarial_family():
     assert not one["holds"]
     two = harmonic.grid_weak_type(g, thr, C1=2)
     assert two["holds"]
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="t must be positive"):
+            harmonic.grid_weak_type(g, t)
 
 
 def test_grid_weak_type_c2_random():
@@ -186,9 +189,18 @@ def grid_maximal_oracle(g):
 
 
 def assert_same(new, old):
-    assert type(new) is type(old) and len(new) == len(old)
-    for x, y in zip(new, old):
-        assert type(x) is type(y) and x == y
+    """Equal values of the same types, through dicts, lists and tuples."""
+    assert type(new) is type(old)
+    if isinstance(old, dict):
+        assert new.keys() == old.keys()
+        for k in old:
+            assert_same(new[k], old[k])
+    elif isinstance(old, (list, tuple)):
+        assert len(new) == len(old)
+        for x, y in zip(new, old):
+            assert_same(x, y)
+    else:
+        assert new == old
 
 
 def oracle_weights(rng, n, positive):
@@ -205,6 +217,13 @@ def oracle_weights(rng, n, positive):
         else:
             out.append(Fraction(rng.randrange(1, 10**4), rng.choice(pool)))
     return tuple(out)
+
+
+def distinct_denominator_weights(rng, n, positive):
+    """Each weight with its own denominator up to 10^6, so the one lcm of
+    the integer kernels has about 6n digits: keep n small."""
+    lo = 1 if positive else 0
+    return tuple(Fraction(rng.randrange(lo, 10**4), rng.randrange(1, 10**6)) for _ in range(n))
 
 
 def oracle_trees(seed, count, max_leaves):
@@ -248,6 +267,35 @@ def test_superlevel_cylinders_and_weak_type_match_oracles():
                 rep = harmonic.weak_type_verify(t, thr)
                 assert rep["lhs"] == sum((w for w, v in zip(t.mu, M) if v > thr), Fraction(0))
                 assert rep["holds"]
+
+
+def weak_type_verify_oracle(tree, t):
+    """The Fraction check over every leaf that the integer pairs replaced."""
+    t = Fraction(t)
+    m = maximal_function_oracle(tree)
+    lhs = sum((w for w, v in zip(tree.mu, m) if v > t), Fraction(0))
+    rhs = Fraction(1) / t * sum(tree.nu, Fraction(0))
+    return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(1)}
+
+
+def test_weak_type_verify_matches_fraction_oracle():
+    rng = random.Random(66)
+    trees = oracle_trees(66, 24, 256)
+    for i in range(24):
+        factors = [rng.randrange(2, 4) for _ in range(1 + i % 4)]
+        n = prod(factors)
+        trees.append(harmonic.FiniteUltraTree(
+            ProductSpec.reciprocal(tuple(factors)),
+            distinct_denominator_weights(rng, n, True),
+            distinct_denominator_weights(rng, n, False),
+        ))
+    for t in trees:
+        # values of M, where mu{M > t} jumps, and points just below them
+        values = harmonic.ratio_grid(t)
+        grid = rng.sample(values, min(4, len(values)))
+        thresholds = grid + [v * Fraction(rng.randrange(1, 100), 99) for v in grid]
+        for thr in [x for x in thresholds if x > 0] + [Fraction(rng.randrange(1, 50), 7)]:
+            assert_same(harmonic.weak_type_verify(t, thr), weak_type_verify_oracle(t, thr))
 
 
 def test_grid_maximal_matches_cubic_oracle():
@@ -426,6 +474,59 @@ def test_distribution_identity_fractional_p_brackets():
             assert lo - err <= oracle <= hi + err
     with pytest.raises(NotNonnegative):
         harmonic.distribution_identity([1, 2], [Fraction(1), Fraction(-1)], Fraction(3, 2))
+
+
+def distribution_identity_oracle(g, mu, p):
+    """The layer cake that rescanned every point once per jump."""
+    g = [Fraction(x) for x in g]
+    mu = [Fraction(w) for w in mu]
+    p = Fraction(p)
+    jumps = [Fraction(0)] + sorted({x for x in g if x > 0})
+    lam = [sum((w for x, w in zip(g, mu) if x > t), Fraction(0)) for t in jumps[:-1]]
+    if p.denominator == 1:
+        k = p.numerator
+        lhs = sum((x**k * w for x, w in zip(g, mu)), Fraction(0))
+        rhs = sum((m * (b**k - a**k) for m, a, b in zip(lam, jumps, jumps[1:])), Fraction(0))
+        return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+    lhs = harmonic._power_integral_bounds(g, mu, p, 64)
+    powers = [harmonic.pow_bounds(t, p) for t in jumps]
+    rhs = (
+        sum((m * (b[0] - a[1]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)),
+        sum((m * (b[1] - a[0]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)),
+    )
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs[0] <= rhs[1] and rhs[0] <= lhs[1]}
+
+
+def test_distribution_identity_matches_per_jump_oracle():
+    rng = random.Random(67)
+    for i in range(300):
+        n = rng.randrange(0, 40)
+        # repeated values share a jump; every third case has a denominator per weight
+        values = [Fraction(rng.randrange(0, 12), rng.choice([1, 2, 3, 7])) for _ in range(4)]
+        g = [rng.choice(values) if rng.randrange(2) else
+             Fraction(rng.randrange(0, 10**3), rng.randrange(1, 10**3)) for _ in range(n)]
+        if i % 3:
+            mu = [Fraction(rng.randrange(0, 9), rng.randrange(1, 4)) for _ in range(n)]
+        else:
+            mu = list(distinct_denominator_weights(rng, n, False))
+        for p in (1, 2, 3, 5, Fraction(3, 2)) if i % 10 == 0 else (1, 2, 3, 5):
+            rep = harmonic.distribution_identity(g, mu, p)
+            assert_same(rep, distribution_identity_oracle(g, mu, p))
+            assert rep["equal"]
+
+
+def test_weights_must_match_points():
+    # zip would cut the points down to the weights, or the weights to the points
+    with pytest.raises(ValueError):
+        harmonic.distribution_identity([1, 2, 3], [1], 2)
+    with pytest.raises(ValueError):
+        harmonic.distribution_identity([1], [1, 1], Fraction(3, 2))
+    P = ((0, 1), (2, 3))
+    for mu in ([1] * 3, [1] * 5):
+        with pytest.raises(ValueError):
+            harmonic.cond_expectation([1, 3, 5, 7], P, mu)
+        with pytest.raises(ValueError):
+            harmonic.martingale_maximal([1, 3, 5, 7], harmonic.Filtration((P,)), mu, 1)
 
 
 def test_pow_bounds_brackets():
@@ -634,6 +735,107 @@ def test_lp_norm_contraction():
             x * x * w for x, w in zip(f, mu)
         )
         assert max(abs(a) for a in fb) <= max(abs(x) for x in f)
+
+
+def cond_expectation_oracle(f, P, mu):
+    """The Fraction block averages that the integer block sums replaced."""
+    f = [Fraction(x) for x in f]
+    mu = [Fraction(w) for w in mu]
+    if sorted(i for block in P for i in block) != list(range(len(f))):
+        raise ValueError("not a partition of the leaf set")
+    out = [Fraction(0)] * len(f)
+    for block in P:
+        mass = sum((mu[i] for i in block), Fraction(0))
+        if mass == 0:
+            raise DegeneratePartition(f"block {block} has zero mass")
+        avg = sum((f[i] * mu[i] for i in block), Fraction(0)) / mass
+        for i in block:
+            out[i] = avg
+    return out
+
+
+def martingale_maximal_oracle(f, filtration, mu, t):
+    """Doob's inequality in Fractions, one cond_expectation per level."""
+    t = Fraction(t)
+    f = [Fraction(x) for x in f]
+    mu = [Fraction(w) for w in mu]
+    star = [Fraction(0)] * len(f)
+    levels = []
+    reports = []
+    total = sum((abs(x) * w for x, w in zip(f, mu)), Fraction(0))
+    for P in filtration.levels:
+        fj = cond_expectation_oracle(f, P, mu)
+        star = [max(s, abs(v)) for s, v in zip(star, fj)]
+        levels.append(list(star))
+        A = [i for i, s in enumerate(star) if s > t]
+        blocks_ok = all(set(block) <= set(A) or not (set(block) & set(A)) for block in P)
+        lhs = sum((mu[i] for i in A), Fraction(0))
+        mid = sum((abs(f[i]) * mu[i] for i in A), Fraction(0)) / t
+        reports.append({
+            "lhs": lhs, "restricted": mid, "rhs": total / t,
+            "holds": lhs <= mid <= total / t, "superlevel_is_block_union": blocks_ok,
+        })
+    return {"levels": levels, "doob": reports, "holds": all(r["holds"] for r in reports)}
+
+
+def random_filtration(rng):
+    """The cylinder partitions of a mixed-radix product (at most 36 points),
+    with the points relabelled by a random permutation."""
+    factors = [rng.randrange(2, 4) for _ in range(rng.randrange(1, 5))]
+    while prod(factors) > 36:
+        factors.pop()
+    n = prod(factors)
+    perm = rng.sample(range(n), n)
+    dyadic = harmonic.Filtration.dyadic(ProductSpec.reciprocal(tuple(factors)))
+    return n, harmonic.Filtration(tuple(
+        tuple(tuple(perm[i] for i in block) for block in P) for P in dyadic.levels
+    ))
+
+
+def random_values(rng, n, distinct):
+    if distinct:
+        return [Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 10**6)) for _ in range(n)]
+    return [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
+
+
+def test_cond_expectation_and_doob_match_fraction_oracles():
+    rng = random.Random(68)
+    for i in range(200):
+        n, filt = random_filtration(rng)
+        distinct = i % 3 == 0
+        f = random_values(rng, n, distinct)
+        mu = (list(distinct_denominator_weights(rng, n, True)) if distinct
+              else [Fraction(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(n)])
+        for P in filt.levels:
+            assert_same(harmonic.cond_expectation(f, P, mu), cond_expectation_oracle(f, P, mu))
+        averages = {abs(v) for P in filt.levels for v in cond_expectation_oracle(f, P, mu)}
+        for t in rng.sample(sorted(averages - {0}), min(3, len(averages - {0}))) + [
+            Fraction(rng.randrange(1, 20), rng.randrange(1, 7))
+        ]:
+            new = harmonic.martingale_maximal(f, filt, mu, t)
+            assert_same(new, martingale_maximal_oracle(f, filt, mu, t))
+            assert new["holds"]
+
+
+def test_cond_expectation_zero_mass_blocks_match_oracle():
+    rng = random.Random(69)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        labels = [rng.randrange(4) for _ in range(n)]
+        P = tuple(
+            b for b in (tuple(i for i in range(n) if labels[i] == c) for c in range(4)) if b
+        )
+        f = random_values(rng, n, rng.randrange(2) == 0)
+        mu = [Fraction(rng.randrange(0, 3), rng.randrange(1, 4)) for _ in range(n)]
+        try:
+            want = cond_expectation_oracle(f, P, mu)
+        except DegeneratePartition:
+            with pytest.raises(DegeneratePartition):
+                harmonic.cond_expectation(f, P, mu)
+            with pytest.raises(DegeneratePartition):
+                harmonic.martingale_maximal(f, harmonic.Filtration((P,)), mu, 1)
+        else:
+            assert_same(harmonic.cond_expectation(f, P, mu), want)
 
 
 _BROKEN_CERTIFICATES = """
