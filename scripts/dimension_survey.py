@@ -1,7 +1,9 @@
 """Survey Hausdorff dimension estimates across a family of Cantor products.
 
-Prints the bisection interval for each (branching, contraction) pair and
-for its snowflake transforms, next to the closed-form log n / log(1/theta).
+Prints the dimension bracket of ``cantor.dimension_estimate`` for each
+(branching, contraction) pair and for its snowflake transforms, next to
+log n / log(1/theta).  A rational dimension is an exact pair (width 0); an
+irrational one is a float bracket 2^-39 wide, relative.
 """
 
 import argparse
@@ -27,8 +29,8 @@ def main() -> None:
     print(f"{'n':>3} {'theta':>6} {'closed form':>12} {'estimate':>22} {'snowflake a=2':>22}")
     for n, theta in cases:
         spec = cantor.ProductSpec.geometric((n,) * args.depth, theta)
-        lo, hi = cantor.dimension_estimate(spec, args.tolerance)
-        slo, shi = cantor.dimension_estimate(cantor.snowflake(spec, 2), args.tolerance)
+        lo, hi = map(float, cantor.dimension_estimate(spec, args.tolerance))
+        slo, shi = map(float, cantor.dimension_estimate(cantor.snowflake(spec, 2), args.tolerance))
         exact = log(n) / log(1 / theta)
         print(
             f"{n:>3} {str(theta):>6} {exact:>12.8f} "

@@ -9,18 +9,23 @@ only on its depth, so the program takes one gauge value per level, one
 inside-cost per depth and one step per proper prefix of a target word:
 O(L·max n) additions and O(|target|·L·max n) prefix lookups, whatever
 the leaf count N_L.
+
+Every power t^alpha of the package comes from ``pow_bounds``: exact when
+rational, else a rational bracket verified in integers, never a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from itertools import product
+from math import inf, isqrt, log, log1p
 
 from .errors import (
-    DepthInsufficient,
+    ExponentOutOfRange,
     GridMismatch,
     InvalidGauge,
+    NotNonnegative,
     OverlappingCylinders,
     ScaleMismatch,
 )
@@ -60,9 +65,7 @@ class ProductSpec(LevelGrid):
 
     def points(self):
         """All depth-L digit words, lexicographic."""
-        from itertools import product as iproduct
-
-        return iproduct(*[range(n) for n in self.factors])
+        return product(*[range(n) for n in self.factors])
 
     def to_json(self) -> dict:
         return {"factors": list(self.factors), "scales": [str(t) for t in self.scales]}
@@ -142,17 +145,23 @@ def ball_measure(B: Cylinder, mu: ProductMeasure) -> Fraction:
 
 @dataclass(frozen=True)
 class Gauge:
-    """Monotone gauge h on the scale grid; ``alpha`` marks h(t) = t^alpha."""
+    """Monotone gauge h on the scale grid; ``alpha`` marks h(t) = t^alpha.
+
+    ``value(t)`` is a pair lo <= h(t) <= hi: (v, v) for a table value v, and
+    ``pow_bounds`` of t^alpha to 64 significant bits for a power gauge.
+    """
 
     table: tuple[tuple[Fraction, object], ...] | None = None
     alpha: object = None  # Fraction exponent when algebraic
 
-    def value(self, t: Fraction):
+    def value(self, t: Fraction) -> tuple:
         if self.alpha is not None:
-            return _pow_exact_or_float(t, Fraction(self.alpha))
+            a = Fraction(self.alpha)
+            bits = max(0, t.denominator.bit_length() - t.numerator.bit_length() + 1)  # 1/t < 2^bits
+            return pow_bounds(t, a, 64 - (-a.numerator * bits // a.denominator))
         for s, v in self.table:
             if s == t:
-                return v
+                return v, v
         raise InvalidGauge(f"gauge has no value at scale {t}")
 
     @classmethod
@@ -191,21 +200,42 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     return x, x**k == n
 
 
-_EXACT_POW_CAP = 64
+MAX_ROOT_DEGREE = 64
 
 
-def _pow_exact_or_float(t: Fraction, alpha: Fraction):
-    """t^alpha as an exact Fraction when possible, else a float."""
-    if alpha.denominator == 1:
-        return t**alpha.numerator
-    if abs(alpha.numerator) > _EXACT_POW_CAP or alpha.denominator > _EXACT_POW_CAP:
-        return float(t) ** float(alpha)
-    base = t**alpha.numerator
-    rn, okn = iroot(base.numerator, alpha.denominator)
-    rd, okd = iroot(base.denominator, alpha.denominator)
-    if okn and okd:
-        return Fraction(rn, rd)
-    return float(base) ** (1.0 / alpha.denominator)
+def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Rational bounds (lo, hi) on x^p for x >= 0, p = c/k > 0: (r, r) when
+    x^p is the rational r, else the floor and ceiling k-th roots of
+    x^c 2^(k prec) over 2^prec.  k above MAX_ROOT_DEGREE raises before any
+    work, since integer Newton takes O(k) steps for a k-th root."""
+    p = Fraction(p)
+    k = p.denominator
+    if k > MAX_ROOT_DEGREE:
+        raise ExponentOutOfRange(f"exponent {p} has a denominator above {MAX_ROOT_DEGREE}")
+    if x < 0:
+        raise NotNonnegative("negative base")
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    q = x**p.numerator
+    if k == 1:
+        return q, q
+    rd, exact = iroot(q.denominator, k)
+    if exact:
+        rn, exact = iroot(q.numerator, k)
+        if exact:
+            return Fraction(rn, rd), Fraction(rn, rd)
+    S = 1 << prec_bits
+    r_lo, _ = iroot(q.numerator * S**k // q.denominator, k)
+    r_hi, exact = iroot(-(-q.numerator * S**k // q.denominator), k)  # root of the ceiling
+    return Fraction(r_lo, S), Fraction(r_hi + (not exact), S)
+
+
+def pow_bounds_signed(x: Fraction, e: Fraction, prec_bits: int = 64):
+    """x^e bounds for x > 0 and any rational e."""
+    if e >= 0:
+        return pow_bounds(x, e, prec_bits)
+    lo, hi = pow_bounds(x, -e, prec_bits)
+    return 1 / hi, 1 / lo
 
 
 def _check_antichain(target: list[Cylinder], spec: ProductSpec):
@@ -237,6 +267,9 @@ def hausdorff_content(
     the finest admissible cover scale instead, i.e. the supremum of the
     delta-restricted contents realizable at this truncation depth.
 
+    Exact (a Fraction, an int or inf) when every gauge value is; else the
+    bracket (lo, hi) of the program run on the lower and the upper ends.
+
     A node's cost is min(h(t_k), sum of its children's costs), with
     h(t_k) left out at inadmissible levels and inf for an inadmissible
     leaf.  A node inside the target costs inside[k], which depends only
@@ -257,30 +290,24 @@ def hausdorff_content(
         return diam <= delta if closed_threshold else diam < delta
 
     h = [gauge.value(spec.scales[k]) if allowed(k) else None for k in range(L + 1)]
+    order = sorted(prefixes, key=len, reverse=True)
 
-    def best(k: int, total):
-        return total if h[k] is None else min(h[k], total)
+    def solve(h):
+        def best(k: int, total):
+            return total if h[k] is None else min(h[k], total)
 
-    inside = [inf] * (L + 1)
-    if h[L] is not None:
-        inside[L] = h[L]
-    for k in range(L - 1, -1, -1):
-        # one copy per child, added in turn as the children are visited
-        total = 0
-        for _ in range(spec.branching(k)):
-            total = total + inside[k + 1]
-        inside[k] = best(k, total)
+        inside = [inf] * L + [inf if h[L] is None else h[L]]
+        for k in range(L - 1, -1, -1):
+            inside[k] = best(k, spec.branching(k) * inside[k + 1])
+        cost = {w: inside[len(w)] for w in words}
+        for prefix in order:  # deepest first, so every child's cost is known
+            k = len(prefix)
+            children = (cost.get(prefix + (d,)) for d in range(spec.branching(k)))
+            cost[prefix] = best(k, sum(c for c in children if c is not None))
+        return cost[()]
 
-    cost = {w: inside[len(w)] for w in words}
-    for prefix in sorted(prefixes, key=len, reverse=True):
-        k = len(prefix)
-        total = 0
-        for d in range(spec.branching(k)):
-            child_cost = cost.get(prefix + (d,))
-            if child_cost is not None:
-                total = total + child_cost
-        cost[prefix] = best(k, total)
-    return cost[()]
+    lo, hi = ([None if v is None else v[i] for v in h] for i in (0, 1))
+    return solve(lo) if lo == hi else (solve(lo), solve(hi))
 
 
 def hausdorff_measure(spec: ProductSpec, target: list[Cylinder], gauge: Gauge):
@@ -288,34 +315,40 @@ def hausdorff_measure(spec: ProductSpec, target: list[Cylinder], gauge: Gauge):
     return hausdorff_content(spec, target, gauge, measure=True)
 
 
-def dimension_estimate(spec: ProductSpec, tolerance: float = 1e-6) -> tuple[float, float]:
-    """Bracket the critical exponent by bisection on min_k N_k t_k^alpha."""
-    if not tolerance >= 0:  # also rejects nan
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    L = spec.depth
+def _log_ratio(v: int, u: int) -> float:
+    """log(v/u) for integers v > u > 0, without cancellation or overflow."""
+    if v < 2 * u:
+        return log1p((v - u) / u)
+    e = v.bit_length() - u.bit_length() - 1  # 1 < v / (u 2^e) < 4
+    return e * log(2) + log(v / (u << e))
 
-    def crosses(alpha: float) -> bool:
-        # True while the finite-depth content stays >= 1
-        best = min(
-            spec.cumulative(k) * float(spec.scales[k]) ** alpha for k in range(1, L + 1)
-        )
-        return best >= 1.0
 
-    lo, hi = 0.0, 1.0
-    while crosses(hi):
-        lo, hi = hi, hi * 2
-        if hi > 1e6:
-            raise DepthInsufficient("no upper bracket for the dimension")
-    if not crosses(lo):
-        raise DepthInsufficient("content below 1 at alpha = 0")
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):  # no float lies strictly between the endpoints
-            break
-        if crosses(mid):
-            lo = mid
-        else:
-            hi = mid
+def dimension_estimate(spec: ProductSpec, tolerance: float = 1e-6) -> tuple:
+    """The similarity dimension min_k log N_k / log(1/t_k) (Falconer, ch. 9).
+
+    A rational minimum c/e is a pair of equal Fractions, confirmed in
+    integers: N_j^e u_j^c >= v_j^c (t_j = u_j/v_j) at every level j within
+    2^-40 relative of the float minimum, with equality at one.  Otherwise
+    it is the float minimum widened by 2^-40 relative, far beyond its
+    rounding error; a narrower ``tolerance`` raises ValueError."""
+    if not tolerance >= 0 or not spec.depth:  # also rejects nan
+        raise ValueError(f"need tolerance >= 0 and depth >= 1, got {tolerance}, {spec.depth}")
+    levels = sorted((log(N) / _log_ratio(t.denominator, t.numerator), N, t)
+                    for N, t in zip(spec.prefix[1:], spec.scales[1:]))
+    m = levels[0][0]
+    lo, hi = m - m * 2.0**-40, m + m * 2.0**-40
+    near = [level for level in levels if level[0] <= hi]
+    for a, N, t in near:
+        # log N / log(1/t) = c/e in lowest terms forces 1/t = w^e and N = w^c
+        r = Fraction(a).limit_denominator(t.denominator.bit_length())
+        c, e = r.numerator, r.denominator
+        w, exact = iroot(t.denominator, e)
+        if t.numerator == 1 and exact and c <= N.bit_length() and w**c == N and all(
+            M**e * s.numerator**c >= s.denominator**c for _, M, s in near
+        ):
+            return r, r
+    if hi - lo > tolerance:
+        raise ValueError(f"tolerance {tolerance} is below the bracket width {hi - lo:.3g}")
     return lo, hi
 
 
@@ -333,10 +366,7 @@ def monotone_map_cylinder(B: Cylinder, spec: ProductSpec) -> tuple[Fraction, Fra
     if not spec.is_reciprocal():
         raise ScaleMismatch("monotone map needs t_l = 1/N_l scales")
     validate_cylinder(B, spec)
-    lo = sum(
-        (Fraction(d, spec.cumulative(j + 1)) for j, d in enumerate(B.digits)),
-        Fraction(0),
-    )
+    lo = monotone_map_point(B.digits, spec)
     return lo, lo + Fraction(1, spec.cumulative(B.depth))
 
 
@@ -370,11 +400,13 @@ def gauge_transform(spec: ProductSpec, sigma) -> ProductSpec:
 
 
 def snowflake(spec: ProductSpec, a) -> ProductSpec:
-    """The d -> d^a transform; scales dimension by 1/a."""
+    """The d -> d^a transform; scales dimension by 1/a.  A scale t^a is
+    stored exactly when rational, else as the lower end of its
+    ``Gauge.power(a)`` bracket, within 2^-64 relative."""
     a = Fraction(a)
     if a <= 0:
         raise InvalidGauge("snowflake exponent must be positive")
-    return ProductSpec(spec.factors, tuple(_pow_exact_or_float(t, a) for t in spec.scales))
+    return ProductSpec(spec.factors, tuple(Gauge.power(a).value(t)[0] for t in spec.scales))
 
 
 @dataclass(frozen=True)
@@ -421,22 +453,16 @@ def measure_bound_check(
     for ka in range(join.a.depth + 1):
         for kb in range(join.b.depth + 1):
             diam = join.rect_diam(ka, kb)
-            bound = Fraction(C_a) * Fraction(C_b) * h_a.value(diam) * h_b.value(diam)
-            for cyl_a in _cylinders_at(join.a, ka):
+            # lower ends of the gauge values, so a bound that holds is certain
+            bound = Fraction(C_a) * Fraction(C_b) * h_a.value(diam)[0] * h_b.value(diam)[0]
+            for cyl_a in cylinders_at_depth(join.a, ka):
                 ma = ball_measure(cyl_a, mu_a)
-                for cyl_b in _cylinders_at(join.b, kb):
+                for cyl_b in cylinders_at_depth(join.b, kb):
                     m = ma * ball_measure(cyl_b, mu_b)
                     if m > bound:
                         violations.append((cyl_a.digits, cyl_b.digits, m, bound))
     return {"holds": not violations, "violations": violations}
 
 
-def _cylinders_at(spec: ProductSpec, k: int):
-    from itertools import product as iproduct
-
-    for digits in iproduct(*[range(n) for n in spec.factors[:k]]):
-        yield Cylinder(digits)
-
-
 def cylinders_at_depth(spec: ProductSpec, k: int) -> list[Cylinder]:
-    return list(_cylinders_at(spec, k))
+    return [Cylinder(digits) for digits in product(*[range(n) for n in spec.factors[:k]])]

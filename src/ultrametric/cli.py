@@ -127,13 +127,14 @@ def _spec_from_args(args) -> cantor.ProductSpec:
 def cmd_hausdorff(args) -> tuple[int, dict]:
     spec = _spec_from_args(args)
     if args.dimension:
-        return 0, {"dimension_interval": cantor.dimension_estimate(spec, args.tolerance)}
+        lo, hi = cantor.dimension_estimate(spec, args.tolerance)
+        return 0, {"dimension_interval": [float(lo), float(hi)]}
     gauge = cantor.Gauge.power(_rational(args.alpha))
     delta = None if args.delta is None else _rational(args.delta)
     value = cantor.hausdorff_content(spec, [cantor.Cylinder(())], gauge, delta=delta)
-    if isinstance(value, float) and value != inf:
-        # some t^alpha fell back to a float, so the DP summed floats
-        return 0, {"content": str(value), "exact": False}
+    if isinstance(value, tuple):
+        # some t^alpha is irrational, so the content is a bracket (lo, hi)
+        return 0, {"content": value, "exact": False}
     return 0, {"content": value}
 
 

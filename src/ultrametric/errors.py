@@ -83,10 +83,6 @@ class GridMismatch(UltrametricError):
     pass
 
 
-class DepthInsufficient(UltrametricError):
-    pass
-
-
 class DegenerateMeasure(UltrametricError):
     pass
 

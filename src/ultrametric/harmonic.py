@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .cantor import Cylinder, ProductSpec, iroot
+from .cantor import MAX_ROOT_DEGREE, Cylinder, ProductSpec, pow_bounds, pow_bounds_signed
 from .errors import (
     CertificationFailed,
     DegenerateMeasure,
@@ -34,28 +34,6 @@ from .errors import (
     ExponentOutOfRange,
     NotNonnegative,
 )
-
-# ---------------------------------------------------------------------------
-# exact bounds on rational powers (needed for non-integer exponents)
-# ---------------------------------------------------------------------------
-
-
-def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on x^p for x >= 0, p > 0."""
-    if x < 0:
-        raise NotNonnegative("negative base")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    p = Fraction(p)
-    q = x**p.numerator
-    k = p.denominator
-    if k == 1:
-        return q, q
-    S = 1 << prec_bits
-    r_lo, _ = iroot(q.numerator * S**k // q.denominator, k)
-    r_hi, exact = iroot(-(-q.numerator * S**k // q.denominator), k)  # root of the ceiling
-    return Fraction(r_lo, S), Fraction(r_hi + (not exact), S)
-
 
 # ---------------------------------------------------------------------------
 # weighted trees and the uncentered maximal function
@@ -437,14 +415,6 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     return {"lhs": lhs, "rhs": rhs, "equal": lhs[0] <= rhs[1] and rhs[0] <= lhs[1]}
 
 
-def pow_bounds_signed(x: Fraction, e: Fraction, prec_bits: int = 64):
-    """x^e bounds for x > 0 and any rational e."""
-    if e >= 0:
-        return pow_bounds(x, e, prec_bits)
-    lo, hi = pow_bounds(x, -e, prec_bits)
-    return 1 / hi, 1 / lo
-
-
 def _power_integral_bounds(values, mu, p: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Bounds on sum |v|^p w over the nonzero values, one bracket per value."""
     lo = hi = Fraction(0)
@@ -456,6 +426,22 @@ def _power_integral_bounds(values, mu, p: Fraction, prec: int) -> tuple[Fraction
     return lo, hi
 
 
+def _lp_exponent(p) -> Fraction:
+    """p as a Fraction, checked to be > 1 and a power that ``pow_bounds`` takes."""
+    p = Fraction(p)
+    if p <= 1:
+        raise ExponentOutOfRange("need p > 1")
+    if p.denominator > MAX_ROOT_DEGREE:
+        raise ExponentOutOfRange(f"p = {p} has a denominator above {MAX_ROOT_DEGREE}")
+    return p
+
+
+def _lp_constant_bounds(p: Fraction, a: Fraction, C1, prec: int) -> tuple[Fraction, Fraction]:
+    """Bounds on p C1 (1-a)^{-1} (p-1)^{-1} a^{1-p}, from a 2^-prec bracket on a^{1-p}."""
+    c = p * C1 / (1 - a) / (p - 1)
+    return tuple(c * b for b in pow_bounds_signed(a, 1 - p, prec))
+
+
 def lp_maximal_bound(
     f: list[Fraction], tree: FiniteUltraTree, p, a, C1: int = 1
 ) -> dict:
@@ -465,9 +451,7 @@ def lp_maximal_bound(
     rational bounds, refined until the bracket decides the inequality.
     ``lhs`` and ``rhs`` are the bracket ends that decided it.
     """
-    p, a = Fraction(p), Fraction(a)
-    if p <= 1:
-        raise ExponentOutOfRange("need p > 1")
+    p, a = _lp_exponent(p), Fraction(a)
     if not 0 < a < 1:
         raise ExponentOutOfRange("need 0 < a < 1")
     f = [Fraction(x) for x in f]
@@ -475,10 +459,7 @@ def lp_maximal_bound(
     m = maximal_function(FiniteUltraTree(tree.spec, tree.mu, nu))
 
     for prec in (64, 128, 256, 512):
-        c_lo, c_hi = (
-            Fraction(p) * C1 / (1 - a) / (p - 1) * b
-            for b in pow_bounds_signed(a, 1 - p, prec)
-        )
+        c_lo, c_hi = _lp_constant_bounds(p, a, C1, prec)
         lhs_lo, lhs_hi = _power_integral_bounds(m, tree.mu, p, prec)
         f_lo, f_hi = _power_integral_bounds(f, tree.mu, p, prec)
         rhs_lo, rhs_hi = c_lo * f_lo, c_hi * f_hi
@@ -495,16 +476,11 @@ def lp_best_a(p, C1: int = 1, grid: int = 32) -> tuple[Fraction, Fraction]:
     Returns (a, an upper bound on the constant there); comparisons between
     grid points use exact rational brackets.
     """
-    p = Fraction(p)
-    if p <= 1:
-        raise ExponentOutOfRange("need p > 1")
+    p = _lp_exponent(p)
     best = None
     for j in range(1, grid):
         a = Fraction(j, grid)
-        lo, hi = (
-            Fraction(p) * C1 / (1 - a) / (p - 1) * b
-            for b in pow_bounds_signed(a, 1 - p, 128)
-        )
+        hi = _lp_constant_bounds(p, a, C1, 128)[1]
         if best is None or hi < best[1]:
             best = (a, hi)
     return best
@@ -575,8 +551,8 @@ class Filtration:
         for P, Q in zip(lv, lv[1:]):
             fine = {i: blk for blk in Q for i in blk}
             for block in P:
-                sub = {fine[i] for i in block}
-                if sorted(i for b in sub for i in b) != list(block):
+                sub = {fine.get(i) for i in block}
+                if None in sub or sorted(i for b in sub for i in b) != list(block):
                     raise ValueError("levels are not nested coarse-to-fine")
 
     @classmethod

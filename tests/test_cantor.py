@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import inf, log
 
@@ -6,6 +7,7 @@ import pytest
 
 from ultrametric import cantor
 from ultrametric.errors import (
+    ExponentOutOfRange,
     InvalidGauge,
     OverlappingCylinders,
     ScaleMismatch,
@@ -75,13 +77,16 @@ def test_h1_of_ball_is_diameter():
 
 
 def test_log23_self_similar_content():
-    # binary branching with t = 3^-l at the similarity dimension
+    # binary branching with t = 3^-l near the similarity dimension log 2/log 3,
+    # from 29/46 just below it to 12/19 just above it: (2 3^-alpha)^6 is near 1
     spec = cantor.ProductSpec.geometric((2,) * 6, Fraction(1, 3))
-    alpha = Fraction(
-        *Fraction(log(2) / log(3)).limit_denominator(10**6).as_integer_ratio()
-    )
-    val = cantor.hausdorff_content(spec, [cantor.Cylinder(())], cantor.Gauge.power(alpha))
-    assert abs(float(val) - 1.0) < 1e-3
+    for alpha in (Fraction(29, 46), Fraction(12, 19)):
+        lo, hi = cantor.hausdorff_content(spec, [cantor.Cylinder(())], cantor.Gauge.power(alpha))
+        assert lo <= hi and abs(float(lo) - 1.0) < 1e-2
+    # a root of degree 10^6 is refused before any work
+    alpha = Fraction(log(2) / log(3)).limit_denominator(10**6)
+    with pytest.raises(ExponentOutOfRange):
+        cantor.hausdorff_content(spec, [cantor.Cylinder(())], cantor.Gauge.power(alpha))
 
 
 def test_content_monotone_in_delta_and_additive_when_separated():
@@ -119,11 +124,23 @@ def test_dimension_estimates():
 
 
 def test_dimension_estimate_tolerance_zero():
-    # bisection stops at adjacent floats instead of looping forever
+    # a rational dimension is exact at any tolerance; an irrational one is a
+    # float bracket 2^-39 wide, which a narrower tolerance cannot ask for
+    cases = (
+        ((2,) * 10, Fraction(1, 2), 1),
+        ((2, 2, 2), Fraction(1, 8), Fraction(1, 3)),
+        ((4, 2, 8), Fraction(1, 8), Fraction(1, 2)),  # log 8 / log 64 at level 2
+    )
+    for factors, theta, dim in cases:
+        spec = cantor.ProductSpec.geometric(factors, theta)
+        assert cantor.dimension_estimate(spec, 0) == (dim, dim)
     spec = cantor.ProductSpec.geometric((2,) * 10, Fraction(1, 3))
-    lo, hi = cantor.dimension_estimate(spec, 0)
-    assert lo - 1e-12 <= log(2) / log(3) <= hi + 1e-12
-    assert 0 < hi - lo <= 4e-16
+    for tolerance in (0, 1e-13):
+        with pytest.raises(ValueError):
+            cantor.dimension_estimate(spec, tolerance)
+    lo, hi = cantor.dimension_estimate(spec, 1e-11)
+    assert type(lo) is float and lo < log(2) / log(3) < hi
+    assert hi - lo == pytest.approx(2.0**-39 * log(2) / log(3))
 
 
 def test_power_gauge_and_tolerance_reject_values_they_cannot_honour():
@@ -132,7 +149,7 @@ def test_power_gauge_and_tolerance_reject_values_they_cannot_honour():
         cantor.Gauge.power(-1)
     with pytest.raises(InvalidGauge):
         cantor.Gauge.from_table([(Fraction(1, 2), 2), (Fraction(1), 1)])
-    assert cantor.Gauge.power(0).value(Fraction(1, 2)) == 1
+    assert cantor.Gauge.power(0).value(Fraction(1, 2)) == (1, 1)
     for tolerance in (float("nan"), -1e-9):
         with pytest.raises(ValueError):
             cantor.dimension_estimate(BINARY3, tolerance)
@@ -289,9 +306,9 @@ def _oracle_target_relation(prefix, target):
 
 
 def oracle_hausdorff_content(
-    spec, target, gauge, delta=None, closed_threshold=False, measure=False
+    spec, target, h, delta=None, closed_threshold=False, measure=False
 ):
-    """Recursion over every node under the target, one gauge value per node."""
+    """Recursion over every node under the target, one gauge value h(t) per node."""
     for c in target:
         cantor.validate_cylinder(c, spec)
     for i, a in enumerate(target):
@@ -314,7 +331,7 @@ def oracle_hausdorff_content(
         k = len(prefix)
         options = []
         if allowed(k):
-            options.append(gauge.value(spec.scales[k]))
+            options.append(h(spec.scales[k]))
         if k < L:
             total = 0
             for d in range(spec.branching(k)):
@@ -369,20 +386,53 @@ def _random_case(rng):
     return spec, target, kw
 
 
+def float_power(t: Fraction, alpha: Fraction):
+    """t^alpha as an exact Fraction when possible, else a float: the power
+    the package took before every power went through ``pow_bounds``."""
+    if alpha.denominator == 1:
+        return t**alpha.numerator
+    if abs(alpha.numerator) > 64 or alpha.denominator > 64:
+        return float(t) ** float(alpha)
+    base = t**alpha.numerator
+    rn, okn = cantor.iroot(base.numerator, alpha.denominator)
+    rd, okd = cantor.iroot(base.denominator, alpha.denominator)
+    if okn and okd:
+        return Fraction(rn, rd)
+    return float(base) ** (1.0 / alpha.denominator)
+
+
+def end(gauge, i, spec):
+    """The scalar gauge t -> i-th end of gauge.value(t), on the scales of spec."""
+    return {t: gauge.value(t)[i] for t in spec.scales}.__getitem__
+
+
 def test_hausdorff_content_against_recursive_oracle():
+    # exact gauge values give the recursion's exact value, type for type; an
+    # irrational one gives the recursion run on each end of the brackets, and
+    # that bracket holds the float recursion up to its rounding error
     rng = random.Random(4)
     alphas = [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 7)]
-    floats = 0
+    brackets = 0
     for _ in range(2400):
         spec, target, kw = _random_case(rng)
-        gauge = cantor.Gauge.power(rng.choice(alphas))
+        alpha = rng.choice(alphas)
+        gauge = cantor.Gauge.power(alpha)
         new = cantor.hausdorff_content(spec, target, gauge, **kw)
-        old = oracle_hausdorff_content(spec, target, gauge, **kw)
-        assert type(new) is type(old) and new == old, (spec, target, gauge, kw)
+        floats = {t: float_power(t, alpha) for t in spec.scales}
+        old = oracle_hausdorff_content(spec, target, floats.__getitem__, **kw)
         if kw.get("measure"):
-            assert cantor.hausdorff_measure(spec, target, gauge) == old
-        floats += type(old) is float
-    assert floats > 500  # the float fallback is exercised, not only exact values
+            assert cantor.hausdorff_measure(spec, target, gauge) == new
+        if type(new) is not tuple:
+            assert type(new) is type(old) and new == old, (spec, target, gauge, kw)
+            continue
+        lo, hi = new
+        assert lo == oracle_hausdorff_content(spec, target, end(gauge, 0, spec), **kw)
+        assert hi == oracle_hausdorff_content(spec, target, end(gauge, 1, spec), **kw)
+        assert type(lo) is Fraction and lo <= hi <= lo * (1 + Fraction(1, 2**60))
+        err = 1e-12 * float(hi)
+        assert float(lo) - err <= old <= float(hi) + err
+        brackets += 1
+    assert brackets > 500  # irrational powers are exercised, not only exact values
 
 
 def test_hausdorff_content_table_gauge_against_recursive_oracle():
@@ -393,7 +443,7 @@ def test_hausdorff_content_table_gauge_against_recursive_oracle():
         values = sorted(rng.choice((0, 1, 2, Fraction(1, 3), Fraction(5, 2))) for _ in spec.scales)
         gauge = cantor.Gauge.from_table(zip(sorted(spec.scales), values))
         new = cantor.hausdorff_content(spec, target, gauge, **kw)
-        old = oracle_hausdorff_content(spec, target, gauge, **kw)
+        old = oracle_hausdorff_content(spec, target, end(gauge, 0, spec), **kw)
         assert type(new) is type(old) and new == old, (spec, target, values, kw)
 
 
@@ -411,19 +461,23 @@ def test_nested_targets_rejected_as_by_the_oracle():
         with pytest.raises(OverlappingCylinders) as new:
             cantor.hausdorff_content(spec, target, gauge)
         with pytest.raises(OverlappingCylinders) as old:
-            oracle_hausdorff_content(spec, target, gauge)
+            oracle_hausdorff_content(spec, target, end(gauge, 0, spec))
         assert str(new.value) == str(old.value)
 
 
-def test_hausdorff_float_sums_follow_the_recursion_on_wide_factors():
-    # ten float copies added one at a time differ from ten times one copy,
-    # so the inside-costs must add children in turn, as the recursion does
+def test_wide_factor_brackets_follow_the_recursion_on_each_end():
+    # n children inside the target cost n times one child, in exact
+    # arithmetic; each end of the bracket is the recursion on that end
     spec = cantor.ProductSpec.geometric((10, 7, 10), Fraction(1, 3))
     gauge = cantor.Gauge.power(Fraction(3, 4))
     for target in ([cantor.Cylinder(())], [cantor.Cylinder((3,)), cantor.Cylinder((4, 1))]):
-        new = cantor.hausdorff_measure(spec, target, gauge)
-        old = oracle_hausdorff_content(spec, target, gauge, measure=True)
-        assert type(new) is float and new == old
+        lo, hi = cantor.hausdorff_measure(spec, target, gauge)
+        for i, value in enumerate((lo, hi)):
+            assert value == oracle_hausdorff_content(spec, target, end(gauge, i, spec), measure=True)
+        old = oracle_hausdorff_content(
+            spec, target, lambda t: float_power(t, Fraction(3, 4)), measure=True
+        )
+        assert type(old) is float and float(lo) * (1 - 1e-15) <= old <= float(hi) * (1 + 1e-15)
 
 
 def test_h1_measure_at_depth_128():
@@ -472,3 +526,156 @@ def test_square_root_gauge_on_4_adic_scales_is_exact_at_depth_100():
     halves = [cantor.Cylinder((0,) * 50), cantor.Cylinder((1,) * 50)]
     val = cantor.hausdorff_measure(spec, halves, gauge)
     assert type(val) is Fraction and val == 2
+
+
+# ---------------------------------------------------------------------------
+# powers and the dimension without floats, against the float kernels they
+# replaced: float_power above and the bisection below
+# ---------------------------------------------------------------------------
+
+
+def test_pow_bounds_is_exact_on_rational_powers_and_caps_the_root_degree():
+    assert cantor.pow_bounds(Fraction(1, 9), Fraction(1, 2)) == (Fraction(1, 3),) * 2
+    assert cantor.pow_bounds(Fraction(8, 27), Fraction(5, 3), 8) == (Fraction(32, 243),) * 2
+    lo, hi = cantor.pow_bounds(Fraction(2), Fraction(1, 64))
+    assert lo < hi and lo**64 <= 2 <= hi**64
+    start = time.perf_counter()
+    for alpha in (Fraction(1, 65), Fraction(100001, 100000)):
+        with pytest.raises(ExponentOutOfRange):
+            cantor.pow_bounds(Fraction(1, 2), alpha)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_pow_bounds_against_float_power():
+    rng = random.Random(15)
+    exact = 0
+    for _ in range(2000):
+        alpha = Fraction(rng.randrange(1, 64), rng.randrange(1, 65))
+        t = Fraction(rng.randrange(1, 10**4), rng.randrange(1, 10**4))
+        if rng.random() < 0.2:  # a perfect power, so t^alpha may be rational
+            t = Fraction(rng.randrange(1, 9), rng.randrange(1, 9)) ** alpha.denominator
+        lo, hi = cantor.pow_bounds(t, alpha)
+        old = float_power(t, alpha)
+        if type(old) is Fraction:
+            assert lo == hi == old
+            exact += 1
+        else:
+            assert lo < hi and lo**alpha.denominator <= t**alpha.numerator <= hi**alpha.denominator
+            assert float(lo) - 1e-12 * old <= old <= float(hi) + 1e-12 * old
+    assert exact > 300
+
+
+def bisection_dimension(spec, tolerance):
+    """The float bisection on min_k N_k t_k^alpha >= 1 that dimension_estimate was."""
+    L = spec.depth
+
+    def crosses(alpha):
+        return min(spec.cumulative(k) * float(spec.scales[k]) ** alpha for k in range(1, L + 1)) >= 1.0
+
+    lo, hi = 0.0, 1.0
+    while crosses(hi):
+        lo, hi = hi, hi * 2
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        if crosses(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _random_spec(rng, max_depth):
+    """Geometric, power-of-a-base (often a rational dimension) or arbitrary
+    decreasing scales, each ratio at most 1/2; no float underflows."""
+    L = rng.randint(1, max_depth)
+    kind = rng.randrange(3)
+    if kind == 0:
+        factors = tuple(rng.randint(2, 6) for _ in range(L))
+        return cantor.ProductSpec.geometric(factors, Fraction(1, rng.randint(2, 12)))
+    if kind == 1:
+        n = rng.choice((2, 3))
+        factors = tuple(n ** rng.randint(1, 3) for _ in range(L))
+        return cantor.ProductSpec.geometric(factors, Fraction(1, n ** rng.randint(1, 3)))
+    factors = tuple(rng.randint(2, 6) for _ in range(L))
+    scales = [Fraction(1)]
+    for _ in range(L):
+        scales.append(scales[-1] * Fraction(rng.randint(1, 5), rng.randint(11, 60)))
+    return cantor.ProductSpec(factors, tuple(scales))
+
+
+def test_dimension_closed_form_against_bisection():
+    rng = random.Random(12)
+    exact = 0
+    for _ in range(300):
+        spec = _random_spec(rng, 12)
+        lo, hi = cantor.dimension_estimate(spec, 1e-9)
+        blo, bhi = bisection_dimension(spec, 1e-12)
+        slack = 1e-12 * max(1.0, bhi)
+        assert blo - slack <= hi and lo <= bhi + slack, spec
+        exact += type(lo) is Fraction
+    assert exact > 50
+
+
+def _side(spec, r):
+    """-1 if r is below every alpha_k, +1 if above some alpha_k, 0 if r is
+    the minimum, decided in integers: r = c/e < alpha_k iff v^c < N_k^e u^c."""
+    c, e = r.numerator, r.denominator
+    signs = []
+    for k in range(1, spec.depth + 1):
+        u, v = spec.scales[k].numerator, spec.scales[k].denominator
+        lhs, rhs = v**c, spec.cumulative(k) ** e * u**c
+        signs.append((lhs > rhs) - (lhs < rhs))
+    return max(signs)
+
+
+def test_dimension_bracket_against_integer_inequality():
+    # every c/e with e <= 20 outside the bracket lies on the side the
+    # integers say; an exact pair is the one c/e at which they say 0
+    rng = random.Random(13)
+    for _ in range(120):
+        spec = _random_spec(rng, 6)
+        lo, hi = cantor.dimension_estimate(spec, 1e-9)
+        for e in range(1, 21):
+            for c in range(int(hi * e) + 3):
+                r = Fraction(c, e)
+                if r < lo:
+                    assert _side(spec, r) == -1, (spec, r)
+                elif r > hi:
+                    assert _side(spec, r) == 1, (spec, r)
+                elif lo == hi:
+                    assert _side(spec, r) == 0, (spec, r)
+
+
+def test_snowflake_scales_are_exact_or_lower_ends_in_integers():
+    # s = t^a exactly when that is rational; otherwise s^den <= t^num and s
+    # is within 2^-64 relative of t^a
+    rng = random.Random(14)
+    for _ in range(100):
+        spec = _random_spec(rng, 8)
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        flaked = cantor.snowflake(spec, a)
+        for s, t in zip(flaked.scales, spec.scales):
+            num, den = a.numerator, a.denominator
+            assert s**den <= t**num < (s * (1 + Fraction(1, 2**63))) ** den
+            assert (s**den == t**num) == (type(float_power(t, a)) is Fraction)
+
+
+def test_deep_products_need_no_float():
+    # 16^-300 underflows a float and 5^500 overflows one
+    spec = cantor.ProductSpec.geometric((2,) * 300, Fraction(1, 16))
+    assert cantor.dimension_estimate(spec) == (Fraction(1, 4), Fraction(1, 4))
+    lo, hi = cantor.dimension_estimate(cantor.ProductSpec.geometric((5,) * 500, Fraction(1, 16)))
+    assert lo < log(5) / log(16) < hi
+    # the cheapest cover finer than t_690 is the 2^691 balls of depth 691,
+    # 2^691 3^(-691/2) ~ 1.4667e43, which the float content read as 0.0
+    spec = cantor.ProductSpec.geometric((2,) * 700, Fraction(1, 3))
+    lo, hi = cantor.hausdorff_content(
+        spec, [cantor.Cylinder(())], cantor.Gauge.power(Fraction(1, 2)), delta=spec.scales[690]
+    )
+    assert lo < hi and lo**2 * 3**691 <= 4**691 <= hi**2 * 3**691
+    assert float(lo) == pytest.approx(1.4667e43, rel=1e-4)
+    # its float snowflake underflowed into equal scales
+    flaked = cantor.snowflake(spec, Fraction(1, 2))
+    assert flaked.depth == 700 and flaked.scales[700] == Fraction(1, 3**350)

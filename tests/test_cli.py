@@ -1,5 +1,8 @@
+import ast
 import json
+import time
 from dataclasses import dataclass
+from math import log
 from fractions import Fraction
 from math import inf
 
@@ -147,14 +150,31 @@ def test_hausdorff_content_and_dimension(capsys):
     assert lo <= 1.0 <= hi + 1e-6
 
 
-def test_hausdorff_report_says_when_content_is_a_float(capsys):
-    # (1/3)^(3/4) is irrational: the content is a float and the report says so
+def test_hausdorff_dimension_of_deep_products(capsys):
+    # 16^-300 underflowed the float bisection to [0.0, 9.5e-07], and 5^500
+    # overflowed it into a traceback
+    twos, fives = ",".join(["2"] * 300), ",".join(["5"] * 500)
+    code, out, _ = run(capsys, "hausdorff", "--factors", twos, "--scales", "geometric:1/16",
+                       "--dimension")
+    assert code == 0 and last_json(out)["dimension_interval"] == [0.25, 0.25]
+    code, out, _ = run(capsys, "hausdorff", "--factors", fives, "--scales", "geometric:1/16",
+                       "--dimension")
+    lo, hi = last_json(out)["dimension_interval"]
+    assert code == 0 and lo < log(5) / log(16) < hi
+
+
+def test_hausdorff_report_says_when_content_is_a_bracket(capsys):
+    # (1/3)^(3/4) is irrational: the content 8 3^(-9/4) (eight balls of
+    # depth 3) is a rational bracket, and the report says it is not exact
     code, out, _ = run(
         capsys, "hausdorff", "--factors", "2,2,2", "--scales", "geometric:1/3",
         "--alpha", "3/4",
     )
     assert code == 0
-    assert out == '{"content": "0.6754094983569712", "exact": false, "schema": "1"}'
+    rep = last_json(out)
+    assert rep["exact"] is False
+    lo, hi = map(Fraction, rep["content"])
+    assert lo < hi and lo**4 * 3**9 <= 8**4 <= hi**4 * 3**9
     # exact contents, and the infinite content of a cover-free delta, keep
     # the report without the key
     code, out, _ = run(
@@ -294,10 +314,62 @@ def test_cli_import_leaves_numpy_unloaded():
     )
 
 
+# Where the package may hold a float or take a float logarithm: the dimension
+# in closed form, the numerical Gram cross-check, complex character values and
+# the CLI's report formatting.  Everything else is exact or a rational bracket.
+FLOAT_ALLOWED = {
+    "cantor.dimension_estimate",
+    "cantor._log_ratio",
+    "cantor._rational_exponent",
+    "characters.gram_float",
+    "characters.TurnValue.complex",
+}
+
+
+def float_uses(source: str, module: str) -> set[str]:
+    """Scopes (module.Class.function) that name ``float`` or a math log."""
+    tree = ast.parse(source)
+    logs = {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "math"
+            for a in node.names if a.name.startswith("log")}
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Name) and (node.id == "float" or node.id in logs)
+                or isinstance(node, ast.Attribute) and node.attr.startswith("log")
+                and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_no_float_outside_the_allow_list():
+    # the float power and the float bisection are gone; keep them out
+    import pathlib
+
+    import ultrametric
+
+    found = set()
+    for path in pathlib.Path(ultrametric.__file__).parent.glob("*.py"):
+        if path.stem != "cli":
+            found |= float_uses(path.read_text(), path.stem)
+    assert found <= FLOAT_ALLOWED
+    assert {"cantor.dimension_estimate", "characters.TurnValue.complex"} <= found
+    assert float_uses("import math\ndef f(x):\n    return math.log(x)", "m") == {"m.f"}
+    assert float_uses("from math import log1p as l\nclass C:\n    y = l(1)", "m") == {"m.C"}
+
+
 # Exit code and stdout of each subcommand branch, as printed before every
-# report went through cli.encode; only the two --lp reports differ, whose
-# lhs and rhs were floats and are now the exact bracket ends.  "{tree}" and
-# "{tree2}" name files holding TREE and TREE2.
+# report went through cli.encode; the two --lp reports differ, whose lhs and
+# rhs were floats and are now the exact bracket ends, and so do the --alpha
+# 3/4 content, a float once and now a rational bracket, and the two
+# --dimension intervals, once a float bisection and now the closed form.
+# "{tree}" and "{tree2}" name files holding TREE and TREE2.
 GOLDEN = [
     ('hensel --prime 7 --coeffs -2,0,1 --x0 3 --prec 6 --variant v1', 0,
      '{"modulus": "117649", "residue": "38181", "root": "38181 mod 117649", "schema": "1", "trace_exponents": [1, 2, 4, null]}'),
@@ -342,15 +414,15 @@ GOLDEN = [
     ('hausdorff --factors 2,2,2 --scales geometric:1/9 --alpha 1/2', 0,
      '{"content": "8/27", "schema": "1"}'),
     ('hausdorff --factors 2,2,2 --scales geometric:1/3 --alpha 3/4', 0,
-     '{"content": "0.6754094983569712", "exact": false, "schema": "1"}'),
+     '{"content": ["12459106161143598759/18446744073709551616", "24918212322287197519/36893488147419103232"], "exact": false, "schema": "1"}'),
     ('hausdorff --factors 2,2,2 --delta 0', 0,
      '{"content": "inf", "schema": "1"}'),
     ('hausdorff --factors 2,3,2 --delta 1/6', 0,
      '{"content": "1", "schema": "1"}'),
     ('hausdorff --factors 2,2,2,2,2,2,2,2,2,2 --scales geometric:1/2 --dimension', 0,
-     '{"dimension_interval": [1.0, 1.0000009536743164], "schema": "1"}'),
+     '{"dimension_interval": [1.0, 1.0], "schema": "1"}'),
     ('hausdorff --factors 2,3,2 --scales geometric:1/5 --dimension --tolerance 1e-9', 0,
-     '{"dimension_interval": [0.4306765580549836, 0.4306765589863062], "schema": "1"}'),
+     '{"dimension_interval": [0.4306765580730013, 0.4306765580737847], "schema": "1"}'),
     ('audit --factors 2,2,2 --scales geometric:1/2', 0,
      '{"constant": "{\'factor_bound\': 2, \'scale_census\': 2}", "degenerate": false, "schema": "1", "seed": 0, "verdict": true, "witness": null}'),
     ('audit --factors 3,4,5,6 --candidate 4', 1,
@@ -402,6 +474,9 @@ def test_golden_report(capsys, tmp_path, argv, code, stdout):
     "hausdorff --factors 2,2 --delta 1/0",
     "hausdorff --factors 2,2 --alpha -1",
     "hausdorff --factors 2,2 --dimension --tolerance nan",
+    "hausdorff --factors 2,2 --scales geometric:1/3 --dimension --tolerance 0",
+    "hausdorff --factors 2,2 --alpha 100001/100000",
+    "maximal --tree {tree} --lp 100001/100000 1/2",
     "maximal --tree {empty}",
     "maximal --tree {list}",
     "maximal --tree {zero_denominator}",
@@ -414,12 +489,15 @@ def test_golden_report(capsys, tmp_path, argv, code, stdout):
 ])
 def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
     files = {
+        "tree": tree_file(tmp_path),
         "empty": tree_file(tmp_path, {}, "empty.json"),
         "list": tree_file(tmp_path, [1, 2], "list.json"),
         "zero_denominator": tree_file(tmp_path, dict(TREE, nu=["1/0"] + TREE["nu"][1:]), "z.json"),
     }
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv.format(**files).split())
     assert code == 2 and out == "" and err
+    assert time.perf_counter() - start < 1  # a root of degree 10^5 is refused, not taken
 
 
 def test_encode_rejects_values_without_a_report_form():

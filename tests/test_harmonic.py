@@ -597,6 +597,27 @@ def test_lp_maximal_bound_zero_and_errors():
         harmonic.lp_maximal_bound([1] * 8, t, 2, Fraction(3, 2))
 
 
+def test_lp_exponent_with_a_deep_root_is_refused_by_name():
+    # p = 100001/100000 would need a 100000th root of a^(1 - p); the error
+    # names p itself, and comes before any root is taken
+    t = leaf0_tree()
+    p = Fraction(100001, 100000)
+    start = time.perf_counter()
+    with pytest.raises(ExponentOutOfRange, match="p = 100001/100000"):
+        harmonic.lp_maximal_bound([1] * 8, t, p, Fraction(1, 2))
+    with pytest.raises(ExponentOutOfRange, match="p = 100001/100000"):
+        harmonic.lp_best_a(p)
+    assert time.perf_counter() - start < 0.5
+    # the deepest root allowed still decides the bound
+    assert harmonic.lp_maximal_bound([1] * 8, t, Fraction(65, 64), Fraction(1, 2))["holds"]
+
+
+def test_filtration_rejects_a_finer_level_that_misses_a_point():
+    # point 1 of the coarse block is in no fine block
+    with pytest.raises(ValueError, match="not nested"):
+        harmonic.Filtration((((0, 1),), ((0,),)))
+
+
 def test_lp_maximal_bound_randomized():
     rng = random.Random(3)
     for _ in range(20):
