@@ -4,10 +4,10 @@ Subpackages cover p-adic and mixed-radix integer arithmetic, Hensel
 lifting, max-ultranorm linear algebra, Hausdorff measures on Cantor
 products, geometric audits, maximal functions with exact weak-type
 constants, and character tables over exact roots of unity.
-"""
 
-from .padic import PAdicInt, PAdicScalar, abs_p, padic_from_rational  # noqa: F401
-from .radic import Radix, RadicInt, ScaleSeq  # noqa: F401
-from .cantor import Cylinder, ProductMeasure, ProductSpec  # noqa: F401
+Names are imported from their modules (``from ultrametric.padic import
+PAdicInt``): the package itself imports none of them, so that a command-line
+call loads only the modules it runs.
+"""
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Exit codes: 0 = verified or solved, 1 = a property was refuted (the report
 carries a witness), 2 = invalid input.
 
 Each ``cmd_*`` returns ``(exit_code, report)``, and ``main`` prints the
-report through ``encode``, the one place where a value becomes JSON.
+report through ``encode``, the one place where a value becomes JSON.  Each
+``cmd_*`` imports the modules it calls, so one invocation loads only those.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from fractions import Fraction
 from math import inf, isfinite
 
-from . import audit, cantor, characters, harmonic, hensel, padic, radic
 from .errors import NotComparable, UltrametricError
 
 SCHEMA = "1"
@@ -64,6 +64,8 @@ def _ints(s: str) -> tuple[int, ...]:
 
 
 def cmd_hensel(args) -> tuple[int, dict]:
+    from . import hensel, padic
+
     coeffs = [_rational(c) for c in args.coeffs.split(",")]
     f = hensel.ZpPoly.from_rationals(coeffs, args.prime, args.prec)
     x0 = padic.PAdicInt(args.prime, args.prec, args.x0)
@@ -79,6 +81,8 @@ def cmd_hensel(args) -> tuple[int, dict]:
 
 
 def cmd_padic(args) -> tuple[int, dict]:
+    from . import padic
+
     if args.abs is not None:
         return 0, {"abs": padic.abs_p(_rational(args.abs), args.prime)}
     if args.geom is not None:
@@ -94,6 +98,8 @@ def cmd_padic(args) -> tuple[int, dict]:
 
 
 def cmd_radic(args) -> tuple[int, dict]:
+    from . import radic
+
     r = radic.Radix(_ints(args.radix))
     if args.embed is not None:
         return 0, {"sequence": [str(x) for x in radic.embed_q(args.embed, r)]}
@@ -116,6 +122,8 @@ def cmd_radic(args) -> tuple[int, dict]:
 
 
 def _spec_from_args(args) -> cantor.ProductSpec:
+    from . import cantor
+
     factors = _ints(args.factors)
     if args.scales == "reciprocal":
         return cantor.ProductSpec.reciprocal(factors)
@@ -125,6 +133,8 @@ def _spec_from_args(args) -> cantor.ProductSpec:
 
 
 def cmd_hausdorff(args) -> tuple[int, dict]:
+    from . import cantor
+
     spec = _spec_from_args(args)
     if args.dimension:
         lo, hi = cantor.dimension_estimate(spec, args.tolerance)
@@ -139,6 +149,8 @@ def cmd_hausdorff(args) -> tuple[int, dict]:
 
 
 def cmd_audit(args) -> tuple[int, dict]:
+    from . import audit, cantor, radic
+
     if args.isometry is not None:
         rep = audit.build_radic_isometry(radic.Radix(_ints(args.isometry)), seed=args.seed)
         keys = ("bijective", "isometric", "pushforward_uniform")
@@ -164,6 +176,8 @@ def cmd_audit(args) -> tuple[int, dict]:
 
 
 def _tree_from_json(path: str) -> harmonic.FiniteUltraTree:
+    from . import cantor, harmonic
+
     with open(path) as fh:
         obj = json.load(fh)
     try:
@@ -180,6 +194,8 @@ def _tree_from_json(path: str) -> harmonic.FiniteUltraTree:
 
 
 def cmd_maximal(args) -> tuple[int, dict]:
+    from . import harmonic
+
     tree = _tree_from_json(args.tree)
     f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
     if args.weak_type is not None:
@@ -196,6 +212,8 @@ def cmd_maximal(args) -> tuple[int, dict]:
 
 
 def cmd_characters(args) -> tuple[int, dict]:
+    from . import characters
+
     if args.gram is not None:
         n = args.gram
         g = characters.gram_exact(n)
@@ -307,10 +325,11 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         code, report = args.func(args)
+        # a report integer past Python's int-to-str limit raises ValueError here
+        _emit(report)
     except (UltrametricError, ValueError, OSError) as e:  # JSONDecodeError is a ValueError
         print(str(e), file=sys.stderr)
         return 2
-    _emit(report)
     return code
 
 

@@ -151,7 +151,14 @@ def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
 
 
 def ratio_grid(tree: FiniteUltraTree) -> list[Fraction]:
-    """All distinct values of M(nu); the thresholds worth testing."""
+    """All distinct values of M(nu), in increasing order.
+
+    They are the points where t -> mu{M > t} jumps, but not where the
+    weak-type bound is tight: at t = v the set {M > t} leaves out the
+    points where M = v, and on (v_prev, v) the supremum of t mu{M > t},
+    v mu{M >= v}, is approached only as t rises to v.  A check at these
+    values alone tests the bound with slack.
+    """
     return sorted(set(maximal_function(tree)))
 
 

@@ -299,8 +299,22 @@ def test_reports_deterministic(capsys, tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only characters.gram_float needs numpy, and it imports it when called
+# The modules of the package that one invocation of each subcommand loads,
+# besides the package and cli: each cmd_* imports only the modules it calls.
+SUBCOMMAND_MODULES = [
+    ("hensel --prime 2 --coeffs -17,0,1 --x0 1 --prec 5", {"errors", "padic", "hensel"}),
+    ("padic --prime 2 --abs 12", {"errors", "padic"}),
+    ("radic --radix 2,3 --preceq 5,5", {"errors", "padic", "radic"}),
+    ("hausdorff --factors 2,2,2 --scales geometric:1/3", {"errors", "padic", "radic", "cantor"}),
+    ("audit --isometry 2,3", {"errors", "padic", "radic", "cantor", "audit"}),
+    ("maximal --tree {tree} --doob 3", {"errors", "padic", "radic", "cantor", "harmonic"}),
+    ("characters --gram 4", {"errors", "padic", "radic", "characters"}),
+]
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    # one fresh process per subcommand; only characters.gram_float needs
+    # numpy, and it imports it when called
     import os
     import subprocess
     import sys
@@ -308,10 +322,38 @@ def test_cli_import_leaves_numpy_unloaded():
     import ultrametric
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultrametric.__file__)))
-    subprocess.run(
-        [sys.executable, "-c", "import sys, ultrametric.cli; assert 'numpy' not in sys.modules"],
-        env=env, check=True,
+    child = (
+        "import json, sys\n"
+        "from ultrametric import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('ultrametric.')),"
+        " 'numpy' in sys.modules]))\n"
     )
+    assert sorted(argv.split()[0] for argv, _ in SUBCOMMAND_MODULES) == sorted(
+        name[4:] for name in vars(cli) if name.startswith("cmd_")
+    )
+    for argv, modules in SUBCOMMAND_MODULES:
+        out = subprocess.run(
+            [sys.executable, "-c", child, *argv.format(tree=tree_file(tmp_path)).split()],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        code, loaded, numpy = json.loads(out.splitlines()[-1])
+        assert code in (0, 1), argv
+        assert set(loaded) == {"ultrametric.cli"} | {f"ultrametric.{m}" for m in modules}, argv
+        assert not numpy, argv
+
+
+def test_report_past_the_int_to_str_limit_exits_2_without_a_traceback(capsys):
+    # the content 8*3^-15000 has more than 4300 digits, Python's default
+    # limit for int-to-str; exit 1 would read as "refuted"
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "hausdorff", "--factors", "2,2,2", "--scales", "geometric:1/3", "--alpha", "5000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "limit" in err and "integer string conversion" in err
 
 
 # Where the package may hold a float or take a float logarithm: the dimension
