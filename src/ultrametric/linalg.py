@@ -1,21 +1,36 @@
 """Vectors and matrices over Q_p with the max ultranorm.
 
 Entries are kept as exact rationals; p-adic absolute values of entries,
-norms, and determinants are therefore exact.  Determinants are computed
-over the rationals, never over truncated residues, because the valuation
-of a determinant is precision-fragile mod p^N.
+norms, and determinants are therefore exact.  Norms are minima of the
+integer valuations v_p(numerator) - v_p(denominator), turned into one
+``Fraction`` at the end.  Determinants are computed exactly, by Bareiss
+elimination on the rows cleared of their denominators, never over
+truncated residues, because the valuation of a determinant is
+precision-fragile mod p^N.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificationFailed, UltrametricError
-from .padic import abs_p, check_prime
+from .padic import check_prime, rational_valuation
 
 MAX_DIM = 64
+
+
+def _min_valuation(entries, p: int) -> int | None:
+    """min v_p over the nonzero entries, Fractions or ints; None when all are 0."""
+    return min((rational_valuation(e, p) for e in entries if e), default=None)
+
+
+def _max_abs(entries, p: int) -> Fraction:
+    """max |e|_p over the entries: p^(-min v_p), or 0 when all are 0."""
+    v = _min_valuation(entries, p)
+    return Fraction(0) if v is None else Fraction(p) ** (-v)
 
 
 @dataclass(frozen=True)
@@ -34,8 +49,8 @@ class UltraVector:
         return len(self.entries)
 
     def norm(self) -> Fraction:
-        """The max ultranorm max(|v_1|_p, ..., |v_n|_p)."""
-        return max(abs_p(e, self.p) for e in self.entries)
+        """The max ultranorm max(|v_1|_p, ..., |v_n|_p) = p^(-min v_p(v_j))."""
+        return _max_abs(self.entries, self.p)
 
     def scale(self, t) -> "UltraVector":
         t = Fraction(t)
@@ -89,38 +104,61 @@ class UltraMatrix:
         )
 
     def det(self) -> Fraction:
-        """Exact determinant by Gaussian elimination over Q."""
-        n = self.dim
-        a = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        """Exact determinant by Bareiss elimination on integer rows.
+
+        Row i is multiplied by the lcm D_i of its denominators, so
+        det T = det A / (D_1 ... D_n) for the integer matrix A.  Bareiss's
+        fraction-free elimination divides each new entry exactly by the
+        previous pivot, so every intermediate is a minor of A, of at most
+        n (b + log2 n) bits for entries of b bits by Hadamard's inequality:
+        O(n^3) integer products and exact divisions, and one gcd at the end.
+        """
+        dens = [math.lcm(*(e.denominator for e in row)) for row in self.rows]
+        a = [_cleared(row, d) for row, d in zip(self.rows, dens)]
+        return Fraction(_bareiss(a), math.prod(dens))
+
+
+def _cleared(row, d: int) -> list[int]:
+    """d times a row of Fractions, for d a multiple of every denominator."""
+    return [e.numerator * (d // e.denominator) for e in row]
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of the integer matrix a, which is overwritten."""
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                factor = a[r][col] * inv
-                if factor:
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return det
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k, akk = a[k], a[k][k]
+        for row in a[k + 1:]:
+            aik = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * akk - aik * row_k[j]) // prev
+        prev = akk
+    return sign * a[n - 1][n - 1]
 
 
 def op_norm(T: UltraMatrix) -> Fraction:
     """Entrywise max of |a_{j,k}|_p; the operator norm for the max ultranorm."""
-    return max(abs_p(e, T.p) for row in T.rows for e in row)
+    return _max_abs((e for row in T.rows for e in row), T.p)
 
 
 def det_abs(T: UltraMatrix) -> Fraction:
     """|det T|_p, with the bound |det T|_p <= ||T||_op^n checked."""
-    value = abs_p(T.det(), T.p)
+    value = _max_abs((T.det(),), T.p)
     if not value <= op_norm(T) ** T.dim:
         raise CertificationFailed("|det T|_p exceeds ||T||_op^n")
     return value
+
+
+def _int_apply(rows: list[list[int]], w: list[int]) -> list[int]:
+    """The integer matrix-vector product rows . w."""
+    return [sum(a * x for a, x in zip(row, w)) for row in rows]
 
 
 def zp_invertibility(T: UltraMatrix, samples: int = 20, seed: int = 0) -> dict:
@@ -128,31 +166,29 @@ def zp_invertibility(T: UltraMatrix, samples: int = 20, seed: int = 0) -> dict:
 
     T is invertible over Z_p iff every entry lies in Z_p and |det T|_p = 1;
     that in turn is equivalent to ||Tv|| = ||v|| for all v, which is
-    cross-checked on basis vectors and random rational vectors.
+    cross-checked on basis vectors and random rational vectors.  The
+    cross-check runs in integers: D T for the common denominator D, a
+    p-adic unit when T is integral, applied to p^2 v, whose entries are
+    integers; ||Tv|| = ||v|| iff both sides have the same minimum valuation.
     """
     p = T.p
-    entries_integral = all(abs_p(e, p) <= 1 for row in T.rows for e in row)
+    entries_integral = all(e.denominator % p for row in T.rows for e in row)
     invertible = entries_integral and det_abs(T) == 1
     verdict = {"invertible_over_zp": invertible, "isometry": invertible}
     if invertible:
         rng = random.Random(seed)
         n = T.dim
-        probes = [
-            UltraVector(p, tuple(Fraction(int(i == j)) for j in range(n)))
-            for i in range(n)
-        ]
+        d = math.lcm(*(e.denominator for row in T.rows for e in row))
+        rows = [_cleared(row, d) for row in T.rows]
+        # p^2 times the probes: the basis vectors and entries a / p^k, k < 3
+        probes = [[p * p * int(i == j) for j in range(n)] for i in range(n)]
         for _ in range(samples):
             probes.append(
-                UltraVector(
-                    p,
-                    tuple(
-                        Fraction(rng.randrange(-50, 51), p ** rng.randrange(3))
-                        for _ in range(n)
-                    ),
-                )
+                [rng.randrange(-50, 51) * p ** (2 - rng.randrange(3)) for _ in range(n)]
             )
-        for v in probes:
-            if v.norm() != 0 and T.apply(v).norm() != v.norm():
+        for w in probes:
+            v = _min_valuation(w, p)
+            if v is not None and _min_valuation(_int_apply(rows, w), p) != v:
                 raise CertificationFailed("isometry cross-check failed")
     return verdict
 

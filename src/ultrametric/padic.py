@@ -6,6 +6,7 @@ are exact ``Fraction`` objects; no floats appear anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,13 +18,25 @@ from .errors import (
     PrecisionMismatch,
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _SMALL_PRIMES
+# (Sorenson & Webster, Math. Comp. 86 (2017)): below it the test is exact
+_PSI_13 = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24."""
+    """Miller-Rabin to the prime bases 2..41, certified for n < psi_13.
+
+    Every n below psi_13 = 3317044064679887385961981 (about 3.3 * 10^24)
+    is decided exactly; a larger n raises InvalidPrime, since no answer
+    there is certified.  The last 256 answers are cached, so a prime used
+    over and over is tested once.
+    """
     if n < 2:
         return False
+    if n >= _PSI_13:
+        raise InvalidPrime(f"primality is certified only below psi_13 = {_PSI_13}, not for {n}")
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
@@ -52,8 +65,10 @@ def vp(n: int, p: int, cap: int | None = None) -> int:
     """Exponent of p in the integer n, saturating at ``cap``.
 
     With a cap this is v_p(n mod p^cap), so n = 0 gives cap; without one,
-    n must be nonzero.
+    n must be nonzero.  p need not be prime, but it must be at least 2.
     """
+    if p < 2:
+        raise ValueError(f"v_p needs p >= 2, not {p}")
     if n == 0:
         if cap is None:
             raise ValueError("v_p(0) is infinite")
@@ -194,6 +209,8 @@ class PAdicScalar:
 
     def __post_init__(self):
         check_prime(self.p)
+        if self.precision < 1:
+            raise ValueError("precision must be positive")
         if self.unit_residue is not None:
             u = self.unit_residue % self.p**self.precision
             if u % self.p == 0:
@@ -206,9 +223,10 @@ class PAdicScalar:
 
     @classmethod
     def from_rational(cls, x, p: int, N: int) -> "PAdicScalar":
+        zero = cls.zero(p, N)  # checks p and N before v_p and p^N use them
         x = Fraction(x)
         if x == 0:
-            return cls.zero(p, N)
+            return zero
         v = rational_valuation(x, p)
         unit = x / Fraction(p) ** v
         m = p**N

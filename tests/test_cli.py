@@ -511,6 +511,14 @@ def test_golden_report(capsys, tmp_path, argv, code, stdout):
 
 @pytest.mark.parametrize("argv", [
     "padic --prime 2 --abs 1/0",
+    # strong pseudoprimes to the first 12 and 13 prime bases
+    "padic --prime 318665857834031151167461 --abs 3",
+    "padic --prime 3317044064679887385961981 --abs 3",
+    # p and N are checked before v_p and p^N use them; v_p never ends for p = 1
+    "padic --prime 1 --geom 1/5",
+    "padic --prime 0 --geom 1/5",
+    "padic --prime 5 --prec -1 --geom 1/5",
+    "padic --prime 5 --prec 0 --geom 5",
     "hensel --prime 3 --coeffs 1/0,1 --x0 1",
     "hausdorff --factors 2,2 --alpha 1/0",
     "hausdorff --factors 2,2 --delta 1/0",

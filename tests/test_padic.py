@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,50 @@ def test_abs_examples():
 def test_abs_rejects_composite():
     with pytest.raises(InvalidPrime):
         padic.abs_p(12, 4)
+
+
+# psi_12 and psi_13, the least strong pseudoprimes to the first 12 and 13
+# prime bases (Sorenson & Webster 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_accepts_mersenne_61():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not padic.is_prime(PSI_12)
+    assert padic.is_prime(2**61 - 1)
+    assert not padic.is_prime(PSI_13 - 2)
+    with pytest.raises(InvalidPrime, match="certified only below psi_13"):
+        padic.is_prime(PSI_13)
+    with pytest.raises(InvalidPrime, match="certified only below psi_13"):
+        padic.check_prime(2**127 - 1)
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(-5, 5000):
+        assert padic.is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
+def test_prime_cache_is_bounded():
+    assert padic.is_prime.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("p", [7.0, True, "7", None])
+def test_check_prime_rejects_non_integers(p):
+    # bool is an int subclass; True == 1 is not prime
+    with pytest.raises(InvalidPrime):
+        padic.check_prime(p)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_valuations_refuse_bases_below_two(p):
+    with pytest.raises(ValueError):
+        padic.vp(10, p)
+    with pytest.raises(ValueError):
+        padic.rational_valuation(Fraction(1, 5), p)
+    with pytest.raises(InvalidPrime):
+        padic.PAdicScalar.from_rational(Fraction(1, 5), p, 4)
 
 
 @given(x=rationals, y=rationals, p=st.sampled_from(PRIMES))
