@@ -20,6 +20,9 @@ from .errors import NotComparable, UltrametricError
 
 SCHEMA = "1"
 DEFAULT_SEED = 0
+# the largest modulus p^N a subcommand forms, in bits, counted as N * bitlength(p):
+# a quadratic lift mod 5^21845 takes about a second
+MODULUS_BITS_CAP = 1 << 16
 
 
 def encode(value):
@@ -63,9 +66,17 @@ def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(","))
 
 
+def _check_modulus(p: int, N: int) -> None:
+    """Refuse --prec before p^N is formed, so its cost is bounded."""
+    if N * p.bit_length() > MODULUS_BITS_CAP:
+        raise ValueError(f"--prec {N} makes p^N up to {N * p.bit_length()} bits, "
+                         f"above the cap of {MODULUS_BITS_CAP}")
+
+
 def cmd_hensel(args) -> tuple[int, dict]:
     from . import hensel, padic
 
+    _check_modulus(args.prime, args.prec)
     coeffs = [_rational(c) for c in args.coeffs.split(",")]
     f = hensel.ZpPoly.from_rationals(coeffs, args.prime, args.prec)
     x0 = padic.PAdicInt(args.prime, args.prec, args.x0)
@@ -85,6 +96,7 @@ def cmd_padic(args) -> tuple[int, dict]:
 
     if args.abs is not None:
         return 0, {"abs": padic.abs_p(_rational(args.abs), args.prime)}
+    _check_modulus(args.prime, args.prec)
     if args.geom is not None:
         y = padic.PAdicScalar.from_rational(_rational(args.geom), args.prime, args.prec)
         return 0, {"geometric_sum": repr(padic.geometric_sum(y))}

@@ -6,6 +6,13 @@ and an explicit contraction-mapping iteration.  All three agree where
 their hypotheses overlap.  Internally the iterations run on plain
 integers at a working modulus with headroom above the requested
 precision, so dividing by f'(x) never loses requested digits.
+
+A Newton lift takes one inverse mod p, of f'(x0) over its power of p.
+Each step then evaluates f and f' once, takes one valuation, and lifts
+the previous step's inverse to the digits this step consumes with
+``padic.unit_inverse``: O(log n) products in place of an extended-Euclid
+inverse at the full working precision.  The iterates are those of the
+exact inverse, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .errors import (
     KMismatch,
     PrecisionMismatch,
 )
-from .padic import PAdicInt, PAdicScalar, check_prime, rational_valuation, vp
+from .padic import PAdicInt, PAdicScalar, check_prime, rational_valuation, unit_inverse, vp
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,9 @@ class ZpPoly:
 
     @property
     def degree(self) -> int | None:
+        m = self.p**self.precision
         for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] % self.p**self.precision != 0:
+            if self.coeffs[i] % m != 0:
                 return i
         return None
 
@@ -113,6 +121,35 @@ def _abs_from_valuation(v: int, p: int, cap: int) -> Fraction:
     return Fraction(0) if v >= cap else Fraction(p) ** (-v)
 
 
+def _newton(f: ZpPoly, x: int, N: int, k: int, work: int) -> tuple[PAdicInt, LiftTrace]:
+    """Newton's iteration x <- x - (f(x)/p^k) (f'(x)/p^k)^-1 mod p^work.
+
+    Needs v_p(f'(x)) = k along the orbit.  With v = v_p(f(x)), f(x)/p^k
+    carries v - k digits, so the inverse is needed only to work - v + k
+    digits.  Raises CertificationFailed unless f(x) = 0 mod p^N within N
+    steps.
+    """
+    p = f.p
+    mw, pk = p**work, p**k
+    df = f.derivative()
+    fx = f.eval_int(x, mw)
+    v = vp(fx, p, work)
+    trace = LiftTrace()
+    trace.record(PAdicInt(p, N, x), _abs_from_valuation(v, p, N))
+    inverse = None
+    for _ in range(N):
+        if v >= N:
+            break
+        inverse = unit_inverse(df.eval_int(x, mw) // pk, p, work - v + k, inverse)
+        x = (x - (fx // pk) * inverse) % mw
+        fx = f.eval_int(x, mw)
+        v = vp(fx, p, work)
+        trace.record(PAdicInt(p, N, x), _abs_from_valuation(v, p, N))
+    if v < N:
+        raise CertificationFailed(f"|f(x)|_p = p^-{v} after {N} Newton steps, not 0 mod p^{N}")
+    return PAdicInt(p, N, x), trace
+
+
 def hensel_v1(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, LiftTrace]:
     """Lift a simple root mod p to a root mod p^N.
 
@@ -122,27 +159,12 @@ def hensel_v1(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, 
     p = f.p
     if N is None:
         N = f.precision
-    m = p**N
-    x = x0.residue % m
+    x = x0.residue % p**N
     if f.eval_int(x, p) % p != 0:
         raise HenselPreconditionFailed("f(x0) != 0 mod p", "f(x0) mod p")
-    df = f.derivative()
-    if df.eval_int(x, p) % p == 0:
+    if f.derivative().eval_int(x, p) % p == 0:
         raise HenselPreconditionFailed("|f'(x0)|_p < 1", "f'(x0) unit")
-    trace = LiftTrace()
-    trace.record(
-        PAdicInt(p, N, x), _abs_from_valuation(vp(f.eval_int(x, m), p, N), p, N)
-    )
-    for _ in range(N):
-        fx = f.eval_int(x, m)
-        if fx == 0:
-            break
-        x = (x - fx * pow(df.eval_int(x, m), -1, m)) % m
-        trace.record(
-            PAdicInt(p, N, x),
-            _abs_from_valuation(vp(f.eval_int(x, m), p, N), p, N),
-        )
-    return PAdicInt(p, N, x), trace
+    return _newton(f, x, N, 0, N)
 
 
 def _v2_params(f: ZpPoly, x0_res: int, N: int) -> tuple[int, int, int]:
@@ -174,61 +196,43 @@ def hensel_v2(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, 
     if N is None:
         N = f.precision
     k, work, x = _v2_params(f, x0.residue, N)
-    mw = p**work
-    df = f.derivative()
-    trace = LiftTrace()
-    if f.eval_int(x % p**N, p**N) % p**N == 0:
-        return PAdicInt(p, N, x), trace
-    trace.record(
-        PAdicInt(p, N, x), _abs_from_valuation(vp(f.eval_int(x, mw), p, N), p, N)
-    )
-    for _ in range(N):
-        fx = f.eval_int(x, mw)
-        if fx % p**N == 0:
-            break
-        dfx = df.eval_int(x, mw)
-        # divide both by p^k so the unit part can be inverted
-        unit = dfx // p**k
-        delta = (fx // p**k) * pow(unit, -1, mw) % mw
-        x = (x - delta) % mw
-        trace.record(
-            PAdicInt(p, N, x),
-            _abs_from_valuation(vp(f.eval_int(x, mw), p, N), p, N),
-        )
-    return PAdicInt(p, N, x), trace
+    if f.eval_int(x, p**N) == 0:
+        return PAdicInt(p, N, x), LiftTrace()
+    return _newton(f, x, N, k, work)
 
 
 def contraction_solve(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> PAdicInt:
     """Unique fixed point of g(x) = x - f'(x0)^{-1} f(x + x0) on p^{k+1} Z_p.
 
     Same hypotheses as hensel_v2; per-step displacements contract by at
-    least p^{-1}, which is verified on the computed orbit.
+    least p^{-1}, which is verified on the computed orbit.  Raises
+    CertificationFailed if the orbit does not settle mod p^N.
     """
     p = f.p
     if N is None:
         N = f.precision
     k, work, x0_res = _v2_params(f, x0.residue, N)
-    mw = p**work
+    mw, pN, pk = p**work, p**N, p**k
     dfx0 = f.derivative().eval_int(x0_res, mw)
-    unit_inv = pow(dfx0 // p**k, -1, mw)
+    unit_inv = unit_inverse(dfx0 // pk, p, work)
 
     def g(y: int) -> int:
         # x - f'(x0)^{-1} f(x + x0); f(x + x0) is divisible by p^k here
-        return (y - (f.eval_int(y + x0_res, mw) // p**k) * unit_inv) % mw
+        return (y - (f.eval_int(y + x0_res, mw) // pk) * unit_inv) % mw
 
     y = 0
     prev_step_v = None
     for _ in range(work + 1):
         y_next = g(y)
-        if (y_next - y) % p**N == 0:
-            y = y_next
-            break
+        if (y_next - y) % pN == 0:
+            # the displacement is f(x0 + y)/f'(x0), so f(x0 + y) = 0 mod p^(N+k)
+            return PAdicInt(p, N, x0_res + y_next)
         step_v = vp(y_next - y, p, work)
         if prev_step_v is not None and step_v < prev_step_v + 1:
             raise CertificationFailed("contraction factor above 1/p on the orbit")
         prev_step_v = step_v
         y = y_next
-    return PAdicInt(p, N, x0_res + y)
+    raise CertificationFailed(f"the orbit did not settle mod p^{N} in {work + 1} steps")
 
 
 def local_scaling_check(

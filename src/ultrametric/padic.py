@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CertificationFailed,
     DivergentSeries,
     InvalidPrime,
     NotAUnit,
@@ -66,6 +67,10 @@ def vp(n: int, p: int, cap: int | None = None) -> int:
 
     With a cap this is v_p(n mod p^cap), so n = 0 gives cap; without one,
     n must be nonzero.  p need not be prime, but it must be at least 2.
+    For p = 2 it reads the lowest set bit.  Otherwise it divides by the
+    squaring ladder p, p^2, p^4, ... while each divides and stays within
+    the cap, then by the same powers in reverse, so a valuation v costs
+    O(log v) divisions; v = 0 costs one n % p.
     """
     if p < 2:
         raise ValueError(f"v_p needs p >= 2, not {p}")
@@ -73,11 +78,51 @@ def vp(n: int, p: int, cap: int | None = None) -> int:
         if cap is None:
             raise ValueError("v_p(0) is infinite")
         return cap
-    v = 0
-    while v != cap and n % p == 0:
-        n //= p
-        v += 1
+    if p == 2:
+        v = (n & -n).bit_length() - 1
+        return v if cap is None or v < cap else cap
+    if cap == 0 or n % p:
+        return 0
+    if cap is None:
+        cap = n.bit_length()  # p^v <= |n| < 2^cap, so this cap never binds
+    n, v, q, e = n // p, 1, p, 1
+    ladder = [(q, e)]  # (p^e, e) for e = 1, 2, 4, ..., each dividing out once
+    while v + 2 * e <= cap:
+        q, e = q * q, 2 * e
+        n2, r = divmod(n, q)
+        if r:
+            break
+        n, v = n2, v + e
+        ladder.append((q, e))
+    for q, e in reversed(ladder):
+        if v + e <= cap and n % q == 0:
+            n, v = n // q, v + e
     return v
+
+
+def unit_inverse(u: int, p: int, n: int, seed: int | None = None) -> int:
+    """u^-1 mod p^n for a unit u, by Newton's iteration y <- y (2 - u y).
+
+    The seed is ``pow(u % p, -1, p)`` unless one is given, such as the
+    inverse of a nearby unit.  Its correct digits are read once, as
+    e = v_p(u y - 1) capped at n; e = 0 raises CertificationFailed.  Each
+    step doubles e, since 1 - u y' = (1 - u y)^2, so it takes O(log n)
+    products and reductions mod p^e, the last at p^n, where the extended
+    Euclid of ``pow(u, -1, p^n)`` takes O(n log p) division steps at full
+    size.
+    """
+    if seed is None:
+        if u % p == 0:
+            raise NotAUnit(f"{u} is divisible by {p}")
+        seed = pow(u % p, -1, p)
+    e = vp(u * seed - 1, p, n)
+    if e == 0:
+        raise CertificationFailed(f"{seed} is not an inverse of {u} mod {p}")
+    y = seed
+    while e < n:
+        e = min(2 * e, n)
+        y = y * (2 - u * y) % p**e
+    return y % p**n
 
 
 def rational_valuation(x: Fraction, p: int) -> int | None:
@@ -162,9 +207,9 @@ class PAdicInt:
         return PAdicInt(self.p, self.precision, self.residue * other.residue)
 
     def invert(self) -> "PAdicInt":
-        if not self.is_unit():
-            raise NotAUnit(f"{self.residue} is divisible by {self.p}")
-        return PAdicInt(self.p, self.precision, pow(self.residue, -1, self.modulus))
+        # unit_inverse raises NotAUnit for a residue divisible by p
+        inverse = unit_inverse(self.residue, self.p, self.precision)
+        return PAdicInt(self.p, self.precision, inverse)
 
     def reduce(self, l: int) -> int:
         """Image in Z/p^l Z, l <= N."""
@@ -314,7 +359,7 @@ class PAdicScalar:
             self.p,
             self.precision,
             -self.exponent,
-            pow(self.unit_residue, -1, self.p**self.precision),
+            unit_inverse(self.unit_residue, self.p, self.precision),
         )
 
     def __repr__(self):

@@ -536,6 +536,10 @@ def test_golden_report(capsys, tmp_path, argv, code, stdout):
     "characters --gram 5000",
     "audit --factors 2,2 --measure-weights 1/2,1/2",
     "audit --factors 2,2 --measure-weights 1/2,1/2;1/3,2/3;1,0,0",
+    # p^N is refused above cli.MODULUS_BITS_CAP bits before it is formed
+    "padic --prime 5 --prec 100000000 --add 1 2",
+    "padic --prime 5 --prec 100000000 --geom 1/5",
+    "hensel --prime 5 --coeffs -1,0,1 --x0 1 --prec 100000000",
 ])
 def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
     files = {
@@ -548,6 +552,14 @@ def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv.format(**files).split())
     assert code == 2 and out == "" and err
     assert time.perf_counter() - start < 1  # a root of degree 10^5 is refused, not taken
+
+
+def test_modulus_cap_counts_bits_of_p_times_n():
+    cli._check_modulus(2, cli.MODULUS_BITS_CAP // 2)
+    cli._check_modulus(2**61 - 1, cli.MODULUS_BITS_CAP // 61)
+    for p, N in ((2, cli.MODULUS_BITS_CAP // 2 + 1), (2**61 - 1, cli.MODULUS_BITS_CAP // 61 + 1)):
+        with pytest.raises(ValueError):
+            cli._check_modulus(p, N)
 
 
 def test_encode_rejects_values_without_a_report_form():

@@ -903,6 +903,12 @@ cases = [
     # a bracket of width 2 around every power never decides 1 <= 4
     (harmonic, "pow_bounds_signed", lambda x, e, prec: (Fraction(0), Fraction(2)),
      lambda: harmonic.lp_maximal_bound([1] * 4, tree, 2, Fraction(1, 2))),
+    # a mod-p seed off by one has no correct digit: 3 * (5 + 1) = 4 mod 7
+    (padic, "pow", lambda base, exp, mod: (pow(base, exp, mod) + 1) % mod,
+     lambda: padic.PAdicInt(7, 8, 3).invert()),
+    # an inverse that never moves x leaves f(x) != 0 mod p^N after N steps
+    (hensel, "unit_inverse", lambda u, p, n, seed=None: 0,
+     lambda: hensel.hensel_v1(hensel.ZpPoly(7, 8, (-2, 0, 1)), padic.PAdicInt(7, 8, 3))),
 ]
 for owner, name, broken, call in cases:
     # undone after each case, so a check is never caught by an earlier break
@@ -940,5 +946,7 @@ def test_certificates_raise_typed_errors_under_python_O():
         "caught Counter",
         "caught turn_sum_is_zero",
         "caught pow_bounds_signed",
+        "caught pow",
+        "caught unit_inverse",
         "",
     ]

@@ -1,10 +1,18 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ultrametric import hensel, padic
-from ultrametric.errors import DecayWitnessInvalid, HenselPreconditionFailed, KMismatch
+from ultrametric.errors import (
+    CertificationFailed,
+    DecayWitnessInvalid,
+    HenselPreconditionFailed,
+    KMismatch,
+)
+
+LIFT_PRIMES = (2, 3, 5, 7, 13, 31, 10**6 + 3, 2**61 - 1)
 
 
 def poly(coeffs, p, N):
@@ -200,3 +208,125 @@ def test_digit_search_oracle_matches_lift():
                 continue
             oracle = hensel.roots_by_digit_search(f, 6, constraint=lambda r: r == x0)
             assert root.residue in oracle
+
+
+def hensel_v1_oracle(f, x0, N=None):
+    """The lift before unit_inverse: an extended-Euclid inverse mod p^N per step."""
+    p = f.p
+    if N is None:
+        N = f.precision
+    m = p**N
+    x = x0.residue % m
+    if f.eval_int(x, p) % p != 0:
+        raise HenselPreconditionFailed("f(x0) != 0 mod p", "f(x0) mod p")
+    df = f.derivative()
+    if df.eval_int(x, p) % p == 0:
+        raise HenselPreconditionFailed("|f'(x0)|_p < 1", "f'(x0) unit")
+    trace = hensel.LiftTrace()
+    abs_at = hensel._abs_from_valuation
+    trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, m), p, N), p, N))
+    for _ in range(N):
+        fx = f.eval_int(x, m)
+        if fx == 0:
+            break
+        x = (x - fx * pow(df.eval_int(x, m), -1, m)) % m
+        trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, m), p, N), p, N))
+    return padic.PAdicInt(p, N, x), trace
+
+
+def hensel_v2_oracle(f, x0, N=None):
+    """The relaxed lift before unit_inverse: an inverse mod p^work per step."""
+    p = f.p
+    if N is None:
+        N = f.precision
+    k, work, x = hensel._v2_params(f, x0.residue, N)
+    mw = p**work
+    df = f.derivative()
+    trace = hensel.LiftTrace()
+    abs_at = hensel._abs_from_valuation
+    if f.eval_int(x % p**N, p**N) % p**N == 0:
+        return padic.PAdicInt(p, N, x), trace
+    trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, mw), p, N), p, N))
+    for _ in range(N):
+        fx = f.eval_int(x, mw)
+        if fx % p**N == 0:
+            break
+        unit = df.eval_int(x, mw) // p**k
+        x = (x - (fx // p**k) * pow(unit, -1, mw) % mw) % mw
+        trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, mw), p, N), p, N))
+    return padic.PAdicInt(p, N, x), trace
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _unit(rng, p):
+    u = rng.randrange(1, max(p, 21))
+    return u + 1 if u % p == 0 else u
+
+
+def _lift_case(rng, p, N):
+    """(variant, coefficients, x0): a simple root mod p for v1, and
+    v_p(f(x0)) > 2 v_p(f'(x0)) = 2k, k in {1, 2, 3}, for v2; one case in
+    eight starts at an exact root, and one in eight at a random point."""
+    shape = rng.randrange(8)
+    if shape == 0:
+        return rng.choice((1, 2)), [rng.randrange(-20, 21) for _ in range(4)], rng.randrange(p**2)
+    rho = rng.randrange(p * p)
+    h = [rng.randrange(-20, 21) for _ in range(rng.randrange(3))] + [_unit(rng, p)]
+    if sum(c * rho**i for i, c in enumerate(h)) % p == 0:
+        h[0] += 1
+    if rng.randrange(2):
+        f = _poly_mul([-rho, 1], h)
+        if shape != 1:
+            f = [c + p * rng.randrange(-20, 21) for c in f]
+        return 1, f, rho + (0 if shape == 1 else p * rng.randrange(p**2))
+    k = rng.randrange(1, 4)
+    f = _poly_mul(_poly_mul([-rho, 1], [-rho - p**k * _unit(rng, p), 1]), h)
+    return 2, f, rho + (0 if shape == 1 else p ** (k + 1) * _unit(rng, p))
+
+
+def test_lifts_against_per_step_inverse_oracles():
+    rng = random.Random(1303)
+    precisions = (1, 2, 3, 4, 5, 8, 13, 20, 40, 80, 160, 320)
+    lifted = early = deep = refused = 0
+    for case in range(1400):
+        p = LIFT_PRIMES[case % len(LIFT_PRIMES)]
+        N = rng.choice([n for n in precisions if n <= (320 if p < 100 else 80)])
+        variant, coeffs, x0 = _lift_case(rng, p, N)
+        f = poly(coeffs, p, N)
+        new, old = (hensel.hensel_v1, hensel_v1_oracle) if variant == 1 else (
+            hensel.hensel_v2, hensel_v2_oracle)
+        try:
+            want_root, want = old(f, padic.PAdicInt(p, N, x0))
+        except HenselPreconditionFailed as e:
+            with pytest.raises(HenselPreconditionFailed, match=re.escape(str(e))):
+                new(f, padic.PAdicInt(p, N, x0))
+            refused += 1
+            continue
+        root, trace = new(f, padic.PAdicInt(p, N, x0))
+        assert root == want_root
+        assert trace.iterates == want.iterates
+        assert trace.residual_abs == want.residual_abs
+        assert f.eval_int(root.residue, p**N) == 0
+        lifted += 1
+        early += len(trace.iterates) <= 1
+        deep += len(trace.iterates) >= 4
+        if p <= 7 and N <= 4:
+            constraint = (lambda r: r == x0 % p) if variant == 1 else None
+            assert root.residue in hensel.roots_by_digit_search(f, N, constraint)
+    assert lifted >= 1000 and early >= 100 and deep >= 300 and refused >= 100
+
+
+def test_lifts_certify_the_root(monkeypatch):
+    # a lift whose inverse never moves x runs out of steps and is refused
+    monkeypatch.setattr(hensel, "unit_inverse", lambda u, p, n, seed=None: 0)
+    with pytest.raises(CertificationFailed):
+        hensel.hensel_v1(poly([-2, 0, 1], 7, 8), padic.PAdicInt(7, 8, 3))
+    with pytest.raises(CertificationFailed):
+        hensel.hensel_v2(poly([-17, 0, 1], 2, 8), padic.PAdicInt(2, 8, 1))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ultrametric import padic
 from ultrametric.errors import (
+    CertificationFailed,
     DivergentSeries,
     InvalidPrime,
     NotAUnit,
@@ -15,6 +17,8 @@ from ultrametric.errors import (
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 97]
+# the primes of the Hensel oracle tests and of the benchmark's lifts
+LIFT_PRIMES = [2, 3, 5, 7, 13, 31, 10**6 + 3, 2**61 - 1]
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=200
@@ -229,6 +233,74 @@ def test_vp():
         padic.vp(0, 5)
     assert padic.rational_valuation(Fraction(-9, 8), 2) == -3
     assert padic.rational_valuation(Fraction(50, 3), 5) == 2
+
+
+def vp_oracle(n: int, p: int, cap: int | None = None) -> int:
+    """The one-division-per-digit loop that ``padic.vp`` replaced."""
+    if p < 2:
+        raise ValueError(f"v_p needs p >= 2, not {p}")
+    if n == 0:
+        if cap is None:
+            raise ValueError("v_p(0) is infinite")
+        return cap
+    v = 0
+    while v != cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_vp_against_one_division_loop():
+    rng = random.Random(17)
+    bases = LIFT_PRIMES + [4, 10, 12]
+    for _ in range(4000):
+        p = rng.choice(bases)
+        # cofactors with 2s and 3s divide by part of a composite p
+        n = (rng.choice((-1, 1)) * p ** rng.randrange(0, 600 if p < 100 else 60)
+             * 2 ** rng.randrange(4) * 3 ** rng.randrange(4) * rng.randrange(1, 10**6))
+        cap = rng.choice((None, rng.randrange(0, 401)))
+        assert padic.vp(n, p, cap) == vp_oracle(n, p, cap), (n, p, cap)
+    for p in bases:
+        for cap in range(0, 401, 7):
+            assert padic.vp(0, p, cap) == cap
+            assert padic.vp(p**cap, p, cap) == cap == padic.vp(-(p ** (cap + 1)), p, cap)
+    with pytest.raises(ValueError):
+        padic.vp(10, 1)
+
+
+def _random_unit(rng, p, m):
+    u = rng.randrange(m)
+    return u + 1 if u % p == 0 else u
+
+
+@pytest.mark.parametrize("p", LIFT_PRIMES)
+def test_unit_inverse_against_pow(p):
+    rng = random.Random(p)
+    for n in range(1, 401):
+        m = p**n
+        u = _random_unit(rng, p, m)
+        y = padic.unit_inverse(u, p, n)
+        # the identity fixes y; pow, quadratic in the digits, is sampled past 2000 bits
+        assert 0 <= y < m and u * y % m == 1
+        if n * p.bit_length() <= 2000 or n % 40 == 0:
+            assert y == pow(u, -1, m)
+        # a seed right to j <= n digits lifts to the same inverse
+        j = rng.randrange(1, n + 1)
+        assert padic.unit_inverse(u + m * rng.randrange(-3, 4), p, n, y % p**j) == y
+
+
+def test_unit_inverse_refuses_non_units_and_wrong_seeds():
+    with pytest.raises(NotAUnit):
+        padic.unit_inverse(14, 7, 5)
+    with pytest.raises(NotAUnit):
+        padic.PAdicInt(7, 5, 7**3).invert()
+    with pytest.raises(NotAUnit):
+        padic.PAdicScalar.zero(7, 5).invert()
+    # 3 * 4 = 12 = 5 mod 7: the seed has no correct digit
+    with pytest.raises(CertificationFailed):
+        padic.unit_inverse(3, 7, 5, seed=4)
+    assert padic.unit_inverse(3, 7, 5, seed=5) == pow(3, -1, 7**5)
+    assert padic.PAdicScalar(7, 5, -2, 3).invert().unit_residue == pow(3, -1, 7**5)
 
 
 def test_valuation_saturation():
