@@ -98,12 +98,14 @@ def validate_cylinder(c: Cylinder, spec: ProductSpec) -> None:
 
 
 def match_length(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    l = 0
-    for a, b in zip(x, y, strict=True):
+    """Number of leading digits x and y share; ValueError unless the
+    words have one length."""
+    if len(x) != len(y):
+        raise ValueError(f"words of lengths {len(x)} and {len(y)}")
+    for l, (a, b) in enumerate(zip(x, y)):
         if a != b:
-            break
-        l += 1
-    return l
+            return l
+    return len(x)
 
 
 def match_and_dist(x, y, spec: ProductSpec) -> tuple[int, Fraction]:

@@ -106,10 +106,12 @@ class ScaleSeq:
 
 
 def lr_valuation(a: int, radix: Radix) -> int | None:
-    """Largest l <= L with R_l | a; None flags saturation (a = 0 mod R_L)."""
-    if a % radix.modulus == 0:
-        return None
-    return next(l for l, R in enumerate(radix.prefix) if a % R) - 1
+    """Largest l <= L with R_l | a; None flags saturation (a = 0 mod R_L).
+    Stops at the first R_l not dividing a: l_r(a) + 2 remainders at most."""
+    for l, R in enumerate(radix.prefix):
+        if a % R:
+            return l - 1
+    return None
 
 
 def lr_and_abs(a: int, radix: Radix, t: ScaleSeq | None = None) -> tuple[int | None, Fraction]:

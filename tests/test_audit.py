@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -204,6 +205,17 @@ def test_radic_isometry_refutes_a_broken_digit_map(monkeypatch):
     assert rep["bijective"] and rep["pushforward_uniform"] and not rep["isometric"]
 
 
+def test_sampled_path_refuses_fewer_than_one_sample():
+    r = radic.Radix((4, 5, 10, 25, 20))
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            audit.build_radic_isometry(r, samples=samples)
+    # below the cap every pair is checked and samples plays no part
+    rep = audit.build_radic_isometry(radic.Radix((2, 3)), samples=0)
+    assert rep["isometric"] and rep["pairs_checked"] == 36
+    assert audit.build_radic_isometry(r, samples=1)["pairs_checked"] == 1
+
+
 def oracle_sampled_pair(psi, radix, t, seed) -> tuple[int, int, bool]:
     """One seeded pair (x, y) compared in the metric, in Fractions: radic_dist
     against t at the match length of the images, 0 for equal words."""
@@ -348,6 +360,100 @@ def test_doubling_measure_degenerate():
     rep = audit.doubling_measure(spec, mu)
     assert rep.degenerate and not rep.verdict
     assert audit.ratio_c2(spec, mu) is None
+
+
+def doubling_metric_oracle(spec, candidate=None):
+    """The O(L^2) census: for every level l, count the j >= l with t_j >= t_l / 2."""
+    factor_bound = max(spec.factors)
+    census = 0
+    census_witness = None
+    for l in range(spec.depth + 1):
+        half = spec.scales[l] / 2
+        count = sum(1 for j in range(l, spec.depth + 1) if spec.scales[j] >= half)
+        if count > census:
+            census = count
+            census_witness = l
+    constant = {"factor_bound": factor_bound, "scale_census": census}
+    if candidate is not None:
+        if factor_bound > candidate:
+            level = spec.factors.index(factor_bound) + 1
+            return audit.DoublingReport(False, constant, {"kind": "factor", "level": level})
+        if census > candidate:
+            return audit.DoublingReport(
+                False, constant, {"kind": "scale-census", "level": census_witness}
+            )
+    return audit.DoublingReport(True, constant)
+
+
+def doubling_measure_oracle(spec, mu, candidate=None):
+    """The per-weight check: level j fails when some 1/w exceeds the candidate."""
+    c2 = audit.ratio_c2(spec, mu)
+    if c2 is None:
+        return audit.DoublingReport(False, {"min_weight": 0}, degenerate=True)
+    metric = doubling_metric_oracle(spec, candidate)
+    verdict, witness = metric.verdict, metric.witness
+    if candidate is not None and verdict:
+        for j, level in enumerate(mu.weights):
+            if max(Fraction(1) / w for w in level) > candidate:
+                verdict = False
+                witness = {"kind": "weight", "level": j + 1}
+                break
+    return audit.DoublingReport(verdict, {"min_weight": 1 / c2, "metric": metric.constant},
+                                witness)
+
+
+def test_doubling_audits_against_quadratic_oracles():
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(2400):
+        depth = rng.randrange(1, 31)
+        top = rng.randrange(2, 9)
+        factors = tuple(rng.randrange(2, top + 1) for _ in range(depth))
+        # ratios k/6 (3/6 puts scales at exact halves) or k/100
+        den = rng.choice((6, 100))
+        scales = [Fraction(1)]
+        for _ in factors:
+            k = rng.randrange(1, den)
+            scales.append(scales[-1] * Fraction(rng.choice((k, den // 2, den - 1, den - 1)), den))
+        spec = cantor.ProductSpec(factors, tuple(scales))
+        zero_level = rng.randrange(depth) if rng.random() < 0.1 else None
+        weights = []
+        for j, n in enumerate(factors):
+            w = [rng.randrange(0 if j == zero_level else 1, 6) for _ in range(n)]
+            if j == zero_level:
+                w[rng.randrange(n)] = 0
+                w[rng.randrange(n)] += 1
+            weights.append(tuple(Fraction(x, sum(w)) for x in w))
+        mu = cantor.ProductMeasure(tuple(weights))
+        candidate = rng.choice((None, *range(1, 13)))
+        want = doubling_metric_oracle(spec, candidate).to_json()
+        assert audit.doubling_metric(spec, candidate).to_json() == want
+        got = audit.doubling_measure(spec, mu, candidate).to_json()
+        assert got == doubling_measure_oracle(spec, mu, candidate).to_json()
+        outcomes["metric", want["verdict"], (want["witness"] or {}).get("kind")] += 1
+        outcomes["measure", got["verdict"], (got["witness"] or {}).get("kind")] += 1
+        outcomes["degenerate"] += got["degenerate"]
+    # every verdict and witness kind occurs, the degenerate path included
+    for key in (("metric", True, None), ("metric", False, "factor"),
+                ("metric", False, "scale-census"), ("measure", True, None),
+                ("measure", False, "weight"), ("measure", False, "scale-census")):
+        assert outcomes[key] >= 100, (key, outcomes)
+    assert outcomes["degenerate"] >= 100
+
+
+def test_doubling_metric_is_linear_in_depth():
+    L = 5000
+    start = time.perf_counter()
+    halving = audit.doubling_metric(cantor.ProductSpec.geometric((2,) * L, Fraction(1, 2)), 3)
+    # t_l = 1/(l+1): the scales >= t_l / 2 are t_l .. t_min(2l+1, L), so the
+    # census is max_l min(l + 2, L - l + 1) = 2501, first reached at l = 2499
+    slow = cantor.ProductSpec((2,) * L, tuple(Fraction(1, l + 1) for l in range(L + 1)))
+    harmonic_census = audit.doubling_metric(slow, 3)
+    elapsed = time.perf_counter() - start
+    assert halving.verdict and halving.constant == {"factor_bound": 2, "scale_census": 2}
+    assert harmonic_census.constant == {"factor_bound": 2, "scale_census": 2501}
+    assert harmonic_census.witness == {"kind": "scale-census", "level": 2499}
+    assert elapsed < 2.0, elapsed
 
 
 def test_measure_must_have_one_weight_per_digit():

@@ -22,6 +22,21 @@ def test_match_and_dist_examples():
     assert cantor.match_and_dist((1, 0, 1), (1, 0, 1), BINARY3)[1] == 0
 
 
+def test_match_length_against_its_definition():
+    rng = random.Random(29)
+    for _ in range(2000):
+        L = rng.randrange(0, 12)
+        x = tuple(rng.randrange(3) for _ in range(L))
+        y = tuple(rng.choice((d, rng.randrange(3))) for d in x)
+        want = next((l for l in range(L) if x[l] != y[l]), L)
+        assert cantor.match_length(x, y) == want
+        assert cantor.match_length(x, x) == L
+    # words of different lengths are refused whether or not a digit differs
+    for x, y in (((0, 1), (0, 1, 0)), ((1,), (0, 0)), ((), (0,)), ((0, 0, 1), (0,))):
+        with pytest.raises(ValueError, match="lengths"):
+            cantor.match_length(x, y)
+
+
 def test_ultrametric_exhaustive_depth3():
     pts = list(BINARY3.points())
     for x in pts:

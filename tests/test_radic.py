@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -67,6 +69,31 @@ def test_arith_examples():
     assert (x * radic.RadicInt(r, 1)).residue == 4
     with pytest.raises(RadixMismatch):
         x + radic.RadicInt(radic.Radix((2, 2)), 1)
+
+
+def lr_valuation_oracle(a, radix):
+    """The definition: max{l : R_l | a}, None when R_L | a."""
+    l = max(l for l in range(radix.depth + 1) if a % radix.cumulative(l) == 0)
+    return None if l == radix.depth else l
+
+
+def test_lr_valuation_against_its_definition():
+    rng = random.Random(23)
+    levels = Counter()
+    for _ in range(400):
+        r = radic.Radix(tuple(rng.randrange(2, 13) for _ in range(rng.randrange(1, 9))),
+                        periodic=rng.random() < 0.2)
+        R = r.modulus
+        inputs = [0, 1, -1, R, -R, 7 * R, -7 * R, rng.randrange(-R, R)]
+        for R_l in r.prefix:
+            k = rng.randrange(1, 50)
+            inputs += [R_l, -R_l, k * R_l, -k * R_l, k * R_l + R * rng.randrange(-3, 4)]
+        inputs += [rng.randrange(-(R**3), R**3) for _ in range(10)]
+        for a in inputs:
+            want = lr_valuation_oracle(a, r)
+            assert radic.lr_valuation(a, r) == want, (r, a)
+            levels[want] += 1
+    assert levels[None] > 0 and levels[0] > 0 and len(levels) >= 9
 
 
 @given(r=small_radix)
