@@ -209,28 +209,27 @@ def doubling_measure(
 
     Needs the metric audit to pass and the digit weights to stay bounded
     below; a zero weight is reported as degenerate rather than thrown, and
-    weights that do not fit spec raise ValueError (from ``ratio_c2``).
-    A candidate C then costs one pass over the weights: level j fails when
-    min(mu_j) * C < 1, i.e. when some 1/mu_j({x}) exceeds C.
+    weights that do not fit spec raise ValueError.  Each level's least
+    weight is taken once; ``constant["min_weight"]`` is the least of them,
+    1 / ``ratio_c2``.  A candidate C then costs one integer comparison per
+    level: level j fails when min(mu_j) * C < 1, i.e. when some
+    1/mu_j({x}) exceeds C.
     """
-    c2 = ratio_c2(spec, mu)
-    if c2 is None:
+    minima = _level_minima(spec, mu)
+    least = min(minima, default=Fraction(1))
+    if least == 0:
         return DoublingReport(False, {"min_weight": 0}, degenerate=True)
     metric = doubling_metric(spec, candidate)
     verdict = metric.verdict
     witness = metric.witness
     if candidate is not None and verdict:
         # weight lower bound translates to a mass-ratio bound per level
-        for j, level in enumerate(mu.weights):
-            if min(level) * candidate < 1:
+        for j, w in enumerate(minima):
+            if w.numerator * candidate < w.denominator:
                 verdict = False
                 witness = {"kind": "weight", "level": j + 1}
                 break
-    constant = {
-        "min_weight": 1 / c2,
-        "metric": metric.constant,
-    }
-    return DoublingReport(verdict, constant, witness)
+    return DoublingReport(verdict, {"min_weight": least, "metric": metric.constant}, witness)
 
 
 def _check_fit(spec: ProductSpec, mu: ProductMeasure) -> None:
@@ -240,6 +239,12 @@ def _check_fit(spec: ProductSpec, mu: ProductMeasure) -> None:
         raise ValueError(f"weight lengths {list(lengths)} do not fit factors {list(spec.factors)}")
 
 
+def _level_minima(spec: ProductSpec, mu: ProductMeasure) -> list[Fraction]:
+    """The least weight of each level, once mu is checked to fit spec."""
+    _check_fit(spec, mu)
+    return [min(level) for level in mu.weights]
+
+
 def ratio_c2(spec: ProductSpec, mu: ProductMeasure) -> Fraction | None:
     """Exact max closed-ball/open-ball measure ratio; None when infinite.
 
@@ -247,32 +252,34 @@ def ratio_c2(spec: ProductSpec, mu: ProductMeasure) -> Fraction | None:
     closed ball the depth-k one, so the ratio is max_j max_x 1/mu_j({x}).
     ValueError unless mu has one weight per digit at every level of spec.
     """
-    _check_fit(spec, mu)
-    min_weight = min((w for level in mu.weights for w in level), default=Fraction(1))
-    return None if min_weight == 0 else 1 / min_weight
+    least = min(_level_minima(spec, mu), default=Fraction(1))
+    return None if least == 0 else 1 / least
 
 
 def uniform_distribution_check(spec: ProductSpec, mu: ProductMeasure) -> dict:
-    """mu(B_k(x)) independent of x at each depth, with the profile h(t_k);
-    ValueError unless mu has one weight per digit at every level of spec."""
+    """mu(B_k(x)) independent of x at each depth k, with the profile h(t_k).
+
+    mu is uniform to depth k iff every level j <= k has equal weights: two
+    cylinders that differ only in a digit of weight w_a < w_b, the others
+    of positive weight, differ in mass.  So each level is decided once, in
+    O(sum_j n_j).  At the first unequal level k the witness is the depth-k
+    prefixes 0...0a and 0...0b, a and b the first digits of least and of
+    greatest weight; ``profile`` maps t_j to h(t_j) for each j < k and
+    stops there, since past it no one mass exists.  ValueError unless mu
+    has one weight per digit at every level of spec.
+    """
     _check_fit(spec, mu)
     profile = {}
-    witness = None
-    uniform = True
-    mass = {(): Fraction(1)}
-    for k in range(1, spec.depth + 1):
-        new_mass = {}
-        for prefix, m in mass.items():
-            for d in range(spec.branching(k - 1)):
-                new_mass[prefix + (d,)] = m * mu.weights[k - 1][d]
-        values = set(new_mass.values())
-        if len(values) > 1 and uniform:
-            uniform = False
-            it = iter(sorted(new_mass.items()))
-            witness = (next(it)[0], next(it)[0])
-        profile[str(spec.scales[k])] = next(iter(values))
-        mass = new_mass
-    return {"uniform": uniform, "profile": profile, "witness": witness}
+    h = Fraction(1)
+    for k, level in enumerate(mu.weights, 1):
+        lo, hi = min(level), max(level)
+        if lo != hi:
+            zeros = (0,) * (k - 1)
+            witness = (zeros + (level.index(lo),), zeros + (level.index(hi),))
+            return {"uniform": False, "profile": profile, "witness": witness}
+        h *= lo
+        profile[str(spec.scales[k])] = h
+    return {"uniform": True, "profile": profile, "witness": None}
 
 
 def dist_to_set(x, A: list[Cylinder], spec: ProductSpec) -> Fraction:

@@ -203,13 +203,15 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
 
 
 MAX_ROOT_DEGREE = 64
+MAX_POWER_BITS = 1 << 16
 
 
 def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
     """Rational bounds (lo, hi) on x^p for x >= 0, p = c/k > 0: (r, r) when
     x^p is the rational r, else the floor and ceiling k-th roots of
     x^c 2^(k prec) over 2^prec.  k above MAX_ROOT_DEGREE raises before any
-    work, since integer Newton takes O(k) steps for a k-th root."""
+    work, since integer Newton takes O(k) steps for a k-th root, and so does
+    an x^c whose numerator or denominator would pass MAX_POWER_BITS bits."""
     p = Fraction(p)
     k = p.denominator
     if k > MAX_ROOT_DEGREE:
@@ -218,6 +220,8 @@ def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction,
         raise NotNonnegative("negative base")
     if x == 0:
         return Fraction(0), Fraction(0)
+    if p.numerator * max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_POWER_BITS:
+        raise ExponentOutOfRange(f"{x}^{p.numerator} passes the {MAX_POWER_BITS}-bit budget")
     q = x**p.numerator
     if k == 1:
         return q, q

@@ -180,8 +180,8 @@ def cmd_audit(args) -> tuple[int, dict]:
         )
         mu = cantor.ProductMeasure(weights)
         rep = audit.doubling_measure(spec, mu, args.candidate)
-        c2 = audit.ratio_c2(spec, mu)
-        out["ratio_c2"] = "infinite" if c2 is None else c2
+        least = rep.constant["min_weight"]  # 1 / ratio_c2
+        out["ratio_c2"] = "infinite" if least == 0 else 1 / least
     else:
         rep = audit.doubling_metric(spec, args.candidate)
     return (0 if rep.verdict else 1), {**rep.to_json(), **out}

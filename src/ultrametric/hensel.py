@@ -28,7 +28,8 @@ from .errors import (
     KMismatch,
     PrecisionMismatch,
 )
-from .padic import PAdicInt, PAdicScalar, check_prime, rational_valuation, unit_inverse, vp
+from .padic import PAdicInt, PAdicScalar, abs_from_valuation, modulus, rational_residue
+from .padic import rational_valuation, unit_inverse, vp
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class ZpPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        check_prime(self.p)
+        modulus(self.p, self.precision)  # checks p and N
         cs = tuple(int(c) for c in self.coeffs)
         if not cs:
             cs = (0,)
@@ -52,27 +53,20 @@ class ZpPoly:
 
     @classmethod
     def from_rationals(cls, coeffs, p: int, N: int) -> "ZpPoly":
-        """Accepts ints or fractions with denominator coprime to p."""
-        m = p ** (N + 64)  # headroom; exact ints preferred where possible
+        """Accepts ints, kept exact, or fractions with denominator coprime to p,
+        kept mod p^(N + 64): headroom for lifts that work above p^N."""
         out = []
-        for c in coeffs:
-            c = Fraction(c)
-            if c.denominator == 1:
-                out.append(c.numerator)
-            else:
-                out.append(c.numerator * pow(c.denominator, -1, m) % m)
+        for c in map(Fraction, coeffs):
+            out.append(c.numerator if c.denominator == 1 else rational_residue(c, p, N + 64))
         return cls(p, N, tuple(out))
 
     @property
     def degree(self) -> int | None:
-        m = self.p**self.precision
+        m = modulus(self.p, self.precision)
         for i in range(len(self.coeffs) - 1, -1, -1):
             if self.coeffs[i] % m != 0:
                 return i
         return None
-
-    def coeff_views(self) -> tuple[PAdicInt, ...]:
-        return tuple(PAdicInt(self.p, self.precision, c) for c in self.coeffs)
 
     def eval_int(self, x: int, modulus: int) -> int:
         out = 0
@@ -118,7 +112,8 @@ class LiftTrace:
 
 
 def _abs_from_valuation(v: int, p: int, cap: int) -> Fraction:
-    return Fraction(0) if v >= cap else Fraction(p) ** (-v)
+    """p^-v for a valuation v read mod p^cap; v >= cap reads as residue 0."""
+    return abs_from_valuation(None if v >= cap else v, p)
 
 
 def _newton(f: ZpPoly, x: int, N: int, k: int, work: int) -> tuple[PAdicInt, LiftTrace]:

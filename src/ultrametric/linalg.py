@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificationFailed, UltrametricError
-from .padic import check_prime, rational_valuation
+from .padic import abs_from_valuation, check_prime, rational_valuation
 
 MAX_DIM = 64
 
@@ -25,12 +25,6 @@ MAX_DIM = 64
 def _min_valuation(entries, p: int) -> int | None:
     """min v_p over the nonzero entries, Fractions or ints; None when all are 0."""
     return min((rational_valuation(e, p) for e in entries if e), default=None)
-
-
-def _max_abs(entries, p: int) -> Fraction:
-    """max |e|_p over the entries: p^(-min v_p), or 0 when all are 0."""
-    v = _min_valuation(entries, p)
-    return Fraction(0) if v is None else Fraction(p) ** (-v)
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,7 @@ class UltraVector:
 
     def norm(self) -> Fraction:
         """The max ultranorm max(|v_1|_p, ..., |v_n|_p) = p^(-min v_p(v_j))."""
-        return _max_abs(self.entries, self.p)
+        return abs_from_valuation(_min_valuation(self.entries, self.p), self.p)
 
     def scale(self, t) -> "UltraVector":
         t = Fraction(t)
@@ -145,12 +139,12 @@ def _bareiss(a: list[list[int]]) -> int:
 
 def op_norm(T: UltraMatrix) -> Fraction:
     """Entrywise max of |a_{j,k}|_p; the operator norm for the max ultranorm."""
-    return _max_abs((e for row in T.rows for e in row), T.p)
+    return abs_from_valuation(_min_valuation((e for row in T.rows for e in row), T.p), T.p)
 
 
 def det_abs(T: UltraMatrix) -> Fraction:
     """|det T|_p, with the bound |det T|_p <= ||T||_op^n checked."""
-    value = _max_abs((T.det(),), T.p)
+    value = abs_from_valuation(rational_valuation(T.det(), T.p), T.p)
     if not value <= op_norm(T) ** T.dim:
         raise CertificationFailed("|det T|_p exceeds ||T||_op^n")
     return value

@@ -62,6 +62,16 @@ def check_prime(p: int) -> int:
     return p
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def modulus(p: int, N: int) -> int:
+    """p^N for a prime p and an int N >= 1, checked and formed once per pair:
+    the last 256 pairs are cached, typed so that 2.0 is not taken for 2."""
+    check_prime(p)
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"precision must be a positive int, not {N!r}")
+    return p**N
+
+
 def vp(n: int, p: int, cap: int | None = None) -> int:
     """Exponent of p in the integer n, saturating at ``cap``.
 
@@ -101,19 +111,28 @@ def vp(n: int, p: int, cap: int | None = None) -> int:
 
 
 def unit_inverse(u: int, p: int, n: int, seed: int | None = None) -> int:
-    """u^-1 mod p^n for a unit u, by Newton's iteration y <- y (2 - u y).
+    """u^-1 mod p^n for a unit u.
 
-    The seed is ``pow(u % p, -1, p)`` unless one is given, such as the
-    inverse of a nearby unit.  Its correct digits are read once, as
-    e = v_p(u y - 1) capped at n; e = 0 raises CertificationFailed.  Each
-    step doubles e, since 1 - u y' = (1 - u y)^2, so it takes O(log n)
-    products and reductions mod p^e, the last at p^n, where the extended
-    Euclid of ``pow(u, -1, p^n)`` takes O(n log p) division steps at full
-    size.
+    With no seed given, a u below 2^64 mod p^n is (1 - k p^n) / u for
+    k = (p^n)^-1 mod u: one inverse mod u and O(n) word operations.  Any
+    other u takes Newton's iteration y <- y (2 - u y) from the seed, by
+    default ``pow(u % p, -1, p)``.  Its correct digits are read once, as
+    e = v_p(u y - 1) capped at n.  Each step doubles e, since
+    1 - u y' = (1 - u y)^2, so it takes O(log n) products and reductions
+    mod p^e, the last at p^n, where the extended Euclid of
+    ``pow(u, -1, p^n)`` takes O(n log p) division steps at full size.
+    CertificationFailed if u does not divide 1 - k p^n, or if e = 0.
     """
+    m = modulus(p, n)
     if seed is None:
         if u % p == 0:
             raise NotAUnit(f"{u} is divisible by {p}")
+        u %= m
+        if u.bit_length() <= 64:
+            y, r = divmod(1 - pow(m % u, -1, u) * m, u)
+            if r:
+                raise CertificationFailed(f"{u} does not divide 1 - k p^n")
+            return y % m
         seed = pow(u % p, -1, p)
     e = vp(u * seed - 1, p, n)
     if e == 0:
@@ -122,7 +141,7 @@ def unit_inverse(u: int, p: int, n: int, seed: int | None = None) -> int:
     while e < n:
         e = min(2 * e, n)
         y = y * (2 - u * y) % p**e
-    return y % p**n
+    return y % m
 
 
 def rational_valuation(x: Fraction, p: int) -> int | None:
@@ -132,18 +151,44 @@ def rational_valuation(x: Fraction, p: int) -> int | None:
     return vp(x.numerator, p) - vp(x.denominator, p)
 
 
+def abs_from_valuation(v: int | None, p: int) -> Fraction:
+    """p^-v, the absolute value of an x with v_p(x) = v; None (x = 0) gives 0."""
+    return Fraction(0) if v is None else Fraction(p) ** -v
+
+
 def abs_p(x, p: int) -> Fraction:
     """p-adic absolute value |x|_p = p^(-l) where p^l exactly divides x."""
     check_prime(p)
+    return abs_from_valuation(rational_valuation(Fraction(x), p), p)
+
+
+def rational_residue(x, p: int, N: int) -> int:
+    """a * b^-1 mod p^N for x = a/b, b inverted by ``unit_inverse``;
+    NotPAdicInteger when p divides b, i.e. when |x|_p > 1."""
+    m = modulus(p, N)
     x = Fraction(x)
-    v = rational_valuation(x, p)
-    if v is None:
-        return Fraction(0)
-    return Fraction(p) ** (-v)
+    if x.denominator % p == 0:
+        raise NotPAdicInteger(f"{x} has |x|_{p} > 1")
+    return x.numerator * unit_inverse(x.denominator, p, N) % m
+
+
+class _Residues:
+    """The modulus and the (p, N) check of a value with fields p and precision."""
+
+    @property
+    def modulus(self) -> int:
+        return modulus(self.p, self.precision)
+
+    def _check_compatible(self, other) -> None:
+        if self.p != other.p or self.precision != other.precision:
+            raise PrecisionMismatch(
+                f"cannot combine mod {self.p}^{self.precision} with "
+                f"mod {other.p}^{other.precision}"
+            )
 
 
 @dataclass(frozen=True)
-class PAdicInt:
+class PAdicInt(_Residues):
     """Residue mod p^N standing for a p-adic integer known to N digits."""
 
     p: int
@@ -151,14 +196,7 @@ class PAdicInt:
     residue: int
 
     def __post_init__(self):
-        check_prime(self.p)
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
-        object.__setattr__(self, "residue", self.residue % self.p**self.precision)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
+        object.__setattr__(self, "residue", self.residue % modulus(self.p, self.precision))
 
     @property
     def valuation(self) -> int:
@@ -172,19 +210,10 @@ class PAdicInt:
 
     def abs(self) -> Fraction:
         """|x|_p of the residue; 0 for the (saturated) zero residue."""
-        if self.residue == 0:
-            return Fraction(0)
-        return Fraction(self.p) ** (-self.valuation)
+        return abs_from_valuation(None if self.residue == 0 else self.valuation, self.p)
 
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
-
-    def _check_compatible(self, other: "PAdicInt") -> None:
-        if self.p != other.p or self.precision != other.precision:
-            raise PrecisionMismatch(
-                f"cannot combine mod {self.p}^{self.precision} with "
-                f"mod {other.p}^{other.precision}"
-            )
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -230,17 +259,11 @@ class PAdicInt:
 
 def padic_from_rational(x, p: int, N: int) -> PAdicInt:
     """Residue r with b*r = a mod p^N for x = a/b, b coprime to p."""
-    check_prime(p)
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise NotPAdicInteger(f"{x} has |x|_{p} > 1")
-    m = p**N
-    r = x.numerator * pow(x.denominator, -1, m) % m
-    return PAdicInt(p, N, r)
+    return PAdicInt(p, N, rational_residue(x, p, N))
 
 
 @dataclass(frozen=True)
-class PAdicScalar:
+class PAdicScalar(_Residues):
     """Element of Q_p as p^exponent * unit, or zero.
 
     The unit part has valuation 0; |x|_p = p^(-exponent).  Zero is flagged
@@ -253,11 +276,9 @@ class PAdicScalar:
     unit_residue: int | None
 
     def __post_init__(self):
-        check_prime(self.p)
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
+        m = modulus(self.p, self.precision)
         if self.unit_residue is not None:
-            u = self.unit_residue % self.p**self.precision
+            u = self.unit_residue % m
             if u % self.p == 0:
                 raise ValueError("unit part must have valuation 0")
             object.__setattr__(self, "unit_residue", u)
@@ -267,37 +288,34 @@ class PAdicScalar:
         return cls(p, N, 0, None)
 
     @classmethod
+    def _normalised(cls, p: int, N: int, e: int, s: int) -> "PAdicScalar":
+        """p^e * s for a residue s mod p^N, as p^(e + v) * unit with v = v_p(s);
+        zero when s = 0 mod p^N."""
+        if s == 0:
+            return cls.zero(p, N)
+        v = vp(s, p)
+        return cls(p, N, e + v, s // p**v)
+
+    @classmethod
     def from_rational(cls, x, p: int, N: int) -> "PAdicScalar":
-        zero = cls.zero(p, N)  # checks p and N before v_p and p^N use them
+        modulus(p, N)  # checks p and N before v_p uses them
         x = Fraction(x)
-        if x == 0:
-            return zero
         v = rational_valuation(x, p)
-        unit = x / Fraction(p) ** v
-        m = p**N
-        u = unit.numerator * pow(unit.denominator, -1, m) % m
-        return cls(p, N, v, u)
+        if v is None:
+            return cls.zero(p, N)
+        # x |x|_p is a unit
+        return cls(p, N, v, rational_residue(x * abs_from_valuation(v, p), p, N))
 
     @classmethod
     def from_padic_int(cls, x: PAdicInt) -> "PAdicScalar":
-        if x.residue == 0:
-            return cls.zero(x.p, x.precision)
-        v = x.valuation
-        return cls(x.p, x.precision, v, x.residue // x.p**v)
+        return cls._normalised(x.p, x.precision, 0, x.residue)
 
     @property
     def is_zero(self) -> bool:
         return self.unit_residue is None
 
     def abs(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.p) ** (-self.exponent)
-
-    def unit_part(self) -> PAdicInt:
-        if self.is_zero:
-            raise NotAUnit("zero has no unit part")
-        return PAdicInt(self.p, self.precision, self.unit_residue)
+        return abs_from_valuation(None if self.is_zero else self.exponent, self.p)
 
     def to_padic_int(self) -> PAdicInt:
         """Reduction to a residue mod p^N; requires exponent >= 0."""
@@ -309,10 +327,6 @@ class PAdicScalar:
             self.p, self.precision, self.unit_residue * self.p**self.exponent
         )
 
-    def _check_compatible(self, other: "PAdicScalar") -> None:
-        if self.p != other.p or self.precision != other.precision:
-            raise PrecisionMismatch("mismatched p or precision")
-
     def __mul__(self, other: "PAdicScalar") -> "PAdicScalar":
         self._check_compatible(other)
         if self.is_zero or other.is_zero:
@@ -321,18 +335,13 @@ class PAdicScalar:
             self.p,
             self.precision,
             self.exponent + other.exponent,
-            self.unit_residue * other.unit_residue % self.p**self.precision,
+            self.unit_residue * other.unit_residue,
         )
 
     def __neg__(self) -> "PAdicScalar":
         if self.is_zero:
             return self
-        return PAdicScalar(
-            self.p,
-            self.precision,
-            self.exponent,
-            -self.unit_residue % self.p**self.precision,
-        )
+        return PAdicScalar(self.p, self.precision, self.exponent, -self.unit_residue)
 
     def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
         self._check_compatible(other)
@@ -341,13 +350,9 @@ class PAdicScalar:
         if other.is_zero:
             return self
         lo, hi = (self, other) if self.exponent <= other.exponent else (other, self)
-        m = self.p**self.precision
-        s = (lo.unit_residue + hi.unit_residue * self.p ** (hi.exponent - lo.exponent)) % m
-        if s == 0:
-            # cancellation below the working precision
-            return PAdicScalar.zero(self.p, self.precision)
-        v = vp(s, self.p)
-        return PAdicScalar(self.p, self.precision, lo.exponent + v, s // self.p**v)
+        s = lo.unit_residue + hi.unit_residue * self.p ** (hi.exponent - lo.exponent)
+        # s = 0 mod p^N is cancellation below the working precision
+        return PAdicScalar._normalised(self.p, self.precision, lo.exponent, s % self.modulus)
 
     def __sub__(self, other: "PAdicScalar") -> "PAdicScalar":
         return self + (-other)
@@ -409,4 +414,4 @@ def cauchy_product(a: list[PAdicScalar], b: list[PAdicScalar]) -> list[PAdicScal
 def haar_measure(l: int, p: int) -> Fraction:
     """|p^l Z_p| = p^(-l); l may be negative."""
     check_prime(p)
-    return Fraction(p) ** (-l)
+    return abs_from_valuation(l, p)

@@ -155,16 +155,6 @@ class RadicInt:
     def __post_init__(self):
         object.__setattr__(self, "residue", self.residue % self.radix.modulus)
 
-    @classmethod
-    def from_integer(cls, a: int, radix: Radix) -> "RadicInt":
-        return cls(radix, a)
-
-    @classmethod
-    def from_sequence(cls, x: tuple[int, ...], radix: Radix) -> "RadicInt":
-        if not coherence_check(x, radix):
-            raise InvalidResidue(f"sequence {x} is not coherent")
-        return cls(radix, x[-1])
-
     def sequence(self) -> tuple[int, ...]:
         return embed_q(self.residue, self.radix)
 

@@ -499,6 +499,65 @@ def test_uniform_distribution_check():
     assert not rep["uniform"] and rep["witness"] is not None
 
 
+def oracle_uniform_distribution(spec, mu):
+    """The enumeration the per-level check replaced: every cylinder mass at
+    every depth, as (uniform, profile of the uniform depths, masses by depth)."""
+    masses, profile, uniform = [{(): Fraction(1)}], {}, True
+    for k in range(1, spec.depth + 1):
+        masses.append({
+            prefix + (d,): m * mu.weights[k - 1][d]
+            for prefix, m in masses[-1].items()
+            for d in range(spec.branching(k - 1))
+        })
+        values = set(masses[-1].values())
+        uniform = uniform and len(values) == 1
+        if uniform:
+            profile[str(spec.scales[k])] = values.pop()
+    return uniform, profile, masses
+
+
+def test_uniform_distribution_check_against_enumeration():
+    rng = random.Random(15)
+    outcomes = Counter()
+    for _ in range(2000):
+        factors = tuple(rng.randrange(2, 4) for _ in range(rng.randrange(1, 6)))
+        spec = cantor.ProductSpec.reciprocal(factors)
+        weights = []
+        for n in factors:
+            if rng.random() < 0.7:
+                weights.append((Fraction(1, n),) * n)
+            else:
+                raw = [rng.randrange(0, 4) for _ in range(n)]
+                raw[0] += sum(raw) == 0
+                weights.append(tuple(Fraction(w, sum(raw)) for w in raw))
+        mu = cantor.ProductMeasure(tuple(weights))
+        rep = audit.uniform_distribution_check(spec, mu)
+        uniform, profile, masses = oracle_uniform_distribution(spec, mu)
+        assert rep["uniform"] is uniform and rep["profile"] == profile
+        outcomes[uniform] += 1
+        if uniform:
+            assert rep["witness"] is None
+        else:
+            x, y = rep["witness"]
+            # the witness sits at the first depth whose masses differ
+            k = len(profile) + 1
+            assert len(x) == len(y) == k and masses[k][x] != masses[k][y]
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_uniform_distribution_witness_and_cost():
+    spec = cantor.ProductSpec.reciprocal((3, 2))
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    mu = cantor.ProductMeasure(((quarter, quarter, half), (half, half)))
+    rep = audit.uniform_distribution_check(spec, mu)
+    assert rep == {"uniform": False, "profile": {}, "witness": ((0,), (2,))}
+    spec = cantor.ProductSpec.reciprocal((2,) * 18)
+    start = time.perf_counter()
+    rep = audit.uniform_distribution_check(spec, cantor.ProductMeasure.uniform(spec))
+    assert time.perf_counter() - start < 0.5  # 2^18 leaves, never enumerated
+    assert rep["uniform"] and rep["profile"][str(spec.scales[18])] == Fraction(1, 2**18)
+
+
 def test_dist_local_constancy():
     spec = BINARY3
     A = [cantor.Cylinder((0, 0, 0))]

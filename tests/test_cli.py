@@ -526,6 +526,9 @@ def test_golden_report(capsys, tmp_path, argv, code, stdout):
     "hausdorff --factors 2,2 --dimension --tolerance nan",
     "hausdorff --factors 2,2 --scales geometric:1/3 --dimension --tolerance 0",
     "hausdorff --factors 2,2 --alpha 100001/100000",
+    # x^c is refused above cantor.MAX_POWER_BITS bits before it is formed
+    "hausdorff --factors 2,2,2 --scales geometric:1/3 --alpha 3000001/3",
+    "hausdorff --factors 2,2,2 --scales geometric:1/3 --alpha 3000000",
     "maximal --tree {tree} --lp 100001/100000 1/2",
     "maximal --tree {empty}",
     "maximal --tree {list}",

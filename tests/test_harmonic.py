@@ -541,6 +541,19 @@ def test_pow_bounds_brackets():
     assert harmonic.pow_bounds(Fraction(4), Fraction(1, 2)) == (2, 2)
 
 
+def test_pow_bounds_refuses_powers_past_the_bit_budget():
+    from ultrametric.cantor import MAX_POWER_BITS
+
+    # 2^c has c + 1 bits; x = 2 has bit length 2, so c = MAX_POWER_BITS / 2 is the last allowed
+    c = MAX_POWER_BITS // 2
+    assert harmonic.pow_bounds(Fraction(2), Fraction(c)) == (2**c, 2**c)
+    start = time.perf_counter()
+    for x, p in ((Fraction(2), c + 1), (Fraction(1, 3), Fraction(3000001, 3)), (Fraction(3), 10**9)):
+        with pytest.raises(ExponentOutOfRange, match="bit budget"):
+            harmonic.pow_bounds(x, Fraction(p))
+    assert time.perf_counter() - start < 0.5  # refused before x^c is formed
+
+
 def test_pow_bounds_brackets_in_integers():
     # lo <= x^(num/den) <= hi  iff  lo^den <= x^num <= hi^den, compared exactly
     rng = random.Random(11)

@@ -10,6 +10,7 @@ from ultrametric.errors import (
     DecayWitnessInvalid,
     HenselPreconditionFailed,
     KMismatch,
+    NotPAdicInteger,
 )
 
 LIFT_PRIMES = (2, 3, 5, 7, 13, 31, 10**6 + 3, 2**61 - 1)
@@ -17,6 +18,15 @@ LIFT_PRIMES = (2, 3, 5, 7, 13, 31, 10**6 + 3, 2**61 - 1)
 
 def poly(coeffs, p, N):
     return hensel.ZpPoly.from_rationals(coeffs, p, N)
+
+
+def test_from_rationals_keeps_integers_and_reads_fractions_with_headroom():
+    for p in LIFT_PRIMES:
+        den, m = (5 if p == 3 else 3), p ** (8 + 64)
+        f = poly([-(p**100), Fraction(2, den), 7], p, 8)
+        assert f.coeffs == (-(p**100), 2 * pow(den, -1, m) % m, 7)
+    with pytest.raises(NotPAdicInteger):
+        poly([Fraction(1, 3), 1], 3, 8)
 
 
 def test_eval_and_derivative():

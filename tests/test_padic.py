@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -102,6 +104,73 @@ def test_from_rational_examples():
 def test_from_rational_rejects_p_in_denominator():
     with pytest.raises(NotPAdicInteger):
         padic.padic_from_rational(Fraction(1, 10), 5, 3)
+
+
+@pytest.mark.parametrize("p", LIFT_PRIMES)
+def test_rational_residue_against_pow(p):
+    rng = random.Random(p)
+    for N in range(1, 401):
+        m = p**N
+        x = Fraction(rng.randrange(-(p**3), p**3), rng.randrange(1, p**2) * rng.choice((1, 1, p)))
+        if x.denominator % p:
+            assert padic.rational_residue(x, p, N) == x.numerator * pow(x.denominator, -1, m) % m
+        else:
+            with pytest.raises(NotPAdicInteger):
+                padic.rational_residue(x, p, N)
+
+
+def test_modulus_is_checked_for_every_pair_and_cached():
+    assert padic.modulus.cache_info().maxsize is not None
+    assert padic.modulus(7, 3) == padic.PAdicInt(7, 3, 1).modulus == 343
+    # a valid pair in the cache lets no invalid one through
+    for make in (
+        lambda: padic.PAdicInt(4, 3, 1),
+        lambda: padic.PAdicInt(7.0, 3, 1),
+        lambda: padic.PAdicScalar(4, 3, 0, 1),
+        lambda: padic.padic_from_rational(1, 4, 3),
+        lambda: padic.PAdicScalar.from_rational(1, 4, 3),
+    ):
+        with pytest.raises(InvalidPrime):
+            make()
+    padic.modulus(7, 2)
+    for make in (
+        lambda: padic.modulus(7, 2.0),
+        lambda: padic.PAdicInt(7, 2.0, 3),
+        lambda: padic.PAdicScalar(7, 2.5, 0, 3),
+        lambda: padic.padic_from_rational(3, 7, -2),
+        lambda: padic.padic_from_rational(3, 7, 0),
+        lambda: padic.PAdicScalar.from_rational(3, 7, 0),
+        lambda: padic.rational_residue(3, 7, "2"),
+    ):
+        with pytest.raises(ValueError, match="precision must be a positive int"):
+            make()
+
+
+def test_inverses_and_absolute_values_live_in_padic():
+    """pow(_, -1, _) and Fraction(_) ** -_ appear only in padic.py."""
+    src = pathlib.Path(padic.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "padic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "pow"
+                and len(node.args) == 3
+                and ast.unparse(node.args[1]) == "-1"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Call)
+                and getattr(node.left.func, "id", None) == "Fraction"
+                and isinstance(node.right, ast.UnaryOp)
+                and isinstance(node.right.op, ast.USub)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 @given(x=rationals, p=st.sampled_from([2, 3, 5]), N=st.integers(1, 8))
