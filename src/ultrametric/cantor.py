@@ -220,6 +220,8 @@ def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction,
         raise NotNonnegative("negative base")
     if x == 0:
         return Fraction(0), Fraction(0)
+    if x == 1:
+        return Fraction(1), Fraction(1)
     if p.numerator * max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_POWER_BITS:
         raise ExponentOutOfRange(f"{x}^{p.numerator} passes the {MAX_POWER_BITS}-bit budget")
     q = x**p.numerator

@@ -10,8 +10,10 @@ multiset-shift symmetry.
 Costs: ``character_table(n)`` builds n turn values and indexes them by
 j a mod n; ``gram_exact(n)`` runs the shift certificate once per proper
 divisor of n, O(n) Counter work each, and slices its rows from one entry
-list; ``gram_float(n)`` takes n complex roots and indexes them by j j' mod
-n, reduced in integers, before one n x n matrix product.
+list; ``gram_float(n)`` takes n complex roots, indexes them by j j' mod n,
+reduced in integers, and applies the inverse DFT to each conjugated row by
+FFT, O(n^2 log n) against O(n^3) for the matrix product it equals.  The
+float check stays independent of the table: the FFT brings its own kernel.
 """
 
 from __future__ import annotations
@@ -188,15 +190,26 @@ def gram_exact(n: int) -> list[list[Fraction]]:
 
 
 def gram_float(n: int):
-    """Numerical Gram matrix of the character table as a numpy array, for
-    the 1e-12 cross-check; the one function of the package that uses numpy.
-    j j' mod n indexes a table of n roots, so no angle exceeds one turn."""
+    """Numerical Gram matrix (1/n) W W* of the character table W, a complex128
+    n x n numpy array, for the 1e-12 cross-check; the one function of the
+    package that uses numpy.  j j' mod n indexes a table of n roots, so no
+    angle exceeds one turn; j j' < 2^31 for n <= TABLE_CAP, so int32 holds it.
+
+    Entry (j, j') is (1/n) sum_a e(j a/n) conj(W[j', a]): entry j of the
+    inverse DFT of row j' of conj(W), so one FFT per row gives the matrix in
+    O(n^2 log n).  W stays the data and the transform supplies the true
+    kernel e(j a/n), so the check is as independent of W as the product was:
+    a wrong entry W[j', a] moves row j' of conj(W) and, the DFT being
+    invertible, moves column j' of the result off the identity.
+    """
     _check_order(n)
     import numpy as np
 
-    j = np.arange(n)
+    j = np.arange(n, dtype=np.int32)
     W = np.exp(2j * np.pi * j / n)[np.outer(j, j) % n]
-    return W @ W.conj().T / n
+    # conjugate and transform in place: one n x n array at a time
+    np.conjugate(W, out=W)
+    return np.fft.ifft(W, axis=1, out=W).T
 
 
 def l2_distance_squared(n: int, j1: int, j2: int) -> Fraction:

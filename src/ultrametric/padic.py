@@ -152,8 +152,13 @@ def rational_valuation(x: Fraction, p: int) -> int | None:
 
 
 def abs_from_valuation(v: int | None, p: int) -> Fraction:
-    """p^-v, the absolute value of an x with v_p(x) = v; None (x = 0) gives 0."""
-    return Fraction(0) if v is None else Fraction(p) ** -v
+    """p^-v, the absolute value of an x with v_p(x) = v; None (x = 0) gives 0.
+    A v that is not an int raises ValueError, so no float p^-v comes out."""
+    if v is None:
+        return Fraction(0)
+    if not isinstance(v, int):
+        raise ValueError(f"valuation must be an int, not {v!r}")
+    return Fraction(p) ** -v
 
 
 def abs_p(x, p: int) -> Fraction:
@@ -277,7 +282,11 @@ class PAdicScalar(_Residues):
 
     def __post_init__(self):
         m = modulus(self.p, self.precision)
+        if not isinstance(self.exponent, int):
+            raise ValueError(f"exponent must be an int, not {self.exponent!r}")
         if self.unit_residue is not None:
+            if not isinstance(self.unit_residue, int):
+                raise ValueError(f"unit residue must be an int, not {self.unit_residue!r}")
             u = self.unit_residue % m
             if u % self.p == 0:
                 raise ValueError("unit part must have valuation 0")

@@ -561,6 +561,12 @@ def test_pow_bounds_is_exact_on_rational_powers_and_caps_the_root_degree():
     assert time.perf_counter() - start < 0.1
 
 
+def test_pow_bounds_of_one_is_one_past_the_bit_budget():
+    # 1^c = 1 for every c, so the budget on x^c does not apply
+    for c in (Fraction(70000), Fraction(3000001, 3), Fraction(10**9)):
+        assert cantor.pow_bounds(Fraction(1), c) == (1, 1)
+
+
 def test_pow_bounds_against_float_power():
     rng = random.Random(15)
     exact = 0

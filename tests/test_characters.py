@@ -106,9 +106,9 @@ def test_gram_identity():
         assert np.max(np.abs(f - np.eye(n))) < 1e-12
 
 
-# The per-cell character table, the per-d Gram certificate and the
-# exp-of-outer float Gram matrix that the per-residue and per-divisor kernels
-# replaced; they are the oracles of the tests below.
+# The per-cell character table, the per-d Gram certificate, the exp-of-outer
+# float Gram matrix and the root-table matrix product that the per-residue,
+# per-divisor and FFT kernels replaced; they are the oracles of the tests below.
 
 
 def character_table_oracle(n):
@@ -131,6 +131,12 @@ def gram_exact_oracle(n):
 def gram_float_oracle(n):
     j = np.arange(n)
     W = np.exp(2j * np.pi * np.outer(j, j) / n)
+    return W @ W.conj().T / n
+
+
+def gram_float_matmul_oracle(n):
+    j = np.arange(n)
+    W = np.exp(2j * np.pi * j / n)[np.outer(j, j) % n]
     return W @ W.conj().T / n
 
 
@@ -176,18 +182,32 @@ def test_gram_exact_certifies_once_per_proper_divisor(monkeypatch):
 
 
 def test_gram_float_matches_exp_of_outer_oracle():
+    # the FFT kernel against both matrix products it replaced: small n, every
+    # prime below 100 (a prime length has no radix to split by), every
+    # power of two up to 1024, and random n
     rng = random.Random(5)
-    for n in [1, 2, 3] + rng.sample(range(4, 513), 12):
-        new, old = ch.gram_float(n), gram_float_oracle(n)
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    sizes = [1, 2, 3] + primes + [2**k for k in range(11)] + rng.sample(range(4, 1025), 12)
+    for n in sorted(set(sizes)):
+        new = ch.gram_float(n)
         assert new.shape == (n, n) and new.dtype == np.complex128
-        assert np.max(np.abs(new - old)) < 1e-12
+        for oracle in (gram_float_matmul_oracle, gram_float_oracle):
+            assert np.max(np.abs(new - oracle(n))) < 1e-12, (n, oracle.__name__)
 
 
 def test_gram_float_1024_error():
     # the roots are indexed by j j' mod n, so no angle exceeds one turn: the
-    # error is about 4e-16, where exp of the full angles left 7.6e-14
+    # error is about 2e-16, where exp of the full angles left 7.6e-14
     n = 1024
     assert np.max(np.abs(ch.gram_float(n) - np.eye(n))) < 1e-14
+
+
+def test_gram_float_error_at_table_cap():
+    # the largest table: 4096^2 = 2^24 entries, one FFT per row
+    n = ch.TABLE_CAP
+    g = ch.gram_float(n)
+    g[np.diag_indices(n)] -= 1
+    assert max(np.abs(rows).max() for rows in np.split(g, 16)) < 1e-14
 
 
 def test_table_cap_and_n1():

@@ -362,7 +362,6 @@ def test_report_past_the_int_to_str_limit_exits_2_without_a_traceback(capsys):
 FLOAT_ALLOWED = {
     "cantor.dimension_estimate",
     "cantor._log_ratio",
-    "cantor._rational_exponent",
     "characters.gram_float",
     "characters.TurnValue.complex",
 }

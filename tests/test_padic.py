@@ -146,6 +146,21 @@ def test_modulus_is_checked_for_every_pair_and_cached():
             make()
 
 
+def test_non_int_exponents_and_residues_are_refused():
+    # a float exponent gave a float |x|_p; a float unit residue failed in
+    # unit_inverse with AttributeError
+    for make, value in (
+        (lambda: padic.PAdicScalar(7, 2, 0.5, 3).abs(), "exponent must be an int, not 0.5"),
+        (lambda: padic.haar_measure(0.5, 7), "valuation must be an int, not 0.5"),
+        (lambda: padic.PAdicScalar(7, 4, 0, 3.0).invert(), "unit residue must be an int, not 3.0"),
+    ):
+        with pytest.raises(ValueError, match=value):
+            make()
+    assert padic.PAdicScalar(7, 2, -1, 3).abs() == 7
+    assert padic.haar_measure(-2, 7) == 49
+    assert padic.abs_from_valuation(None, 7) == 0
+
+
 def test_inverses_and_absolute_values_live_in_padic():
     """pow(_, -1, _) and Fraction(_) ** -_ appear only in padic.py."""
     src = pathlib.Path(padic.__file__).parent
