@@ -8,8 +8,10 @@ realized so far, a refutation carries a reproducible witness.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .cantor import Cylinder, ProductMeasure, ProductSpec, match_and_dist, match_length
 from .errors import EmptySet
@@ -53,27 +55,50 @@ class DoublingReport:
         }
 
 
+def _prefix_ids(words: list, depth: int):
+    """For k = 1..depth, yield (count, ids): ids[i] numbers the k-prefix of
+    words[i] in order of first occurrence, and count is how many there are.
+
+    The k-prefix id is a dict lookup on (the (k-1)-prefix id, digit k), so
+    the whole sweep is O(N * depth) and never slices a prefix.
+    """
+    ids = [0] * len(words)
+    for column in islice(zip(*words), depth):
+        number: dict[tuple[int, int], int] = {}
+        ids = [number.setdefault(key, len(number)) for key in zip(ids, column)]
+        yield len(number), ids
+
+
 def classify_map(phi: DigitMapFamily, spec: ProductSpec) -> dict:
     """Semantic classification of phi from its N images, in match lengths.
 
     Scales strictly decrease, so phi is 1-Lipschitz iff at every level k
     the k-prefix of x determines that of phi(x), and an isometry iff this
-    prefix map is also injective: one dict per level, O(N * L).  The
-    witness is the first violating pair at the shallowest such level.
+    prefix map is also injective.  The points are in lexicographic order,
+    so the k-prefix classes of x are blocks of N / N_k consecutive points:
+    phi is 1-Lipschitz at level k iff the image prefix ids are constant on
+    each block, and then an isometry there iff the N_k blocks have N_k
+    distinct image prefixes.  One prefix-id sweep of the images, O(N * L).
+    The witness is the first violating pair at the shallowest such level:
+    the first point of its block and the first point that breaks it.
     """
     pts = list(spec.points())
     images = [phi.apply(x) for x in pts]
     if any(len(w) != spec.depth for w in images):
         raise ValueError("points must have full depth")
-    onto = len(set(images)) == len(pts)
+    n = len(pts)
+    onto = len(set(images)) == n
     isometry = True
-    for k in range(1, spec.depth + 1):
-        first: dict[tuple[int, ...], tuple] = {}  # k-prefix of x -> (x, k-prefix of phi(x))
-        for x, w in zip(pts, images):
-            y, v = first.setdefault(x[:k], (x, w[:k]))
-            if v != w[:k]:
-                return {"one_lipschitz": False, "isometry": False, "onto": onto, "witness": (y, x)}
-        isometry = isometry and len({v for _, v in first.values()}) == len(first)
+    block = n
+    for factor, (count, ids) in zip(spec.factors, _prefix_ids(images, spec.depth)):
+        block //= factor
+        for start in range(0, n, block):
+            run = ids[start : start + block]
+            if run.count(run[0]) != block:
+                bad = next(i for i, v in enumerate(run) if v != run[0])
+                return {"one_lipschitz": False, "isometry": False, "onto": onto,
+                        "witness": (pts[start], pts[start + bad])}
+        isometry = isometry and count * block == n
     return {"one_lipschitz": True, "isometry": isometry, "onto": onto, "witness": None}
 
 
@@ -81,8 +106,8 @@ def mixed_radix_digits(a: int, radix: Radix) -> tuple[int, ...]:
     """theta_k(a) = (a div R_{k-1}) mod r_k, the canonical digit map."""
     digits = []
     for r in radix.factors:
-        a, d = divmod(a, r)
-        digits.append(d)
+        digits.append(a % r)
+        a //= r
     return tuple(digits)
 
 
@@ -90,25 +115,24 @@ def _per_level_check(words: list, radix: Radix) -> tuple[bool, bool]:
     """(isometric, pushforward_uniform) for a -> words[a] on 0 <= a < n = len(words).
 
     At each level k with R_k | n, "a = b mod R_k" must be the same relation
-    as "same first k digits": every k-prefix maps to one residue mod R_k and
-    there are R_k prefixes.  Each prefix must also carry n / R_k points, the
-    Haar mass 1/R_k.  Levels past the first R_k not dividing n are skipped.
+    as "same first k digits": the k-prefix ids repeat with period R_k and
+    take R_k values.  Each prefix must also carry n / R_k points, the Haar
+    mass 1/R_k; periodic ids give every prefix that mass iff they take R_k
+    values, so the masses are counted only at levels that are not periodic.
+    Levels past the first R_k not dividing n are skipped.  One prefix-id
+    sweep, O(n * L).
     """
     n = len(words)
     isometric = pushforward_uniform = True
-    for k in range(1, radix.depth + 1):
-        R_k = radix.cumulative(k)
+    levels = _prefix_ids(words, radix.depth)
+    for R_k in radix.prefix[1:]:
         if n % R_k:
             break
-        residue: dict[tuple[int, ...], int] = {}
-        mass: dict[tuple[int, ...], int] = {}
-        for a, w in enumerate(words):
-            prefix = w[:k]
-            if residue.setdefault(prefix, a % R_k) != a % R_k:
-                isometric = False
-            mass[prefix] = mass.get(prefix, 0) + 1
-        isometric = isometric and len(residue) == R_k
-        pushforward_uniform = pushforward_uniform and all(c * R_k == n for c in mass.values())
+        count, ids = next(levels)
+        periodic = ids == ids[:R_k] * (n // R_k)
+        isometric = isometric and periodic and count == R_k
+        pushforward_uniform = pushforward_uniform and count == R_k and (
+            periodic or all(c * R_k == n for c in Counter(ids).values()))
     return isometric, pushforward_uniform
 
 
@@ -125,12 +149,18 @@ def build_radic_isometry(
     R_L <= exhaustive_cap, else the largest R_k <= exhaustive_cap (1 when
     already r_1 exceeds it).  On them the map must be injective, and at
     every level k with R_k | B the residues mod R_k must match the k-digit
-    prefixes one to one, each prefix receiving Haar mass 1/R_k; this costs
-    O(B * L) and is equivalent to l_r(a - b) = match length for all R_L^2
-    pairs when B = R_L.  Past the cap, ``samples`` seeded random pairs are
-    also compared in integers: l_r(a - b) against the match length, which
-    decides the metric because the scales strictly decrease; fewer than
-    one sample there raises ValueError, since no pair would be checked.
+    prefixes one to one, each prefix receiving Haar mass 1/R_k: one
+    prefix-id sweep, O(B * L), equivalent to l_r(a - b) = match length
+    for all R_L^2 pairs when B = R_L.  Past the cap, ``samples`` seeded
+    random pairs are also compared in integers: l_r(a - b) against the
+    match length, which decides the metric because the scales strictly
+    decrease.  Pair i agrees with x mod R_k for k = i mod L, so every
+    level is sampled, not only the levels two uniform points reach; a
+    pair x != y with one word also refutes ``bijective``.  There
+    ``bijective`` is the enumerated points and the pairs checked, and
+    ``pushforward_uniform`` the enumerated levels only.  The check stops
+    at the first failing pair; fewer than one sample raises ValueError,
+    since no pair would be checked.
     """
     if t is None:
         t = default_scales(radix)
@@ -143,20 +173,32 @@ def build_radic_isometry(
         return mixed_radix_digits(a, radix)
 
     enum_bound = max((R_k for R_k in radix.prefix if R_k <= exhaustive_cap), default=1)
-    words = [psi(a) for a in range(enum_bound)]
+    words = [mixed_radix_digits(a, radix) for a in range(enum_bound)]
     bijective = len(set(words)) == enum_bound
     isometric, pushforward_uniform = _per_level_check(words, radix)
     if R <= exhaustive_cap:
         pairs_checked = R * R
     else:
-        randrange = random.Random(seed).randrange
+        getrandbits = random.Random(seed).getrandbits
+        bits = R.bit_length()
         L = radix.depth
         pairs_checked = samples
-        for _ in range(samples):
-            x, y = randrange(R), randrange(R)
+        for i in range(samples):
+            # randrange(R) without its call overhead: CPython draws R.bit_length()
+            # bits until they fall below R, so the pairs are the same
+            x = getrandbits(bits)
+            while x >= R:
+                x = getrandbits(bits)
+            y = getrandbits(bits)
+            while y >= R:
+                y = getrandbits(bits)
+            R_k = radix.prefix[i % L]
+            y += x % R_k - y % R_k  # pair i agrees mod R_k, k = i mod L
+            wx, wy = mixed_radix_digits(x, radix), mixed_radix_digits(y, radix)
             l = lr_valuation(x - y, radix)
-            if (L if l is None else l) != match_length(psi(x), psi(y)):
+            if (L if l is None else l) != match_length(wx, wy):
                 isometric = False
+                bijective = bijective and wx != wy
                 break
     return {
         "bijective": bijective,

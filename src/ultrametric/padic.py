@@ -77,10 +77,12 @@ def vp(n: int, p: int, cap: int | None = None) -> int:
 
     With a cap this is v_p(n mod p^cap), so n = 0 gives cap; without one,
     n must be nonzero.  p need not be prime, but it must be at least 2.
-    For p = 2 it reads the lowest set bit.  Otherwise it divides by the
-    squaring ladder p, p^2, p^4, ... while each divides and stays within
-    the cap, then by the same powers in reverse, so a valuation v costs
-    O(log v) divisions; v = 0 costs one n % p.
+    For p = 2 it reads the lowest set bit.  Otherwise v = 0 costs one
+    n % p, and v < 4 is read from the small residue n mod p^4.  Past it
+    the quotient is divided by the squaring ladder p^4, p^8, ... while
+    each divides and stays within the cap, then by the same powers in
+    reverse, and the last digits come from the residue mod p^4 again, so
+    a valuation v costs O(log v) divisions.
     """
     if p < 2:
         raise ValueError(f"v_p needs p >= 2, not {p}")
@@ -93,21 +95,28 @@ def vp(n: int, p: int, cap: int | None = None) -> int:
         return v if cap is None or v < cap else cap
     if cap == 0 or n % p:
         return 0
-    if cap is None:
-        cap = n.bit_length()  # p^v <= |n| < 2^cap, so this cap never binds
-    n, v, q, e = n // p, 1, p, 1
-    ladder = [(q, e)]  # (p^e, e) for e = 1, 2, 4, ..., each dividing out once
-    while v + 2 * e <= cap:
-        q, e = q * q, 2 * e
-        n2, r = divmod(n, q)
-        if r:
-            break
-        n, v = n2, v + e
-        ladder.append((q, e))
-    for q, e in reversed(ladder):
-        if v + e <= cap and n % q == 0:
-            n, v = n // q, v + e
-    return v
+    p2 = p * p
+    p4 = p2 * p2
+    r = n % p4
+    v = 0
+    if not r:
+        if cap is None:
+            cap = n.bit_length()  # p^v <= |n| < 2^cap, so this cap never binds
+        n, v, q, e = n // p4, 4, p4, 4
+        ladder = [(q, e)]  # (p^e, e) for e = 4, 8, 16, ..., each dividing out once
+        while v + 2 * e <= cap:
+            q, e = q * q, 2 * e
+            n2, r = divmod(n, q)
+            if r:
+                break
+            n, v = n2, v + e
+            ladder.append((q, e))
+        for q, e in reversed(ladder):
+            if v + e <= cap and n % q == 0:
+                n, v = n // q, v + e
+        r = n % p4
+    v += 0 if r % p else 1 if r % p2 else 2 if r % (p2 * p) else 3
+    return v if cap is None or v < cap else cap
 
 
 def unit_inverse(u: int, p: int, n: int, seed: int | None = None) -> int:

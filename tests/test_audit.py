@@ -151,6 +151,44 @@ def test_classify_map_against_pairwise_oracle():
     assert min(shapes.values()) >= 100, shapes
 
 
+def classify_map_by_slices(phi, spec) -> dict:
+    """The dict-per-level classification that slices every prefix, O(N * L^2)."""
+    pts = list(spec.points())
+    images = [phi.apply(x) for x in pts]
+    if any(len(w) != spec.depth for w in images):
+        raise ValueError("points must have full depth")
+    onto = len(set(images)) == len(pts)
+    isometry = True
+    for k in range(1, spec.depth + 1):
+        first: dict[tuple[int, ...], tuple] = {}  # k-prefix of x -> (x, k-prefix of phi(x))
+        for x, w in zip(pts, images):
+            y, v = first.setdefault(x[:k], (x, w[:k]))
+            if v != w[:k]:
+                return {"one_lipschitz": False, "isometry": False, "onto": onto, "witness": (y, x)}
+        isometry = isometry and len({v for _, v in first.values()}) == len(first)
+    return {"one_lipschitz": True, "isometry": isometry, "onto": onto, "witness": None}
+
+
+def test_classify_map_against_slicing_kernel():
+    rng = random.Random(23)
+    shapes = Counter()
+    for _ in range(1500):
+        depth = rng.randrange(1, 7)
+        factors = [rng.randrange(2, 5) for _ in range(depth)]
+        while prod(factors) > 1024:
+            factors[factors.index(max(factors))] -= 1
+        spec = cantor.ProductSpec.reciprocal(tuple(factors))
+        phi = _random_map(rng, spec)
+        rep = audit.classify_map(phi, spec)
+        want = classify_map_by_slices(phi, spec)
+        assert rep == want
+        assert [type(v) for v in rep.values()] == [type(v) for v in want.values()]
+        if want["witness"] is not None:
+            assert [type(v) for v in rep["witness"]] == [tuple, tuple]
+        shapes[rep["one_lipschitz"], rep["isometry"], rep["onto"]] += 1
+    assert min(shapes.values()) >= 100 and len(shapes) == 4, shapes
+
+
 def test_classify_rejects_images_of_the_wrong_length():
     pts = list(BINARY3.points())
     for image in ((0, 0), (0, 0, 0, 0)):
@@ -216,23 +254,33 @@ def test_sampled_path_refuses_fewer_than_one_sample():
     assert audit.build_radic_isometry(r, samples=1)["pairs_checked"] == 1
 
 
-def oracle_sampled_pair(psi, radix, t, seed) -> tuple[int, int, bool]:
-    """One seeded pair (x, y) compared in the metric, in Fractions: radic_dist
-    against t at the match length of the images, 0 for equal words."""
+def oracle_sampled_pairs(psi, radix, t, seed, samples) -> list[tuple[int, int, bool, bool]]:
+    """The seeded pairs (x, y, holds, collides), each compared in the metric,
+    in Fractions: radic_dist against t at the match length of the images, 0
+    for equal words.  Pair i is two independent draws, then y moved to agree
+    with x mod R_k, k = i mod L; it collides when x != y share a word."""
     rng = random.Random(seed)
-    x, y = rng.randrange(radix.modulus), rng.randrange(radix.modulus)
-    l = cantor.match_length(psi(x), psi(y))
-    return x, y, radic.radic_dist(x, y, radix, t) == (Fraction(0) if l == radix.depth else t[l])
+    pairs = []
+    for i in range(samples):
+        x, y = rng.randrange(radix.modulus), rng.randrange(radix.modulus)
+        R_k = radix.cumulative(i % radix.depth)
+        y = y // R_k * R_k + x % R_k
+        l = cantor.match_length(psi(x), psi(y))
+        holds = radic.radic_dist(x, y, radix, t) == (Fraction(0) if l == radix.depth else t[l])
+        pairs.append((x, y, holds, x != y and psi(x) == psi(y)))
+    return pairs
 
 
 def test_sampled_pairs_against_fraction_oracle(monkeypatch):
-    # exhaustive_cap=1 enumerates one point, so the per-level check is vacuous
-    # and one sample makes "isometric" the integer verdict on one seeded pair
+    # exhaustive_cap=1 enumerates one point, so the per-level check is vacuous;
+    # with samples = 1..L, "isometric" is the integer verdict on the first
+    # pairs, which together share a residue mod every R_k, k < L
     digits = audit.mixed_radix_digits
     maps = {
         "digit map": digits,
         "collapse": lambda a, r: digits(a - a % 2, r),
         "drop digit 4": lambda a, r: digits(a, r)[:3] + (0,) + digits(a, r)[4:],
+        "drop the last digit": lambda a, r: digits(a, r)[:-1] + (0,),
     }
     rng = random.Random(5)
     outcomes = Counter()
@@ -249,14 +297,77 @@ def test_sampled_pairs_against_fraction_oracle(monkeypatch):
         for name, psi in maps.items():
             monkeypatch.setattr(audit, "mixed_radix_digits", psi)
             for seed in range(100):
-                x, y, want = oracle_sampled_pair(lambda a: psi(a, r), r, t, seed)
-                rep = audit.build_radic_isometry(r, t, exhaustive_cap=1, samples=1, seed=seed)
-                assert rep["isometric"] is want and rep["pairs_checked"] == 1
-                outcomes[name, want] += 1
-                outcomes["x = y"] += x == y
-    assert outcomes["digit map", False] == 0
-    assert outcomes["collapse", False] > 0 and outcomes["drop digit 4", False] > 0
+                pairs = oracle_sampled_pairs(lambda a: psi(a, r), r, t, seed, r.depth)
+                for samples in range(1, r.depth + 1):
+                    rep = audit.build_radic_isometry(
+                        r, t, exhaustive_cap=1, samples=samples, seed=seed)
+                    failed = [p for p in pairs[:samples] if not p[2]]
+                    assert rep["isometric"] is not failed
+                    # the first failing pair ends the check
+                    assert rep["bijective"] is not (failed and failed[0][3])
+                    assert rep["pushforward_uniform"] and rep["pairs_checked"] == samples
+                    outcomes[name, not failed] += 1
+                outcomes["x = y"] += pairs[0][0] == pairs[0][1]
+                outcomes[name, "collides"] += any(p[3] for p in pairs)
+    assert outcomes["digit map", False] == 0 and outcomes["digit map", "collides"] == 0
+    for name in ("collapse", "drop digit 4", "drop the last digit"):
+        assert outcomes[name, False] > 0 and outcomes[name, "collides"] > 0
     assert outcomes["x = y"] > 0  # the saturated valuation, read as depth L
+
+
+def test_sampled_path_refutes_a_last_digit_collapse(monkeypatch):
+    # 20 points share each word; the R_3 = 200 enumerated points cannot see
+    # it, and two uniform points share their first four digits with chance
+    # 1/5000, but every fifth pair agrees mod R_4
+    digits = audit.mixed_radix_digits
+    monkeypatch.setattr(audit, "mixed_radix_digits", lambda a, r: digits(a, r)[:4] + (0,))
+    r = radic.Radix((4, 5, 10, 25, 20))
+    for seed in range(50):
+        rep = audit.build_radic_isometry(r, seed=seed)
+        assert not rep["bijective"] and not rep["isometric"], seed
+        # the masses are checked on the enumerated levels only
+        assert rep["pushforward_uniform"] and rep["pairs_checked"] == 2000
+
+
+_BROKEN_DIGIT_MAPS = """
+import sys
+from ultrametric import audit, radic
+
+print(sys.flags.optimize)
+digits = audit.mixed_radix_digits
+broken = {
+    "a - a % 2": lambda a, r: digits(a - a % 2, r),
+    "last digit": lambda a, r: digits(a, r)[:-1] + (0,),
+}
+for name, psi in broken.items():
+    audit.mixed_radix_digits = psi
+    for fs in ((2, 3, 4), (4, 5, 10, 25, 20)):
+        rep = audit.build_radic_isometry(radic.Radix(fs))
+        print(name, fs, rep["bijective"], rep["isometric"])
+"""
+
+
+def test_isometry_certificate_refutes_under_python_O():
+    # each verdict is an explicit test, so stripping asserts does not skip it
+    import os
+    import subprocess
+    import sys
+
+    import ultrametric
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultrametric.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_DIGIT_MAPS],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split("\n")
+    assert out == [
+        "1",
+        "a - a % 2 (2, 3, 4) False False",
+        "a - a % 2 (4, 5, 10, 25, 20) False False",
+        "last digit (2, 3, 4) False False",
+        "last digit (4, 5, 10, 25, 20) False False",
+        "",
+    ]
 
 
 def oracle_isometric(words, radix) -> bool:
@@ -322,6 +433,63 @@ def test_per_level_check_against_numpy_oracle():
         if r.depth >= 2:
             assert not audit._per_level_check(msd_first, r)[0]
             assert not audit._per_level_check(finer, r)[0]
+
+
+def per_level_check_by_slices(words, radix) -> tuple[bool, bool]:
+    """The residue and mass dicts of every sliced k-prefix, O(n * L^2)."""
+    n = len(words)
+    isometric = pushforward_uniform = True
+    for k in range(1, radix.depth + 1):
+        R_k = radix.cumulative(k)
+        if n % R_k:
+            break
+        residue: dict[tuple[int, ...], int] = {}
+        mass: dict[tuple[int, ...], int] = {}
+        for a, w in enumerate(words):
+            prefix = w[:k]
+            if residue.setdefault(prefix, a % R_k) != a % R_k:
+                isometric = False
+            mass[prefix] = mass.get(prefix, 0) + 1
+        isometric = isometric and len(residue) == R_k
+        pushforward_uniform = pushforward_uniform and all(c * R_k == n for c in mass.values())
+    return isometric, pushforward_uniform
+
+
+def test_per_level_check_against_slicing_kernel():
+    rng = random.Random(29)
+    outcomes = Counter()
+    for _ in range(150):
+        r = _random_radix(rng)
+        R = r.modulus
+        canonical = [audit.mixed_radix_digits(a, r) for a in range(R)]
+        unit = next(u for u in range(R // 2 + 1, 2 * R) if gcd(u, R) == 1)
+        perms = [rng.sample(range(n), n) for n in r.factors]
+        b, c = rng.sample(range(R), 2) if R > 2 else (0, 1)
+        families = {
+            "isometry": [canonical[unit * a % R] for a in range(R)],
+            "permuted digits": [tuple(s[d] for s, d in zip(perms, w)) for w in canonical],
+            "msd_first": [w[::-1] for w in canonical],
+            "finer": [(a % r.cumulative(min(2, r.depth)),) + w[1:]
+                      for a, w in enumerate(canonical)],
+            # not periodic, yet every prefix keeps its mass: counted masses
+            "shuffled": rng.sample(canonical, R),
+            "collapsed": [canonical[a - a % 2] for a in range(R)],
+            # one word repeated in place of another: one mass too many
+            "merged": [canonical[c] if a == b else w for a, w in enumerate(canonical)],
+        }
+        for name, words in families.items():
+            # every prefix of n = R_k words for each k, and a block of words
+            # whose length some R_k does not divide
+            for n in {*r.prefix[1:], rng.randrange(1, R + 1)}:
+                got = audit._per_level_check(words[:n], r)
+                want = per_level_check_by_slices(words[:n], r)
+                assert got == want and type(got) is tuple
+                assert [type(v) for v in got] == [bool, bool]
+                outcomes[name, got] += 1
+    for key in (("isometry", (True, True)), ("shuffled", (False, True)),
+                ("collapsed", (False, False)), ("merged", (False, False)),
+                ("msd_first", (False, True)), ("finer", (False, False))):
+        assert outcomes[key] > 0, (key, outcomes)
 
 
 def test_doubling_metric_examples():

@@ -352,6 +352,20 @@ def test_vp_against_one_division_loop():
         padic.vp(10, 1)
 
 
+def test_vp_small_residue_and_ladder_against_one_division_loop():
+    # v < 4 is read from n mod p^4, larger v from the ladder p^4, p^8, ...;
+    # valuations around those switches, and caps on both sides of them
+    rng = random.Random(41)
+    for p in (2, 3, 7, 10**6 + 3, 2**61 - 1):
+        for _ in range(1500):
+            v = rng.choice((rng.randrange(0, 10), rng.randrange(0, 300 if p < 10 else 30)))
+            unit = rng.randrange(1, 10 ** rng.randrange(1, 40))
+            unit += unit % p == 0
+            n = rng.choice((-1, 1)) * p**v * unit
+            for cap in (None, rng.randrange(0, 12), rng.randrange(0, v + 3), v, v + 1):
+                assert padic.vp(n, p, cap) == vp_oracle(n, p, cap), (n, p, cap)
+
+
 def _random_unit(rng, p, m):
     u = rng.randrange(m)
     return u + 1 if u % p == 0 else u
