@@ -464,7 +464,7 @@ def test_per_level_check_against_slicing_kernel():
         canonical = [audit.mixed_radix_digits(a, r) for a in range(R)]
         unit = next(u for u in range(R // 2 + 1, 2 * R) if gcd(u, R) == 1)
         perms = [rng.sample(range(n), n) for n in r.factors]
-        b, c = rng.sample(range(R), 2) if R > 2 else (0, 1)
+        b, c = rng.sample(range(R), 2)
         families = {
             "isometry": [canonical[unit * a % R] for a in range(R)],
             "permuted digits": [tuple(s[d] for s, d in zip(perms, w)) for w in canonical],
