@@ -344,6 +344,8 @@ def dist_local_constancy(
     spec: ProductSpec, A: list[Cylinder], samples: int = 200, seed: int = 0
 ) -> dict:
     """Exact local constancy of dist(., A) plus its 1-Lipschitz bound."""
+    if samples < 1:
+        raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
     rng = random.Random(seed)
     violations = []
     lipschitz_violations = []

@@ -449,6 +449,15 @@ def _lp_constant_bounds(p: Fraction, a: Fraction, C1, prec: int) -> tuple[Fracti
     return tuple(c * b for b in pow_bounds_signed(a, 1 - p, prec))
 
 
+def _maximal_of_abs(f, tree: FiniteUltraTree) -> tuple[list[Fraction], list[Fraction]]:
+    """(f, M(f)): f as Fractions, one per leaf, and the maximal function of |f| mu."""
+    f = [Fraction(x) for x in f]
+    if len(f) != tree.leaves:
+        raise ValueError(f"{len(f)} values but {tree.leaves} leaves")
+    nu = tuple(abs(x) * w for x, w in zip(f, tree.mu))
+    return f, maximal_function(FiniteUltraTree(tree.spec, tree.mu, nu))
+
+
 def lp_maximal_bound(
     f: list[Fraction], tree: FiniteUltraTree, p, a, C1: int = 1
 ) -> dict:
@@ -461,10 +470,7 @@ def lp_maximal_bound(
     p, a = _lp_exponent(p), Fraction(a)
     if not 0 < a < 1:
         raise ExponentOutOfRange("need 0 < a < 1")
-    f = [Fraction(x) for x in f]
-    nu = tuple(abs(x) * w for x, w in zip(f, tree.mu))
-    m = maximal_function(FiniteUltraTree(tree.spec, tree.mu, nu))
-
+    f, m = _maximal_of_abs(f, tree)
     for prec in (64, 128, 256, 512):
         c_lo, c_hi = _lp_constant_bounds(p, a, C1, prec)
         lhs_lo, lhs_hi = _power_integral_bounds(m, tree.mu, p, prec)
@@ -484,6 +490,8 @@ def lp_best_a(p, C1: int = 1, grid: int = 32) -> tuple[Fraction, Fraction]:
     grid points use exact rational brackets.
     """
     p = _lp_exponent(p)
+    if grid < 2:
+        raise ValueError(f"the grid needs a point strictly inside (0, 1), got grid = {grid}")
     best = None
     for j in range(1, grid):
         a = Fraction(j, grid)
@@ -495,9 +503,7 @@ def lp_best_a(p, C1: int = 1, grid: int = 32) -> tuple[Fraction, Fraction]:
 
 def sup_bound_check(f: list[Fraction], tree: FiniteUltraTree) -> bool:
     """sup M(f) <= max |f| (the L^infinity endpoint)."""
-    f = [Fraction(x) for x in f]
-    nu = tuple(abs(x) * w for x, w in zip(f, tree.mu))
-    m = maximal_function(FiniteUltraTree(tree.spec, tree.mu, nu))
+    f, m = _maximal_of_abs(f, tree)
     return max(m) <= max(abs(x) for x in f)
 
 

@@ -238,6 +238,8 @@ def local_scaling_check(
     seed: int = 0,
 ) -> dict:
     """Verify |f(x)-f(y)|_p = p^-k |x-y|_p for x, y in x0 + p^{k+1} Z_p."""
+    if samples < 1:
+        raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
     p = f.p
     N = f.precision
     probe = N + k + 1

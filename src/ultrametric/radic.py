@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from operator import mul
 
 from .errors import InvalidResidue, NotComparable, RadixMismatch
-from .padic import vp
 
 
 @dataclass(frozen=True)
@@ -194,59 +194,43 @@ class PrecedenceWitness:
 
     witnesses: dict[int, int] = field(default_factory=dict)
 
-    def level(self, l: int) -> int:
-        return self.witnesses[l]
-
-
-def _cycle_primes(radix: Radix) -> set[int]:
-    out: set[int] = set()
-    for r in radix.factors:
-        d = 2
-        while d * d <= r:
-            if r % d == 0:
-                out.add(d)
-                r //= d ** vp(r, d)
-            d += 1
-        if r > 1:
-            out.add(r)
-    return out
-
 
 def preceq(r: Radix, r_prime: Radix, search_depth: int = 64) -> PrecedenceWitness:
     """Witness that every R_l divides some R'_n, n <= search_depth.
 
-    Raises NotComparable when no witness exists; reason "coprime" when some
-    prime of R_l never appears in r', "search-exhausted" otherwise.
+    Raises NotComparable at the first level l with no witness; reason
+    "coprime" when some prime of R_l never appears in r', "search-exhausted"
+    otherwise.  One forward scan: R_l | R_(l+1), so the least witness n(l)
+    never decreases and R'_n grows by one factor per step of n.  A level is
+    coprime iff its new factor r_l keeps a part > 1 after dividing out its
+    gcds with R'_L, so nothing is factored and a coprime level costs no step.
     """
     max_n = search_depth if r_prime.periodic else min(search_depth, r_prime.depth)
     witness = PrecedenceWitness()
-    primes_rp = _cycle_primes(r_prime)
+    n, R_n = 0, 1
     for l in range(1, r.depth + 1):
-        R_l = r.cumulative(l)
-        found = None
-        for n in range(max_n + 1):
-            if r_prime.cumulative(n) % R_l == 0:
-                found = n
-                break
-        if found is None:
-            rem = R_l
-            for q in primes_rp:
-                rem //= q ** vp(rem, q)
-            reason = "coprime" if rem > 1 else "search-exhausted"
+        R_l, rest = r.prefix[l], r.factors[l - 1]
+        while (g := gcd(rest, r_prime.modulus)) > 1:
+            rest //= g
+        while rest == 1 and R_n % R_l and n < max_n:
+            R_n *= r_prime.factors[n % r_prime.depth]
+            n += 1
+        if rest > 1 or R_n % R_l:
+            reason = "coprime" if rest > 1 else "search-exhausted"
             raise NotComparable(
                 f"R_{l} = {R_l} divides no R'_n for n <= {max_n} ({reason})",
                 reason, max_n, l, R_l,
             )
-        witness.witnesses[l] = found
+        witness.witnesses[l] = n
     return witness
 
 
 def project(x_prime: RadicInt, r: Radix, search_depth: int = 64) -> RadicInt:
-    """Ring homomorphism Y' -> Y along a preceq witness: x_l = x'_{n(l)} mod R_l."""
+    """Ring homomorphism Y' -> Y along a preceq witness: x_l = x'_{n(l)} mod R_l.
+
+    Since R_L | R'_{n(L)}, that is x' mod R_L; the witness is the certificate
+    that the map exists."""
     # residues of x' beyond its truncation are unknown, so the witness
     # search is capped at the stored depth regardless of periodicity
-    truncated = Radix(x_prime.radix.factors)
-    w = preceq(r, truncated, min(search_depth, truncated.depth))
-    n_top = w.level(r.depth)
-    residue = x_prime.residue % truncated.cumulative(n_top) % r.modulus
-    return RadicInt(r, residue)
+    preceq(r, Radix(x_prime.radix.factors), search_depth)
+    return RadicInt(r, x_prime.residue)

@@ -734,6 +734,10 @@ def test_dist_local_constancy():
     assert audit.dist_to_set((1, 1, 1), [cantor.Cylinder(())], spec) == 0
     with pytest.raises(EmptySet):
         audit.dist_to_set((0, 0, 0), [], spec)
+    # zero samples would certify without checking a pair
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            audit.dist_local_constancy(spec, A, samples=samples)
 
 
 def test_dist_example_opposite_half():

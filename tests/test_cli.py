@@ -304,10 +304,10 @@ def test_reports_deterministic(capsys, tmp_path):
 SUBCOMMAND_MODULES = [
     ("hensel --prime 2 --coeffs -17,0,1 --x0 1 --prec 5", {"errors", "padic", "hensel"}),
     ("padic --prime 2 --abs 12", {"errors", "padic"}),
-    ("radic --radix 2,3 --preceq 5,5", {"errors", "padic", "radic"}),
-    ("hausdorff --factors 2,2,2 --scales geometric:1/3", {"errors", "padic", "radic", "cantor"}),
-    ("audit --isometry 2,3", {"errors", "padic", "radic", "cantor", "audit"}),
-    ("maximal --tree {tree} --doob 3", {"errors", "padic", "radic", "cantor", "harmonic"}),
+    ("radic --radix 2,3 --preceq 5,5", {"errors", "radic"}),
+    ("hausdorff --factors 2,2,2 --scales geometric:1/3", {"errors", "radic", "cantor"}),
+    ("audit --isometry 2,3", {"errors", "radic", "cantor", "audit"}),
+    ("maximal --tree {tree} --doob 3", {"errors", "radic", "cantor", "harmonic"}),
     ("characters --gram 4", {"errors", "padic", "radic", "characters"}),
 ]
 
@@ -448,6 +448,10 @@ GOLDEN = [
      '{"holds": false, "level": 1, "modulus": "2", "reason": "coprime", "schema": "1", "search_depth": 2}'),
     ('radic --radix 8 --preceq 2 --periodic --depth 2', 1,
      '{"holds": false, "level": 1, "modulus": "8", "reason": "search-exhausted", "schema": "1", "search_depth": 2}'),
+    ('radic --radix 2,3 --preceq 2 --periodic --depth 100000', 1,
+     '{"holds": false, "level": 2, "modulus": "6", "reason": "coprime", "schema": "1", "search_depth": 100000}'),
+    ('radic --radix 2 --preceq 1000000000000000003', 1,
+     '{"holds": false, "level": 1, "modulus": "2", "reason": "coprime", "schema": "1", "search_depth": 1}'),
     ('radic --radix 2,2 --project 2,2,2 --residue 5 --depth 8', 0,
      '{"modulus": "4", "residue": "1", "schema": "1"}'),
     ('hausdorff --factors 2,2,2 --scales geometric:1/2', 0,
@@ -506,6 +510,19 @@ def test_golden_report(capsys, tmp_path, argv, code, stdout):
     trees = {"tree": tree_file(tmp_path), "tree2": tree_file(tmp_path, TREE2, "tree2.json")}
     assert cli.main(argv.format(**trees).split()) == code
     assert capsys.readouterr().out == (stdout + "\n" if stdout else "")
+
+
+@pytest.mark.parametrize("argv", [
+    # a level coprime to r' is refuted before any search, and from gcds:
+    # 10^18 + 3 would take 10^9 trial divisions
+    "radic --radix 2,3 --preceq 2 --periodic --depth 100000",
+    "radic --radix 2 --preceq 1000000000000000003",
+])
+def test_radix_comparison_refutes_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 1
 
 
 @pytest.mark.parametrize("argv", [

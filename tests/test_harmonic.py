@@ -527,6 +527,13 @@ def test_weights_must_match_points():
             harmonic.cond_expectation([1, 3, 5, 7], P, mu)
         with pytest.raises(ValueError):
             harmonic.martingale_maximal([1, 3, 5, 7], harmonic.Filtration((P,)), mu, 1)
+    # zip would drop the values past the tree's leaves: from both sides of
+    # the L^p bound, and from the left side only of the sup bound
+    t = harmonic.FiniteUltraTree(BINARY3, [Fraction(1, 8)] * 8, [0] * 8)
+    with pytest.raises(ValueError):
+        harmonic.lp_maximal_bound([1] * 8 + [1000], t, 2, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        harmonic.sup_bound_check([0] * 8 + [1000], t)
 
 
 def test_pow_bounds_brackets():
@@ -646,6 +653,11 @@ def test_lp_best_a():
     assert Fraction(1, 32) <= a <= Fraction(31, 32)
     # at p = 2 the constant 2 (1-a)^{-1} a^{-1} is minimized at a = 1/2
     assert a == Fraction(1, 2) and bound == 8
+    # no j/grid with 1 <= j < grid exists below grid 2
+    for grid in (1, 0, -3):
+        with pytest.raises(ValueError):
+            harmonic.lp_best_a(2, grid=grid)
+    assert harmonic.lp_best_a(2, grid=2) == (Fraction(1, 2), 8)
 
 
 def test_sup_bound():

@@ -155,6 +155,12 @@ def test_local_scaling():
     assert rep3["holds"]
     with pytest.raises(KMismatch):
         hensel.local_scaling_check(poly([0, 0, 1], 2, 8), padic.PAdicInt(2, 8, 1), 0)
+    # zero samples would certify with checked = 0
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            hensel.local_scaling_check(
+                poly([0, 0, 1], 3, 8), padic.PAdicInt(3, 8, 1), 0, samples=samples
+            )
 
 
 def test_lipschitz_bounds_on_zp():

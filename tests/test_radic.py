@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ultrametric import radic
+from ultrametric import padic, radic
 from ultrametric.errors import InvalidResidue, NotComparable, RadixMismatch
 
 small_radix = st.lists(st.integers(2, 6), min_size=1, max_size=4).map(
@@ -228,3 +229,127 @@ def test_depth_monotonicity():
         l_shallow = radic.lr_valuation(a, shallow)
         if l_shallow is not None and l_shallow < shallow.depth:
             assert l_deep == l_shallow
+
+
+def test_preceq_scans_forward_once():
+    # n(l) = l at every one of 3000 levels; a search that restarts at n = 0
+    # for each level forms O(L^2) products of up to L factors
+    start = time.perf_counter()
+    w = radic.preceq(radic.Radix((2,) * 3000), radic.Radix((2,), periodic=True), 5000)
+    assert time.perf_counter() - start < 1
+    assert w.witnesses == {l: l for l in range(1, 3001)}
+
+
+# The comparison and projection before the forward scan: a search from
+# n = 0 for every level, and the primes of r' by trial division.  Kept as
+# the oracle of preceq and project.
+def cycle_primes_oracle(radix):
+    out = set()
+    for r in radix.factors:
+        d = 2
+        while d * d <= r:
+            if r % d == 0:
+                out.add(d)
+                r //= d ** padic.vp(r, d)
+            d += 1
+        if r > 1:
+            out.add(r)
+    return out
+
+
+def preceq_oracle(r, r_prime, search_depth=64):
+    max_n = search_depth if r_prime.periodic else min(search_depth, r_prime.depth)
+    witness = radic.PrecedenceWitness()
+    primes_rp = cycle_primes_oracle(r_prime)
+    for l in range(1, r.depth + 1):
+        R_l = r.cumulative(l)
+        found = None
+        for n in range(max_n + 1):
+            if r_prime.cumulative(n) % R_l == 0:
+                found = n
+                break
+        if found is None:
+            rem = R_l
+            for q in primes_rp:
+                rem //= q ** padic.vp(rem, q)
+            reason = "coprime" if rem > 1 else "search-exhausted"
+            raise NotComparable(
+                f"R_{l} = {R_l} divides no R'_n for n <= {max_n} ({reason})",
+                reason, max_n, l, R_l,
+            )
+        witness.witnesses[l] = found
+    return witness
+
+
+def project_oracle(x_prime, r, search_depth=64):
+    truncated = radic.Radix(x_prime.radix.factors)
+    w = preceq_oracle(r, truncated, min(search_depth, truncated.depth))
+    n_top = w.witnesses[r.depth]
+    residue = x_prime.residue % truncated.cumulative(n_top) % r.modulus
+    return radic.RadicInt(r, residue)
+
+
+def outcome(f, *args):
+    """The value of f, or the whole NotComparable it raised."""
+    try:
+        return f(*args)
+    except NotComparable as e:
+        return (str(e), e.reason, e.search_depth, e.level, e.modulus)
+
+
+FACTORS = (*range(2, 13), 15, 30)
+
+
+def test_preceq_against_the_oracle():
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(10_000):
+        pool = rng.sample(FACTORS, rng.randrange(1, 5))
+        r = radic.Radix(tuple(rng.choice(pool) for _ in range(rng.randrange(1, 7))),
+                        periodic=rng.random() < 0.3)
+        pool += rng.sample(FACTORS, rng.randrange(0, 3))
+        r_prime = radic.Radix(tuple(rng.choice(pool) for _ in range(rng.randrange(1, 6))),
+                              periodic=rng.random() < 0.5)
+        search_depth = rng.randrange(-1, 13)
+        got = outcome(radic.preceq, r, r_prime, search_depth)
+        want = outcome(preceq_oracle, r, r_prime, search_depth)
+        if isinstance(want, tuple):
+            assert got == want, (r, r_prime, search_depth)
+            seen[want[1]] += 1
+        else:
+            assert isinstance(got, radic.PrecedenceWitness), (r, r_prime, search_depth)
+            assert got.witnesses == want.witnesses, (r, r_prime, search_depth)
+            seen["witness"] += 1
+    assert min(seen["witness"], seen["coprime"], seen["search-exhausted"]) >= 1000, seen
+
+
+def test_project_against_the_oracle():
+    # r from regrouping a prefix of r': merge runs of factors, split some
+    # in two, so that R_L = R'_n; a few unrelated r refute
+    rng = random.Random(19)
+    projected = 0
+    for _ in range(3_000):
+        fp = tuple(rng.choice(FACTORS) for _ in range(rng.randrange(1, 6)))
+        r_prime = radic.Radix(fp, periodic=rng.random() < 0.3)
+        if rng.random() < 0.15:
+            fs = [rng.choice(FACTORS) for _ in range(rng.randrange(1, 5))]
+        else:
+            fs, i, top = [], 0, rng.randrange(1, len(fp) + 1)
+            while i < top:
+                k = rng.randrange(1, 3)
+                f = 1
+                for x in fp[i:i + k]:
+                    f *= x
+                i += k
+                d = next((d for d in range(2, f) if f % d == 0), None)
+                fs += [d, f // d] if d and rng.random() < 0.4 else [f]
+        r = radic.Radix(tuple(fs))
+        R = r_prime.modulus
+        for residue in (0, -1, rng.randrange(-R * R, R * R)):
+            x = radic.RadicInt(r_prime, residue)
+            search_depth = rng.randrange(-1, 8)
+            got = outcome(radic.project, x, r, search_depth)
+            want = outcome(project_oracle, x, r, search_depth)
+            assert got == want, (r, r_prime, residue, search_depth)
+            projected += isinstance(want, radic.RadicInt)
+    assert projected >= 4000
