@@ -410,6 +410,8 @@ def test_no_float_outside_the_allow_list():
 # rhs were floats and are now the exact bracket ends, and so do the --alpha
 # 3/4 content, a float once and now a rational bracket, and the two
 # --dimension intervals, once a float bisection and now the closed form.
+# The --preceq rows with --depth 100000 and with the prime 10^18 + 3 pin
+# refutations that must neither search nor factor.
 # "{tree}" and "{tree2}" name files holding TREE and TREE2.
 GOLDEN = [
     ('hensel --prime 7 --coeffs -2,0,1 --x0 3 --prec 6 --variant v1', 0,
