@@ -67,8 +67,13 @@ class ProductSpec(LevelGrid):
         """All depth-L digit words, lexicographic."""
         return product(*[range(n) for n in self.factors])
 
-    def to_json(self) -> dict:
-        return {"factors": list(self.factors), "scales": [str(t) for t in self.scales]}
+    def point(self, i: int) -> tuple[int, ...]:
+        """Word i of ``points()``, 0 <= i < N_L, the last digit fastest: O(L) divisions."""
+        digits = []
+        for n in reversed(self.factors):
+            i, d = divmod(i, n)
+            digits.append(d)
+        return tuple(reversed(digits))
 
 
 @dataclass(frozen=True)

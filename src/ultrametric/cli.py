@@ -81,12 +81,11 @@ def cmd_hensel(args) -> tuple[int, dict]:
     f = hensel.ZpPoly.from_rationals(coeffs, args.prime, args.prec)
     x0 = padic.PAdicInt(args.prime, args.prec, args.x0)
     lift = hensel.hensel_v1 if args.variant == "v1" else hensel.hensel_v2
-    root, trace = lift(f, x0, args.prec)
-    modulus = args.prime**args.prec
+    root, trace = lift(f, x0)
     return 0, {
-        "root": f"{root.residue} mod {modulus}",
+        "root": f"{root.residue} mod {root.modulus}",
         "residue": str(root.residue),
-        "modulus": str(modulus),
+        "modulus": str(root.modulus),
         "trace_exponents": trace.residual_exponents(args.prime),
     }
 

@@ -3,9 +3,10 @@
 Three routes to a root are provided: the classical lift from a simple
 root mod p, the relaxed variant needing only |f(x0)|_p < |f'(x0)|_p^2,
 and an explicit contraction-mapping iteration.  All three agree where
-their hypotheses overlap.  Internally the iterations run on plain
-integers at a working modulus with headroom above the requested
-precision, so dividing by f'(x) never loses requested digits.
+their hypotheses overlap.  Each works at the precision N of its polynomial
+or series and refuses a point at another p or N.  Internally it runs on
+plain integers at a working modulus with headroom above p^N, so dividing
+by f'(x) never loses any of the N digits.
 
 A Newton lift takes one inverse mod p, of f'(x0) over its power of p.
 Each step then evaluates f and f' once, takes one valuation, and lifts
@@ -26,14 +27,13 @@ from .errors import (
     DecayWitnessInvalid,
     HenselPreconditionFailed,
     KMismatch,
-    PrecisionMismatch,
 )
-from .padic import PAdicInt, PAdicScalar, abs_from_valuation, modulus, rational_residue
-from .padic import rational_valuation, unit_inverse, vp
+from .padic import PAdicInt, PAdicScalar, _Residues, abs_from_valuation, modulus
+from .padic import rational_residue, rational_valuation, unit_inverse, vp
 
 
 @dataclass(frozen=True)
-class ZpPoly:
+class ZpPoly(_Residues):
     """Polynomial with Z_p coefficients, constant term first.
 
     Exact integer coefficients are kept alongside the truncated view so
@@ -62,7 +62,7 @@ class ZpPoly:
 
     @property
     def degree(self) -> int | None:
-        m = modulus(self.p, self.precision)
+        m = self.modulus
         for i in range(len(self.coeffs) - 1, -1, -1):
             if self.coeffs[i] % m != 0:
                 return i
@@ -84,8 +84,7 @@ class ZpPoly:
 
 def eval_and_derivative(f: ZpPoly, x: PAdicInt) -> tuple[PAdicInt, PAdicInt]:
     """Horner evaluation of f and its formal derivative at x, mod p^N."""
-    if x.p != f.p or x.precision != f.precision:
-        raise PrecisionMismatch("polynomial and point disagree on p or N")
+    f._check_compatible(x)
     m = x.modulus
     fx = f.eval_int(x.residue, m)
     dfx = f.derivative().eval_int(x.residue, m)
@@ -116,15 +115,16 @@ def _abs_from_valuation(v: int, p: int, cap: int) -> Fraction:
     return abs_from_valuation(None if v >= cap else v, p)
 
 
-def _newton(f: ZpPoly, x: int, N: int, k: int, work: int) -> tuple[PAdicInt, LiftTrace]:
+def _newton(f: ZpPoly, x: int, k: int, work: int) -> tuple[PAdicInt, LiftTrace]:
     """Newton's iteration x <- x - (f(x)/p^k) (f'(x)/p^k)^-1 mod p^work.
 
     Needs v_p(f'(x)) = k along the orbit.  With v = v_p(f(x)), f(x)/p^k
     carries v - k digits, so the inverse is needed only to work - v + k
     digits.  Raises CertificationFailed unless f(x) = 0 mod p^N within N
-    steps.
+    steps, N the precision of f.
     """
     p = f.p
+    N = f.precision
     mw, pk = p**work, p**k
     df = f.derivative()
     fx = f.eval_int(x, mw)
@@ -145,30 +145,31 @@ def _newton(f: ZpPoly, x: int, N: int, k: int, work: int) -> tuple[PAdicInt, Lif
     return PAdicInt(p, N, x), trace
 
 
-def hensel_v1(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, LiftTrace]:
-    """Lift a simple root mod p to a root mod p^N.
+def hensel_v1(f: ZpPoly, x0: PAdicInt) -> tuple[PAdicInt, LiftTrace]:
+    """Lift a simple root mod p to a root mod p^N, N the precision of f and x0.
 
     Requires f(x0) = 0 mod p and |f'(x0)|_p = 1.  The returned root is
     congruent to x0 mod p and the trace obeys |f(x_j)|_p <= |f(x_{j-1})|_p^2.
     """
+    f._check_compatible(x0)
     p = f.p
-    if N is None:
-        N = f.precision
-    x = x0.residue % p**N
+    x = x0.residue
     if f.eval_int(x, p) % p != 0:
         raise HenselPreconditionFailed("f(x0) != 0 mod p", "f(x0) mod p")
     if f.derivative().eval_int(x, p) % p == 0:
         raise HenselPreconditionFailed("|f'(x0)|_p < 1", "f'(x0) unit")
-    return _newton(f, x, N, 0, N)
+    return _newton(f, x, 0, f.precision)
 
 
-def _v2_params(f: ZpPoly, x0_res: int, N: int) -> tuple[int, int, int]:
-    """Validate the relaxed precondition; returns (k, working modulus exp, x)."""
+def _v2_params(f: ZpPoly, x0: PAdicInt) -> tuple[int, int]:
+    """Check x0's (p, N) and the relaxed precondition; returns (k, working modulus exp)."""
+    f._check_compatible(x0)
     p = f.p
+    N = f.precision
     probe = N + 1
     mp = p**probe
-    k = vp(f.derivative().eval_int(x0_res % mp, mp), p, probe)
-    v_f = vp(f.eval_int(x0_res % mp, mp), p, probe)
+    k = vp(f.derivative().eval_int(x0.residue, mp), p, probe)
+    v_f = vp(f.eval_int(x0.residue, mp), p, probe)
     if v_f <= 2 * k:
         if k == probe:  # vp saturated at the cap, which is not a valuation
             reason = (
@@ -178,36 +179,33 @@ def _v2_params(f: ZpPoly, x0_res: int, N: int) -> tuple[int, int, int]:
         else:
             reason = f"|f(x0)|_p = p^-{v_f} is not < |f'(x0)|_p^2 = p^-{2 * k}"
         raise HenselPreconditionFailed(reason, "|f(x0)| < |f'(x0)|^2")
-    return k, N + 2 * k + 2, x0_res
+    return k, N + 2 * k + 2
 
 
-def hensel_v2(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> tuple[PAdicInt, LiftTrace]:
-    """Newton lifting under |f(x0)|_p < |f'(x0)|_p^2.
+def hensel_v2(f: ZpPoly, x0: PAdicInt) -> tuple[PAdicInt, LiftTrace]:
+    """Newton lifting under |f(x0)|_p < |f'(x0)|_p^2, N the precision of f and x0.
 
     The root satisfies f(root) = 0 mod p^N and |root - x0|_p < |f'(x0)|_p,
     and the trace obeys |f(x_j)|_p <= |f'(x0)|_p^-2 |f(x_{j-1})|_p^2.
     """
-    p = f.p
-    if N is None:
-        N = f.precision
-    k, work, x = _v2_params(f, x0.residue, N)
-    if f.eval_int(x, p**N) == 0:
-        return PAdicInt(p, N, x), LiftTrace()
-    return _newton(f, x, N, k, work)
+    k, work = _v2_params(f, x0)
+    if f.eval_int(x0.residue, f.modulus) == 0:
+        return x0, LiftTrace()
+    return _newton(f, x0.residue, k, work)
 
 
-def contraction_solve(f: ZpPoly, x0: PAdicInt, N: int | None = None) -> PAdicInt:
+def contraction_solve(f: ZpPoly, x0: PAdicInt) -> PAdicInt:
     """Unique fixed point of g(x) = x - f'(x0)^{-1} f(x + x0) on p^{k+1} Z_p.
 
     Same hypotheses as hensel_v2; per-step displacements contract by at
     least p^{-1}, which is verified on the computed orbit.  Raises
     CertificationFailed if the orbit does not settle mod p^N.
     """
+    k, work = _v2_params(f, x0)
     p = f.p
-    if N is None:
-        N = f.precision
-    k, work, x0_res = _v2_params(f, x0.residue, N)
-    mw, pN, pk = p**work, p**N, p**k
+    N = f.precision
+    x0_res = x0.residue
+    mw, pN, pk = p**work, f.modulus, p**k
     dfx0 = f.derivative().eval_int(x0_res, mw)
     unit_inv = unit_inverse(dfx0 // pk, p, work)
 
@@ -237,11 +235,14 @@ def local_scaling_check(
     samples: int = 100,
     seed: int = 0,
 ) -> dict:
-    """Verify |f(x)-f(y)|_p = p^-k |x-y|_p for x, y in x0 + p^{k+1} Z_p."""
+    """Verify |f(x)-f(y)|_p = p^-k |x-y|_p for x, y in x0 + p^{k+1} Z_p; needs k + 1 < N."""
     if samples < 1:
         raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
+    f._check_compatible(x0)
     p = f.p
     N = f.precision
+    if k + 1 >= N:
+        raise ValueError(f"x0 + p^{k + 1} Z_p is one point mod p^{N}, so no pair can be checked")
     probe = N + k + 1
     mp = p**probe
     actual_k = vp(f.derivative().eval_int(x0.residue, mp), p, probe)
@@ -267,8 +268,8 @@ def local_scaling_check(
 
 
 @dataclass(frozen=True)
-class ZpSeries:
-    """Power series sum a_j x^j with a decay witness.
+class ZpSeries(_Residues):
+    """Power series sum a_j x^j with a decay witness, known mod p^N.
 
     ``coeff`` maps j to an exact integer representative of a_j; ``decay``
     maps a precision m to an index J(m) past which v_p(a_j) >= m.
@@ -278,6 +279,9 @@ class ZpSeries:
     precision: int
     coeff: object  # callable j -> int
     decay: object  # callable m -> int
+
+    def __post_init__(self):
+        modulus(self.p, self.precision)  # checks p and N
 
     def witness_index(self, m: int) -> int:
         return int(self.decay(m))
@@ -293,12 +297,10 @@ class ZpSeries:
                     f"coefficient {j} has valuation < {N} past J({N}) = {j0}"
                 )
 
-    def to_poly(self, N: int | None = None) -> ZpPoly:
+    def to_poly(self) -> ZpPoly:
         """Truncation at J(N); further terms vanish mod p^N by the witness."""
-        if N is None:
-            N = self.precision
-        self.validate_witness(N)
-        j0 = self.witness_index(N)
+        self.validate_witness(self.precision)
+        j0 = self.witness_index(self.precision)
         return ZpPoly(self.p, self.precision, tuple(self.coeff(j) for j in range(j0)))
 
     @classmethod
@@ -312,21 +314,16 @@ class ZpSeries:
         )
 
 
-def series_eval(s: ZpSeries, x: PAdicInt, N: int | None = None) -> PAdicScalar:
-    """Evaluate the series at x in Z_p, exact mod p^N."""
-    if N is None:
-        N = s.precision
-    if x.p != s.p:
-        raise PrecisionMismatch("series and point disagree on p")
-    value = s.to_poly(N).eval_int(x.residue, s.p**N)
-    return PAdicScalar.from_padic_int(PAdicInt(s.p, N, value))
+def series_eval(s: ZpSeries, x: PAdicInt) -> PAdicScalar:
+    """Evaluate the series at x in Z_p, exact mod p^N, N the precision of s and x."""
+    s._check_compatible(x)
+    value = s.to_poly().eval_int(x.residue, s.modulus)
+    return PAdicScalar.from_padic_int(PAdicInt(s.p, s.precision, value))
 
 
-def series_hensel_v2(s: ZpSeries, x0: PAdicInt, N: int | None = None):
+def series_hensel_v2(s: ZpSeries, x0: PAdicInt):
     """Root lifting for series inputs via the witnessed truncation."""
-    if N is None:
-        N = s.precision
-    return hensel_v2(s.to_poly(N), x0, N)
+    return hensel_v2(s.to_poly(), x0)
 
 
 def roots_by_digit_search(f: ZpPoly, N: int, constraint=None) -> list[int]:

@@ -185,8 +185,3 @@ def zp_invertibility(T: UltraMatrix, samples: int = 20, seed: int = 0) -> dict:
             if v is not None and _min_valuation(_int_apply(rows, w), p) != v:
                 raise CertificationFailed("isometry cross-check failed")
     return verdict
-
-
-def matrix_from_strings(rows: list[list[str]], p: int) -> UltraMatrix:
-    """Row-major rational-string input, as used by the JSON interface."""
-    return UltraMatrix(p, tuple(tuple(Fraction(e) for e in row) for row in rows))

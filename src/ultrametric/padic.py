@@ -187,7 +187,8 @@ def rational_residue(x, p: int, N: int) -> int:
 
 
 class _Residues:
-    """The modulus and the (p, N) check of a value with fields p and precision."""
+    """The modulus and the (p, N) check of a value with fields p and precision:
+    the two number types here, and hensel's polynomials and series."""
 
     @property
     def modulus(self) -> int:
@@ -391,17 +392,12 @@ class PAdicScalar(_Residues):
         return f"{self.p}^{self.exponent} * ({self.unit_residue} mod {self.p}^{self.precision})"
 
 
-def geometric_sum(y: PAdicScalar, N: int | None = None) -> PAdicScalar:
-    """Exact 1/(1-y) for |y|_p < 1, as the limit of the partial sums."""
-    if N is None:
-        N = y.precision
+def geometric_sum(y: PAdicScalar) -> PAdicScalar:
+    """Exact 1/(1-y) mod p^N for |y|_p < 1, as the limit of the partial sums."""
     if not y.is_zero and y.exponent <= 0:
         raise DivergentSeries(f"|y|_p = {y.abs()} >= 1")
-    one = PAdicScalar.from_rational(1, y.p, N)
-    if y.is_zero:
-        return one
-    denom = one - PAdicScalar(y.p, N, y.exponent, y.unit_residue)
-    return denom.invert()
+    one = PAdicScalar(y.p, y.precision, 0, 1)
+    return (one - y).invert()
 
 
 def ultrametric_sum(terms: list[PAdicScalar]) -> tuple[PAdicScalar, bool]:

@@ -176,9 +176,6 @@ class RadicInt:
         self._check(other)
         return RadicInt(self.radix, self.residue * other.residue)
 
-    def to_json(self) -> dict:
-        return {"radix": self.radix.to_json(), "residue": str(self.residue)}
-
     def __repr__(self):
         return f"{self.residue} mod {self.radix.modulus}"
 

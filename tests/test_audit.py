@@ -740,6 +740,61 @@ def test_dist_local_constancy():
             audit.dist_local_constancy(spec, A, samples=samples)
 
 
+def dist_local_constancy_oracle(spec, A, samples=200, seed=0):
+    """The audit before indexed draws: every point built, pairs by rng.choice."""
+    rng = random.Random(seed)
+    violations = []
+    lipschitz_violations = []
+    pts = list(spec.points())
+    for _ in range(samples):
+        x = rng.choice(pts)
+        y = rng.choice(pts)
+        dx = audit.dist_to_set(x, A, spec)
+        dy = audit.dist_to_set(y, A, spec)
+        d = cantor.match_and_dist(x, y, spec)[1]
+        if d < dx and dx != dy:
+            violations.append((x, y))
+        if abs(dx - dy) > d:
+            lipschitz_violations.append((x, y))
+    return {
+        "locally_constant": not violations,
+        "one_lipschitz": not lipschitz_violations,
+        "violations": violations,
+        "lipschitz_violations": lipschitz_violations,
+    }
+
+
+def test_dist_local_constancy_against_enumerating_oracle(monkeypatch):
+    rng = random.Random(1911)
+    for case in range(300):
+        factors = tuple(rng.randrange(2, 6) for _ in range(rng.randrange(1, 6)))
+        spec = (cantor.ProductSpec.reciprocal(factors) if case % 2 else
+                cantor.ProductSpec.geometric(factors, Fraction(1, rng.randrange(2, 5))))
+        A = []
+        for _ in range(rng.randrange(1, 4)):
+            depth = rng.randrange(len(factors) + 1)
+            A.append(cantor.Cylinder(tuple(rng.randrange(n) for n in factors[:depth])))
+        samples, seed = rng.randrange(1, 60), rng.randrange(10**6)
+        want = dist_local_constancy_oracle(spec, A, samples, seed)
+        assert audit.dist_local_constancy(spec, A, samples, seed) == want
+    # a broken distance puts every drawn pair in the reports, which must still agree
+    monkeypatch.setattr(audit, "dist_to_set", lambda x, A, spec: Fraction(sum(x)))
+    for seed in range(20):
+        spec = cantor.ProductSpec.reciprocal((3, 2, 4))
+        want = dist_local_constancy_oracle(spec, [], 40, seed)
+        assert want["lipschitz_violations"]
+        assert audit.dist_local_constancy(spec, [], 40, seed) == want
+
+
+def test_dist_local_constancy_never_enumerates_the_points():
+    spec = cantor.ProductSpec.reciprocal((2,) * 40)
+    start = time.perf_counter()
+    rep = audit.dist_local_constancy(spec, [cantor.Cylinder((0,) * 20)], samples=200)
+    assert time.perf_counter() - start < 1  # 2^40 points
+    assert rep["locally_constant"] and rep["one_lipschitz"]
+    assert [spec.point(i) for i in (0, 1, 2**40 - 1)] == [(0,) * 40, (0,) * 39 + (1,), (1,) * 40]
+
+
 def test_dist_example_opposite_half():
     spec = BINARY3
     A = [cantor.Cylinder((0, 0, 0))]

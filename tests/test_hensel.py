@@ -11,6 +11,7 @@ from ultrametric.errors import (
     HenselPreconditionFailed,
     KMismatch,
     NotPAdicInteger,
+    PrecisionMismatch,
 )
 
 LIFT_PRIMES = (2, 3, 5, 7, 13, 31, 10**6 + 3, 2**61 - 1)
@@ -161,6 +162,12 @@ def test_local_scaling():
             hensel.local_scaling_check(
                 poly([0, 0, 1], 3, 8), padic.PAdicInt(3, 8, 1), 0, samples=samples
             )
+    # with k + 1 >= N every sampled x - y is 0 mod p^N, so no pair is checked
+    for N, k in ((2, 1), (1, 0), (3, 2)):
+        with pytest.raises(ValueError, match="no pair"):
+            hensel.local_scaling_check(poly([0, 0, 1], 2, N), padic.PAdicInt(2, N, 1), k)
+    with pytest.raises(PrecisionMismatch):
+        hensel.local_scaling_check(poly([0, 0, 1], 3, 8), padic.PAdicInt(3, 9, 1), 0)
 
 
 def test_lipschitz_bounds_on_zp():
@@ -255,7 +262,8 @@ def hensel_v2_oracle(f, x0, N=None):
     p = f.p
     if N is None:
         N = f.precision
-    k, work, x = hensel._v2_params(f, x0.residue, N)
+    k, work = hensel._v2_params(f, x0)
+    x = x0.residue
     mw = p**work
     df = f.derivative()
     trace = hensel.LiftTrace()
@@ -346,3 +354,79 @@ def test_lifts_certify_the_root(monkeypatch):
         hensel.hensel_v1(poly([-2, 0, 1], 7, 8), padic.PAdicInt(7, 8, 3))
     with pytest.raises(CertificationFailed):
         hensel.hensel_v2(poly([-17, 0, 1], 2, 8), padic.PAdicInt(2, 8, 1))
+
+
+def test_every_lift_refuses_a_point_at_another_p_or_N():
+    f = poly([-17, 0, 1], 2, 5)
+    s = hensel.ZpSeries.from_poly(f)
+    calls = (
+        lambda x: hensel.hensel_v1(f, x),
+        lambda x: hensel.hensel_v2(f, x),
+        lambda x: hensel.contraction_solve(f, x),
+        lambda x: hensel.series_eval(s, x),
+        lambda x: hensel.series_hensel_v2(s, x),
+        lambda x: hensel.eval_and_derivative(f, x),
+    )
+    for call in calls:
+        for x in (padic.PAdicInt(3, 5, 1), padic.PAdicInt(2, 6, 1), padic.PAdicInt(2, 4, 1)):
+            with pytest.raises(PrecisionMismatch):
+                call(x)
+    with pytest.raises(ValueError):
+        hensel.ZpSeries(2, 0, lambda j: 0, lambda m: 0)
+
+
+def _prime_to(rng, p, hi=30):
+    d = rng.randrange(1, hi)
+    return d + 1 if d % p == 0 else d
+
+
+def _rational_case(rng, p):
+    """(Fraction coefficients, x0): a simple root rho mod p with x0 = rho
+    mod p for hensel_v1, or v_p(f(x0)) = 2k + 1 > 2 v_p(f'(x0)) = 2k for
+    hensel_v2; rho and every coefficient have denominators prime to p.
+    One case in eight has random coefficients and a random x0."""
+    if rng.randrange(8) == 0:
+        coeffs = [Fraction(rng.randrange(-20, 21), _prime_to(rng, p)) for _ in range(4)]
+        return coeffs, rng.randrange(p**2)
+    rho = Fraction(rng.randrange(-50, 51), _prime_to(rng, p))
+    h = [Fraction(rng.randrange(-20, 21), _prime_to(rng, p)) for _ in range(rng.randrange(3))]
+    h.append(Fraction(_prime_to(rng, p), _prime_to(rng, p)))
+    if sum(c * rho**i for i, c in enumerate(h)).numerator % p == 0:
+        h[0] += 1
+    if rng.randrange(2):
+        x0 = padic.rational_residue(rho, p, 1) + p * rng.randrange(p)
+        return _poly_mul([-rho, 1], h), x0
+    k = rng.randrange(1, 4)
+    f = _poly_mul(_poly_mul([-rho, 1], [-rho - p**k * _prime_to(rng, p), 1]), h)
+    return f, padic.rational_residue(rho, p, k + 2) + p ** (k + 1) * _prime_to(rng, p)
+
+
+def test_roots_of_rational_polynomials_hold_at_their_precision():
+    # f(root) is computed in Fractions from the true coefficients, so a
+    # digit of a fraction that the polynomial does not store would show
+    rng = random.Random(1907)
+    lifted = {hensel.hensel_v1: 0, hensel.hensel_v2: 0, hensel.contraction_solve: 0}
+    polys = 0
+    for case in range(400):
+        p = LIFT_PRIMES[case % len(LIFT_PRIMES)]
+        N = rng.choice((1, 2, 3, 5, 8, 13, 20, 40, 80))
+        coeffs, x0 = _rational_case(rng, p)
+        f = poly(coeffs, p, N)
+        point = padic.PAdicInt(p, N, x0)
+        found = False
+        for lift in lifted:
+            try:
+                out = lift(f, point)
+            except HenselPreconditionFailed:
+                continue
+            root = out if lift is hensel.contraction_solve else out[0]
+            assert (root.p, root.precision) == (p, N)
+            value = sum(c * Fraction(root.residue) ** i for i, c in enumerate(coeffs))
+            assert value == 0 or padic.rational_valuation(value, p) >= N
+            lifted[lift] += 1
+            found = True
+        polys += found
+    assert polys >= 200 and min(lifted.values()) >= 100
+    # the 1/3 of x - 1/3 is stored mod 2^(5 + 64); the root holds mod 2^5
+    root, _ = hensel.hensel_v1(poly([Fraction(-1, 3), 1], 2, 5), padic.PAdicInt(2, 5, 1))
+    assert root.modulus == 2**5 and padic.vp(3 * root.residue - 1, 2) >= 5

@@ -107,7 +107,7 @@ def test_isometry_exhaustive_small_vectors():
 
 
 def test_matrix_from_strings():
-    T = linalg.matrix_from_strings([["1/2", "3"], ["0", "5"]], 2)
+    T = linalg.UltraMatrix(2, [["1/2", "3"], ["0", "5"]])
     assert T.rows[0][0] == Fraction(1, 2)
 
 

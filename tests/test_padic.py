@@ -263,6 +263,26 @@ def test_geometric_sum_inverts_one_minus_y(p, e, u):
     assert ((one - y) * s - one).is_zero
 
 
+def test_geometric_sum_holds_at_the_precision_of_y():
+    rng = random.Random(1913)
+    for _ in range(500):
+        p = rng.choice((2, 3, 5, 7, 31, 10**6 + 3, 2**61 - 1))
+        N = rng.randrange(1, 60)
+        m = p**N
+        e = rng.randrange(1, N + 2)
+        u = rng.randrange(1, m)
+        if u % p == 0:
+            u += 1
+        y = padic.PAdicScalar(p, N, e, u) if rng.randrange(8) else padic.PAdicScalar.zero(p, N)
+        s = padic.geometric_sum(y)
+        y_res = 0 if y.is_zero else u * p**e % m
+        assert (s.p, s.precision, s.exponent) == (p, N, 0)
+        assert s.unit_residue * (1 - y_res) % m == 1
+    # 1/(1 - 3/5) = 5/2, to every one of the five digits of 3/5 mod 3^5
+    s = padic.geometric_sum(padic.PAdicScalar.from_rational(Fraction(3, 5), 3, 5))
+    assert s.unit_residue == padic.rational_residue(Fraction(5, 2), 3, 5)
+
+
 def test_ultrametric_sum_bound():
     p, N = 3, 6
     terms = [padic.PAdicScalar.from_rational(3**j * (j + 1), p, N) for j in range(5)]
