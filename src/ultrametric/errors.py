@@ -63,10 +63,6 @@ class KMismatch(UltrametricError):
     pass
 
 
-class DecayWitnessInvalid(UltrametricError):
-    pass
-
-
 class OverlappingCylinders(UltrametricError):
     pass
 

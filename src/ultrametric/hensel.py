@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .errors import (
     CertificationFailed,
-    DecayWitnessInvalid,
     HenselPreconditionFailed,
     KMismatch,
 )
@@ -269,48 +268,37 @@ def local_scaling_check(
 
 @dataclass(frozen=True)
 class ZpSeries(_Residues):
-    """Power series sum a_j x^j with a decay witness, known mod p^N.
+    """Power series sum a_j x^j with a_j = p^ceil(s j) coeff(j), known mod p^N.
 
-    ``coeff`` maps j to an exact integer representative of a_j; ``decay``
-    maps a precision m to an index J(m) past which v_p(a_j) >= m.
+    ``coeff`` maps j to an int and ``slope`` is a rational s > 0, so
+    v_p(a_j) >= ceil(s j) holds for every j by construction and the
+    series converges on Z_p.
     """
 
     p: int
     precision: int
     coeff: object  # callable j -> int
-    decay: object  # callable m -> int
+    slope: Fraction
 
     def __post_init__(self):
         modulus(self.p, self.precision)  # checks p and N
-
-    def witness_index(self, m: int) -> int:
-        return int(self.decay(m))
-
-    def validate_witness(self, N: int, window: int = 16) -> None:
-        """Spot-check the decay witness through precision N."""
-        j0 = self.witness_index(N)
-        if any(self.witness_index(m) > j0 for m in range(N)):
-            raise DecayWitnessInvalid("witness index not monotone")
-        for j in range(j0, j0 + window):
-            if vp(self.coeff(j), self.p, N + 1) < N:
-                raise DecayWitnessInvalid(
-                    f"coefficient {j} has valuation < {N} past J({N}) = {j0}"
-                )
+        slope = Fraction(self.slope)
+        if slope <= 0:
+            raise ValueError(f"a series needs a slope > 0, got {slope}")
+        object.__setattr__(self, "slope", slope)
 
     def to_poly(self) -> ZpPoly:
-        """Truncation at J(N); further terms vanish mod p^N by the witness."""
-        self.validate_witness(self.precision)
-        j0 = self.witness_index(self.precision)
-        return ZpPoly(self.p, self.precision, tuple(self.coeff(j) for j in range(j0)))
+        """Truncation before J, the least j with ceil(s j) >= N, s = a/b.
 
-    @classmethod
-    def from_poly(cls, f: ZpPoly) -> "ZpSeries":
-        cs = f.coeffs
-        return cls(
-            f.p,
-            f.precision,
-            lambda j: cs[j] if j < len(cs) else 0,
-            lambda m: len(cs),
+        J = (N - 1) b // a + 1 is known before any coefficient is read,
+        and every term from J on vanishes mod p^N.
+        """
+        a, b = self.slope.numerator, self.slope.denominator
+        J = (self.precision - 1) * b // a + 1
+        return ZpPoly(
+            self.p,
+            self.precision,
+            tuple(self.p ** -(-a * j // b) * self.coeff(j) for j in range(J)),
         )
 
 
@@ -319,11 +307,6 @@ def series_eval(s: ZpSeries, x: PAdicInt) -> PAdicScalar:
     s._check_compatible(x)
     value = s.to_poly().eval_int(x.residue, s.modulus)
     return PAdicScalar.from_padic_int(PAdicInt(s.p, s.precision, value))
-
-
-def series_hensel_v2(s: ZpSeries, x0: PAdicInt):
-    """Root lifting for series inputs via the witnessed truncation."""
-    return hensel_v2(s.to_poly(), x0)
 
 
 def roots_by_digit_search(f: ZpPoly, N: int, constraint=None) -> list[int]:

@@ -405,6 +405,37 @@ def test_no_float_outside_the_allow_list():
     assert float_uses("from math import log1p as l\nclass C:\n    y = l(1)", "m") == {"m.C"}
 
 
+def raised_names(source: str) -> set[str]:
+    """Names of the exception types that the ``raise`` statements of source raise."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.add(exc.attr)
+    return found
+
+
+def test_every_error_type_is_raised():
+    # an error type that no code raises is API that no caller can meet
+    import pathlib
+
+    import ultrametric
+    from ultrametric import errors
+
+    raised = set()
+    for path in pathlib.Path(ultrametric.__file__).parent.glob("*.py"):
+        raised |= raised_names(path.read_text())
+    types = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.UltrametricError)
+             and obj is not errors.UltrametricError and obj.__module__ == errors.__name__}
+    assert "CertificationFailed" in types and not types - raised, types - raised
+    source = "def f():\n    raise errors.A('x') from None\n    raise B\n    raise\n"
+    assert raised_names(source) == {"A", "B"}
+
+
 # Exit code and stdout of each subcommand branch, as printed before every
 # report went through cli.encode; the two --lp reports differ, whose lhs and
 # rhs were floats and are now the exact bracket ends, and so do the --alpha

@@ -7,7 +7,6 @@ import pytest
 from ultrametric import hensel, padic
 from ultrametric.errors import (
     CertificationFailed,
-    DecayWitnessInvalid,
     HenselPreconditionFailed,
     KMismatch,
     NotPAdicInteger,
@@ -186,7 +185,7 @@ def test_lipschitz_bounds_on_zp():
 
 def test_series_eval_matches_geometric_sum():
     p, N = 2, 5
-    s = hensel.ZpSeries(p, N, lambda j: p**j, lambda m: m)
+    s = hensel.ZpSeries(p, N, lambda j: 1, 1)
     x = padic.PAdicInt(p, N, 1)
     val = hensel.series_eval(s, x)
     geo = padic.geometric_sum(padic.PAdicScalar.from_rational(2, p, N))
@@ -195,10 +194,13 @@ def test_series_eval_matches_geometric_sum():
 
 def test_series_zero_and_poly_embedding():
     p, N = 3, 4
-    zero = hensel.ZpSeries(p, N, lambda j: 0, lambda m: 0)
+    zero = hensel.ZpSeries(p, N, lambda j: 0, 1)
     assert hensel.series_eval(zero, padic.PAdicInt(p, N, 2)).is_zero
-    f = poly([1, 2, 3], p, N)
-    s = hensel.ZpSeries.from_poly(f)
+    # 1 + 6x + 3x^2 as p^ceil(j/2) coeff(j): a series of finite support
+    s = hensel.ZpSeries(p, N, lambda j: (1, 2, 1)[j] if j < 3 else 0, Fraction(1, 2))
+    f = poly([1, 2 * 3, 3], p, N)
+    cs = s.to_poly().coeffs
+    assert cs[:3] == f.coeffs and not any(cs[3:])
     x = padic.PAdicInt(p, N, 5)
     got = hensel.series_eval(s, x)
     want = f.eval_int(5, p**N)
@@ -206,19 +208,51 @@ def test_series_zero_and_poly_embedding():
     assert got_res % p**N == want
 
 
-def test_series_invalid_witness():
-    s = hensel.ZpSeries(2, 6, lambda j: 1, lambda m: 0)  # constant 1 coefficients
-    with pytest.raises(DecayWitnessInvalid):
-        hensel.series_eval(s, padic.PAdicInt(2, 6, 1))
+def _ceil(a, b):
+    return -(-a // b)
+
+
+def test_series_eval_against_the_untruncated_sum():
+    # a lone coefficient at j = 16: 2^4 x^16 for s = 1/4, 2^6 x^16 = 0 mod 2^5 for s = 1/3
+    spike = hensel.ZpSeries(2, 5, lambda j: 1 if j == 16 else 0, Fraction(1, 4))
+    assert spike.to_poly().coeffs[16] == 2**4
+    assert hensel.series_eval(spike, padic.PAdicInt(2, 5, 1)).to_padic_int().residue == 16
+    spike = hensel.ZpSeries(2, 5, lambda j: 1 if j == 16 else 0, Fraction(1, 3))
+    assert hensel.series_eval(spike, padic.PAdicInt(2, 5, 1)).is_zero
+    rng = random.Random(2101)
+    for _ in range(1500):
+        p, N = rng.choice((2, 3, 5, 7)), rng.randrange(1, 12)
+        a, b = rng.randrange(1, 9), rng.randrange(1, 9)
+        J = next(j for j in range(N * b + 1) if _ceil(a * j, b) >= N)
+        terms = 4 * J + 17
+        support = {rng.randrange(terms): rng.randrange(-(p**20), p**20)
+                   for _ in range(rng.randrange(4))}
+        if rng.randrange(4) == 0:
+            support = {16: rng.choice((1, -1, p + 1))}
+        s = hensel.ZpSeries(p, N, lambda j: support.get(j, 0), Fraction(a, b))
+        x = rng.randrange(p**N)
+        want = sum(p ** _ceil(a * j, b) * c * x**j for j, c in support.items()) % p**N
+        assert len(s.to_poly().coeffs) == J
+        assert hensel.series_eval(s, padic.PAdicInt(p, N, x)).to_padic_int().residue == want
+
+
+def test_series_refuses_a_slope_not_above_0_and_a_callable_slope():
+    for slope in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            hensel.ZpSeries(2, 5, lambda j: 1, slope)
+    with pytest.raises(TypeError):  # an index J(m) = m in place of the slope
+        hensel.ZpSeries(2, 5, lambda j: 2**j, lambda m: m)
+    with pytest.raises(ValueError):
+        hensel.ZpSeries(2, 0, lambda j: 0, 1)
 
 
 def test_series_accepted_by_hensel():
     p, N = 2, 5
-    # x^2 - 17 embedded as a series
-    f = poly([-17, 0, 1], p, N)
-    s = hensel.ZpSeries.from_poly(f)
-    root, _ = hensel.series_hensel_v2(s, padic.PAdicInt(p, N, 1))
-    assert root.residue % 16 == 9
+    # 1/(1 - 2x) - 3, the series sum (2x)^j - 3, has the root 1/3 with
+    # |f'(1/3)|_2 = 1/2, so the root is known mod 2^(N - 1)
+    s = hensel.ZpSeries(p, N, lambda j: -2 if j == 0 else 1, 1)
+    root, _ = hensel.hensel_v2(s.to_poly(), padic.PAdicInt(p, N, 3))
+    assert (3 * root.residue - 1) % 2 ** (N - 1) == 0
 
 
 def test_digit_search_oracle_matches_lift():
@@ -358,21 +392,18 @@ def test_lifts_certify_the_root(monkeypatch):
 
 def test_every_lift_refuses_a_point_at_another_p_or_N():
     f = poly([-17, 0, 1], 2, 5)
-    s = hensel.ZpSeries.from_poly(f)
+    s = hensel.ZpSeries(2, 5, lambda j: 1, 1)
     calls = (
         lambda x: hensel.hensel_v1(f, x),
         lambda x: hensel.hensel_v2(f, x),
         lambda x: hensel.contraction_solve(f, x),
         lambda x: hensel.series_eval(s, x),
-        lambda x: hensel.series_hensel_v2(s, x),
         lambda x: hensel.eval_and_derivative(f, x),
     )
     for call in calls:
         for x in (padic.PAdicInt(3, 5, 1), padic.PAdicInt(2, 6, 1), padic.PAdicInt(2, 4, 1)):
             with pytest.raises(PrecisionMismatch):
                 call(x)
-    with pytest.raises(ValueError):
-        hensel.ZpSeries(2, 0, lambda j: 0, lambda m: 0)
 
 
 def _prime_to(rng, p, hi=30):
