@@ -31,10 +31,9 @@ def main() -> None:
         except Exception:
             root, trace = hensel.hensel_v2(f, point)
         oracle = hensel.roots_by_digit_search(f, args.prec, constraint=lambda r: r == x0 % p)
-        exps = trace.residual_exponents(p)
         print(label)
         print(f"  root = {root.residue} mod {p}^{args.prec}")
-        print(f"  residual valuations per step: {exps}")
+        print(f"  residual valuations per step: {trace.valuations}")
         print(f"  digit-search oracle agrees: {root.residue in oracle}")
 
 

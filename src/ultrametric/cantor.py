@@ -40,10 +40,7 @@ class ProductSpec(LevelGrid):
 
     def __post_init__(self):
         super().__post_init__()
-        ts = check_scales(self.scales)
-        if len(ts) != self.depth + 1:
-            raise ValueError("need scales t_0 = 1 .. t_L")
-        object.__setattr__(self, "scales", ts)
+        object.__setattr__(self, "scales", check_scales(self.scales, self.depth))
 
     def branching(self, k: int) -> int:
         """Number of children of a depth-k node (factor n_{k+1})."""
@@ -58,10 +55,10 @@ class ProductSpec(LevelGrid):
     @classmethod
     def reciprocal(cls, factors) -> "ProductSpec":
         """The canonical t_l = 1/N_l scales."""
-        return cls(factors, default_scales(LevelGrid(factors)).scales)
+        return cls(factors, default_scales(LevelGrid(factors)))
 
     def is_reciprocal(self) -> bool:
-        return self.scales == default_scales(self).scales
+        return self.scales == default_scales(self)
 
     def points(self):
         """All depth-L digit words, lexicographic."""
@@ -271,14 +268,11 @@ def hausdorff_content(
     gauge: Gauge,
     delta: Fraction | None = None,
     closed_threshold: bool = False,
-    measure: bool = False,
 ):
     """Exact infimum of sum h(diam B) over cylinder covers of the target.
 
     ``delta`` restricts covers to balls with diam < delta (or <= delta when
-    ``closed_threshold``); None means unrestricted.  ``measure=True`` takes
-    the finest admissible cover scale instead, i.e. the supremum of the
-    delta-restricted contents realizable at this truncation depth.
+    ``closed_threshold``); None means unrestricted.
 
     Exact (a Fraction, an int or inf) when every gauge value is; else the
     bracket (lo, hi) of the program run on the lower and the upper ends.
@@ -295,8 +289,6 @@ def hausdorff_content(
     L = spec.depth
 
     def allowed(k: int) -> bool:
-        if measure:
-            return k == L
         if delta is None:
             return True
         diam = spec.scales[k]
@@ -324,8 +316,10 @@ def hausdorff_content(
 
 
 def hausdorff_measure(spec: ProductSpec, target: list[Cylinder], gauge: Gauge):
-    """Depth-limited Hausdorff measure: content at the finest cover scale."""
-    return hausdorff_content(spec, target, gauge, measure=True)
+    """Depth-limited Hausdorff measure: the content at the finest cover
+    scale, delta = t_L closed.  The scales strictly decrease, so that
+    admits level L alone."""
+    return hausdorff_content(spec, target, gauge, spec.scales[-1], closed_threshold=True)
 
 
 def _log_ratio(v: int, u: int) -> float:
@@ -400,12 +394,13 @@ def monotone_map_collides(x, y, spec: ProductSpec) -> bool:
 
 
 def gauge_transform(spec: ProductSpec, sigma) -> ProductSpec:
-    """Replace t_l by sigma(t_l); sigma must be strictly increasing there."""
+    """Replace t_l by sigma(t_l) / sigma(t_0); sigma must be strictly
+    increasing on the scales, with sigma(t_0) > 0."""
     new_scales = [Fraction(sigma(t)) for t in spec.scales]
-    if new_scales[0] != 1:
-        # renormalize so t_0 stays 1
-        top = new_scales[0]
-        new_scales = [t / top for t in new_scales]
+    top = new_scales[0]
+    if top <= 0:
+        raise InvalidGauge(f"sigma(t_0) = {top} is not positive, so t_0 cannot be renormalised to 1")
+    new_scales = [t / top for t in new_scales]  # renormalise so t_0 stays 1
     for i in range(len(new_scales) - 1):
         if new_scales[i] <= new_scales[i + 1]:
             raise InvalidGauge("sigma is not strictly increasing on the scales")

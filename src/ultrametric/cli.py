@@ -86,7 +86,7 @@ def cmd_hensel(args) -> tuple[int, dict]:
         "root": f"{root.residue} mod {root.modulus}",
         "residue": str(root.residue),
         "modulus": str(root.modulus),
-        "trace_exponents": trace.residual_exponents(args.prime),
+        "trace_exponents": trace.valuations,
     }
 
 

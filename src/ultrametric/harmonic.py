@@ -182,6 +182,10 @@ class GridMeasure:
         object.__setattr__(self, "nu", tuple(Fraction(w) for w in self.nu))
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("grid points must be strictly increasing")
+        if len(self.mu) != len(pts) or len(self.nu) != len(pts):
+            raise ValueError(f"need {len(pts)} weights of mu and of nu, one per grid point")
+        if any(w < 0 for w in self.nu):
+            raise ValueError("nu must be nonnegative")
         if any(w <= 0 for w in self.mu):
             raise DegenerateMeasure("mu must be strictly positive on the grid")
 

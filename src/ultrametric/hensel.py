@@ -28,7 +28,7 @@ from .errors import (
     KMismatch,
 )
 from .padic import PAdicInt, PAdicScalar, _Residues, abs_from_valuation, modulus
-from .padic import rational_residue, rational_valuation, unit_inverse, vp
+from .padic import rational_residue, unit_inverse, vp
 
 
 @dataclass(frozen=True)
@@ -92,26 +92,20 @@ def eval_and_derivative(f: ZpPoly, x: PAdicInt) -> tuple[PAdicInt, PAdicInt]:
 
 @dataclass
 class LiftTrace:
-    """Newton iterates with the exact |f(x_j)|_p at each step."""
+    """Newton iterates with v_p(f(x_j)) at each step; None marks f(x_j) = 0 mod p^N."""
 
     iterates: list[PAdicInt] = field(default_factory=list)
-    residual_abs: list[Fraction] = field(default_factory=list)
+    valuations: list[int | None] = field(default_factory=list)
 
-    def record(self, x: PAdicInt, fx_abs: Fraction) -> None:
+    def record(self, x: PAdicInt, v: int) -> None:
+        """Append x and v_p(f(x)), read mod p^N: v >= N saturates to None."""
         self.iterates.append(x)
-        self.residual_abs.append(fx_abs)
+        self.valuations.append(None if v >= x.precision else v)
 
-    def residual_exponents(self, p: int) -> list[int | None]:
-        """|f(x_j)|_p as p-exponents; None marks residual 0 at precision."""
-        out = []
-        for a in self.residual_abs:
-            out.append(None if a == 0 else -rational_valuation(a, p))
-        return out
-
-
-def _abs_from_valuation(v: int, p: int, cap: int) -> Fraction:
-    """p^-v for a valuation v read mod p^cap; v >= cap reads as residue 0."""
-    return abs_from_valuation(None if v >= cap else v, p)
+    @property
+    def residual_abs(self) -> list[Fraction]:
+        """The exact |f(x_j)|_p = p^-v_j, 0 where v_j is None."""
+        return [abs_from_valuation(v, x.p) for x, v in zip(self.iterates, self.valuations)]
 
 
 def _newton(f: ZpPoly, x: int, k: int, work: int) -> tuple[PAdicInt, LiftTrace]:
@@ -129,7 +123,7 @@ def _newton(f: ZpPoly, x: int, k: int, work: int) -> tuple[PAdicInt, LiftTrace]:
     fx = f.eval_int(x, mw)
     v = vp(fx, p, work)
     trace = LiftTrace()
-    trace.record(PAdicInt(p, N, x), _abs_from_valuation(v, p, N))
+    trace.record(PAdicInt(p, N, x), v)
     inverse = None
     for _ in range(N):
         if v >= N:
@@ -138,7 +132,7 @@ def _newton(f: ZpPoly, x: int, k: int, work: int) -> tuple[PAdicInt, LiftTrace]:
         x = (x - (fx // pk) * inverse) % mw
         fx = f.eval_int(x, mw)
         v = vp(fx, p, work)
-        trace.record(PAdicInt(p, N, x), _abs_from_valuation(v, p, N))
+        trace.record(PAdicInt(p, N, x), v)
     if v < N:
         raise CertificationFailed(f"|f(x)|_p = p^-{v} after {N} Newton steps, not 0 mod p^{N}")
     return PAdicInt(p, N, x), trace

@@ -256,7 +256,9 @@ class PAdicInt(_Residues):
         return PAdicInt(self.p, self.precision, inverse)
 
     def reduce(self, l: int) -> int:
-        """Image in Z/p^l Z, l <= N."""
+        """Image in Z/p^l Z for an int 0 <= l <= N."""
+        if not isinstance(l, int) or l < 0:
+            raise ValueError(f"reduce needs an int l >= 0, got {l!r}")
         if l > self.precision:
             raise PrecisionMismatch(f"cannot reduce mod p^{l} at precision {self.precision}")
         return self.residue % self.p**l

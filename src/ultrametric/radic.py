@@ -73,36 +73,21 @@ class Radix(LevelGrid):
         return {"factors": list(self.factors), "periodic": self.periodic}
 
 
-def check_scales(scales) -> tuple[Fraction, ...]:
-    """The scales as Fractions, checked to satisfy 1 = t_0 > t_1 > ... > 0."""
+def check_scales(scales, depth: int) -> tuple[Fraction, ...]:
+    """The scales as Fractions, checked to satisfy 1 = t_0 > t_1 > ... > t_depth > 0."""
     t = tuple(Fraction(x) for x in scales)
     if not t or t[0] != 1:
         raise ValueError("t_0 must equal 1")
     if any(a <= b for a, b in zip(t, t[1:])) or t[-1] <= 0:
         raise ValueError("scales must be strictly decreasing and positive")
+    if len(t) != depth + 1:
+        raise ValueError(f"need {depth + 1} scales t_0 = 1 .. t_{depth}, got {len(t)}")
     return t
 
 
-def default_scales(grid: LevelGrid) -> "ScaleSeq":
+def default_scales(grid: LevelGrid) -> tuple[Fraction, ...]:
     """The canonical choice t_l = 1/R_l."""
-    return ScaleSeq(tuple(Fraction(1, R) for R in grid.prefix))
-
-
-@dataclass(frozen=True)
-class ScaleSeq:
-    """Strictly decreasing positive scales t_0 = 1 > t_1 > ... > t_L."""
-
-    scales: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "scales", check_scales(self.scales))
-
-    def __getitem__(self, l: int) -> Fraction:
-        return self.scales[l]
-
-    @property
-    def depth(self) -> int:
-        return len(self.scales) - 1
+    return tuple(Fraction(1, R) for R in grid.prefix)
 
 
 def lr_valuation(a: int, radix: Radix) -> int | None:
@@ -114,17 +99,18 @@ def lr_valuation(a: int, radix: Radix) -> int | None:
     return None
 
 
-def lr_and_abs(a: int, radix: Radix, t: ScaleSeq | None = None) -> tuple[int | None, Fraction]:
-    """(l_r(a), |a|_r = t_{l_r(a)}); saturated valuation gives |a|_r = 0."""
-    if t is None:
-        t = default_scales(radix)
+def lr_and_abs(a: int, radix: Radix, t=None) -> tuple[int | None, Fraction]:
+    """(l_r(a), |a|_r = t_{l_r(a)}); saturated valuation gives |a|_r = 0.
+    ``t`` defaults to t_l = 1/R_l; a given ``t`` must pass ``check_scales``."""
+    if t is not None:
+        t = check_scales(t, radix.depth)
     l = lr_valuation(a, radix)
     if l is None:
         return None, Fraction(0)
-    return l, t[l]
+    return l, Fraction(1, radix.prefix[l]) if t is None else t[l]
 
 
-def radic_dist(a: int, b: int, radix: Radix, t: ScaleSeq | None = None) -> Fraction:
+def radic_dist(a: int, b: int, radix: Radix, t=None) -> Fraction:
     return lr_and_abs(a - b, radix, t)[1]
 
 

@@ -68,7 +68,7 @@ def test_criterion_1_hensel_against_digit_search():
             ]
             assert cls and len({r % p ** (N - k) for r in cls}) == 1
             assert root.residue % p ** (N - k) == cls[0] % p ** (N - k)
-            dfa = hensel._abs_from_valuation(k, p, N)
+            dfa = padic.abs_from_valuation(k, p)
             for prev, cur in zip(trace.residual_abs, trace.residual_abs[1:]):
                 assert cur <= prev**2 / dfa**2
             checked_v2 += 1

@@ -290,7 +290,7 @@ def test_sampled_pairs_against_fraction_oracle(monkeypatch):
         scales = [Fraction(1)]
         for _ in r.factors:
             scales.append(scales[-1] * Fraction(rng.randrange(1, 6), 6))
-        t = radic.ScaleSeq(tuple(scales))
+        t = tuple(scales)
         for a in (rng.randrange(r.modulus) for _ in range(50)):
             # the closed form theta_k(a) = (a div R_{k-1}) mod r_k
             assert digits(a, r) == tuple(a // r.cumulative(k) % f for k, f in enumerate(fs))

@@ -106,6 +106,15 @@ def test_grid_weak_type_and_adversarial_family():
             harmonic.grid_weak_type(g, t)
 
 
+def test_grid_measure_checks_its_weights():
+    # a mass on no point, a mu too short for the grid, and a negative nu
+    for mu, nu in (((1, 1), (0, 1, 5)), ((1,), (0, 1)), ((1, 1), (1, -1))):
+        with pytest.raises(ValueError):
+            harmonic.GridMeasure((0, 1), mu, nu)
+    g = harmonic.GridMeasure((0, 1), (1, 1), (0, 1))
+    assert harmonic.grid_weak_type(g, 1, C1=1)["rhs"] == 1
+
+
 def test_grid_weak_type_c2_random():
     rng = random.Random(13)
     for _ in range(100):

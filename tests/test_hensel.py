@@ -95,6 +95,9 @@ def test_hensel_v2_example():
     assert root.residue % 16 == 9
     assert root.residue % 4 == 1
     assert root.residue**2 % 32 == 17
+    # v_2(1 - 17) = 4, then 0 mod 2^5 saturates to None, whose |.|_2 is 0
+    assert trace.valuations == [4, None]
+    assert trace.residual_abs == [Fraction(1, 16), 0]
 
 
 def test_hensel_v2_precondition_failure():
@@ -280,14 +283,13 @@ def hensel_v1_oracle(f, x0, N=None):
     if df.eval_int(x, p) % p == 0:
         raise HenselPreconditionFailed("|f'(x0)|_p < 1", "f'(x0) unit")
     trace = hensel.LiftTrace()
-    abs_at = hensel._abs_from_valuation
-    trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, m), p, N), p, N))
+    trace.record(padic.PAdicInt(p, N, x), padic.vp(f.eval_int(x, m), p, N))
     for _ in range(N):
         fx = f.eval_int(x, m)
         if fx == 0:
             break
         x = (x - fx * pow(df.eval_int(x, m), -1, m)) % m
-        trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, m), p, N), p, N))
+        trace.record(padic.PAdicInt(p, N, x), padic.vp(f.eval_int(x, m), p, N))
     return padic.PAdicInt(p, N, x), trace
 
 
@@ -301,17 +303,16 @@ def hensel_v2_oracle(f, x0, N=None):
     mw = p**work
     df = f.derivative()
     trace = hensel.LiftTrace()
-    abs_at = hensel._abs_from_valuation
     if f.eval_int(x % p**N, p**N) % p**N == 0:
         return padic.PAdicInt(p, N, x), trace
-    trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, mw), p, N), p, N))
+    trace.record(padic.PAdicInt(p, N, x), padic.vp(f.eval_int(x, mw), p, N))
     for _ in range(N):
         fx = f.eval_int(x, mw)
         if fx % p**N == 0:
             break
         unit = df.eval_int(x, mw) // p**k
         x = (x - (fx // p**k) * pow(unit, -1, mw) % mw) % mw
-        trace.record(padic.PAdicInt(p, N, x), abs_at(padic.vp(f.eval_int(x, mw), p, N), p, N))
+        trace.record(padic.PAdicInt(p, N, x), padic.vp(f.eval_int(x, mw), p, N))
     return padic.PAdicInt(p, N, x), trace
 
 
@@ -370,7 +371,7 @@ def test_lifts_against_per_step_inverse_oracles():
         root, trace = new(f, padic.PAdicInt(p, N, x0))
         assert root == want_root
         assert trace.iterates == want.iterates
-        assert trace.residual_abs == want.residual_abs
+        assert trace.valuations == want.valuations
         assert f.eval_int(root.residue, p**N) == 0
         lifted += 1
         early += len(trace.iterates) <= 1

@@ -236,6 +236,16 @@ def test_quotient_isomorphism_exhaustive(p, l):
             assert (xa * xb).reduce(l) == a * b % m
 
 
+def test_reduce_takes_an_int_level_from_0_to_N():
+    x = padic.PAdicInt(3, 4, 10)
+    assert [x.reduce(l) for l in range(5)] == [0, 1, 1, 10, 10]
+    for l in (-1, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="int l >= 0"):
+            x.reduce(l)
+    with pytest.raises(PrecisionMismatch):
+        x.reduce(5)
+
+
 def test_geometric_sum_examples():
     y = padic.PAdicScalar.from_rational(2, 2, 5)
     s = padic.geometric_sum(y)

@@ -17,18 +17,32 @@ small_radix = st.lists(st.integers(2, 6), min_size=1, max_size=4).map(
 
 def test_lr_and_abs_examples():
     r = radic.Radix((2, 3, 2))
-    t = radic.ScaleSeq((1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 12)))
+    t = (1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 12))
     assert radic.lr_and_abs(6, r, t) == (2, Fraction(1, 6))
     assert radic.lr_and_abs(0, r, t) == (None, 0)
     r2 = radic.Radix((2, 2, 2))
     assert radic.lr_and_abs(12, r2)[0] == 2
 
 
+@given(r=small_radix, a=st.integers(-500, 500))
+def test_lr_and_abs_default_is_the_reciprocal_scales(r, a):
+    assert radic.lr_and_abs(a, r) == radic.lr_and_abs(a, r, radic.default_scales(r))
+
+
+def test_lr_and_abs_refuses_scales_of_the_wrong_length():
+    r = radic.Radix((2, 3, 4))
+    for t in ((1, Fraction(1, 2)), radic.default_scales(r) + (Fraction(1, 48),)):
+        with pytest.raises(ValueError, match="need 4 scales"):
+            radic.lr_and_abs(6, r, t)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        radic.lr_and_abs(6, r, (1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)))
+
+
 def test_embed_examples():
     r = radic.Radix((2, 3))
     assert radic.embed_q(7, r) == (1, 1)
     assert radic.embed_q(0, r) == (0, 0)
-    t = radic.ScaleSeq((1, Fraction(1, 2), Fraction(1, 6)))
+    t = (1, Fraction(1, 2), Fraction(1, 6))
     assert radic.radic_dist(5, 7, r, t) == Fraction(1, 2)
 
 
@@ -150,7 +164,7 @@ def test_radix_value_semantics():
         with pytest.raises(ValueError):
             radic.Radix(bad)
     with pytest.raises(ValueError):
-        radic.ScaleSeq((1, Fraction(1, 2), Fraction(1, 2)))
+        radic.check_scales((1, Fraction(1, 2), Fraction(1, 2)), 2)
 
 
 def test_haar_ball():
