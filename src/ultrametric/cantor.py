@@ -66,6 +66,8 @@ class ProductSpec(LevelGrid):
 
     def point(self, i: int) -> tuple[int, ...]:
         """Word i of ``points()``, 0 <= i < N_L, the last digit fastest: O(L) divisions."""
+        if not 0 <= i < self.modulus:
+            raise ValueError(f"point index {i} outside [0, {self.modulus})")
         digits = []
         for n in reversed(self.factors):
             i, d = divmod(i, n)

@@ -2,18 +2,20 @@
 
 A character value is a root of unity held as an exact element of Q/Z
 ("turns"); complex numbers only appear in reports and in the floating
-cross-check of the Gram matrix.  The exact orthogonality path rests on
-the root-of-unity sum lemma: a finite sum invariant under multiplication
-by a nontrivial root of unity vanishes, which at the turn level is a
-multiset-shift symmetry.
+cross-check of the Gram matrix.  Every value comes from one kernel,
+``_turn(a, m)`` = e(a/m).  The exact orthogonality path rests on the
+root-of-unity sum lemma: a finite sum invariant under multiplication by a
+nontrivial root of unity vanishes, which ``_shift_invariant`` checks as a
+shift symmetry of integer numerators over one common denominator.
 
 Costs: ``character_table(n)`` builds n turn values and indexes them by
 j a mod n; ``gram_exact(n)`` runs the shift certificate once per proper
 divisor of n, O(n) Counter work each, and slices its rows from one entry
-list; ``gram_float(n)`` takes n complex roots, indexes them by j j' mod n,
-reduced in integers, and applies the inverse DFT to each conjugated row by
-FFT, O(n^2 log n) against O(n^3) for the matrix product it equals.  The
-float check stays independent of the table: the FFT brings its own kernel.
+list; ``l2_distance_squared`` runs it once; ``gram_float(n)`` takes n
+complex roots, indexes them by j j' mod n, reduced in integers, and applies
+the inverse DFT to each conjugated row by FFT, O(n^2 log n) against O(n^3)
+for the matrix product it equals.  The float check stays independent of
+the table: the FFT brings its own kernel.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .errors import CertificationFailed
 from .padic import PAdicInt, PAdicScalar, check_prime, vp
-from .radic import Radix
 
 TABLE_CAP = 4096
 
@@ -58,6 +60,11 @@ class TurnValue:
 ONE = TurnValue(Fraction(0))
 
 
+def _turn(a: int, m: int) -> TurnValue:
+    """e(a/m) for integers a and m >= 1: the one kernel of every character value."""
+    return TurnValue(Fraction(a % m, m))
+
+
 @dataclass(frozen=True)
 class CyclicCharacter:
     """a -> w^(j a) on Z/nZ, w the first n-th root of unity."""
@@ -66,10 +73,12 @@ class CyclicCharacter:
     j: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n = {self.n} is not a group order")
         object.__setattr__(self, "j", self.j % self.n)
 
     def eval(self, a: int) -> TurnValue:
-        return TurnValue(Fraction(self.j * a, self.n))
+        return _turn(self.j * a, self.n)
 
 
 def ep_eval(x: PAdicScalar) -> TurnValue:
@@ -79,9 +88,7 @@ def ep_eval(x: PAdicScalar) -> TurnValue:
     """
     if x.is_zero or x.exponent >= 0:
         return ONE
-    k = -x.exponent
-    pk = x.p**k
-    return TurnValue(Fraction(x.unit_residue % pk, pk))
+    return _turn(x.unit_residue, x.p**-x.exponent)
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,8 @@ class PadicCharacter:
 
     def __post_init__(self):
         check_prime(self.p)
+        if not isinstance(self.conductor, int):
+            raise ValueError(f"conductor must be an int, not {self.conductor!r}")
         if self.conductor < 0:
             raise ValueError("conductor must be nonnegative")
         object.__setattr__(self, "y_residue", self.y_residue % self.p**self.conductor)
@@ -104,10 +113,7 @@ class PadicCharacter:
 
     def eval_int(self, x: int) -> TurnValue:
         """Value at x in Z_p (any integer representative)."""
-        pk = self.p**self.conductor
-        if pk == 1:
-            return ONE
-        return TurnValue(Fraction(x * self.y_residue % pk, pk))
+        return _turn(x * self.y_residue, self.p**self.conductor)
 
     def eval(self, x: PAdicInt) -> TurnValue:
         return self.eval_int(x.residue)
@@ -127,22 +133,26 @@ def phi_y(y: PadicCharacter, x: PAdicScalar) -> TurnValue:
     k = y.conductor - x.exponent
     if k <= 0 or y.trivial:
         return ONE
-    pk = x.p**k
-    return TurnValue(Fraction(y.y_residue * x.unit_residue % pk, pk))
+    return _turn(y.y_residue * x.unit_residue, x.p**k)
+
+
+def _shift_invariant(numerators, n: int) -> bool:
+    """The sum lemma on the turns a/n, a in ``numerators``.
+
+    If the multiset {a mod n} is invariant under adding some nonzero member
+    s, the sum S of the e(a/n) satisfies S = e(s/n) S with e(s/n) != 1,
+    hence S = 0.
+    """
+    bag = Counter(a % n for a in numerators)
+    return any(Counter((t + s) % n for t in bag.elements()) == bag for s in bag if s)
 
 
 def turn_sum_is_zero(turns: list[Fraction]) -> bool:
-    """Exact vanishing certificate for sums of roots of unity.
-
-    If the multiset of turns is invariant under adding some nonzero shift
-    s, the sum S satisfies S = e(s) S with e(s) != 1, hence S = 0.
-    """
-    bag = Counter(Fraction(t) % 1 for t in turns)
-    shifts = {t for t in bag if t != 0}
-    for s in shifts:
-        if Counter((t + s) % 1 for t in bag.elements()) == bag:
-            return True
-    return False
+    """Exact vanishing certificate for sums of roots of unity: the shift
+    certificate on the turns cleared to one common denominator."""
+    turns = [Fraction(t) for t in turns]
+    m = lcm(*(t.denominator for t in turns))
+    return _shift_invariant([t.numerator * (m // t.denominator) for t in turns], m)
 
 
 def _check_order(n: int) -> None:
@@ -156,7 +166,7 @@ def _check_order(n: int) -> None:
 def character_table(n: int) -> list[list[TurnValue]]:
     """Row j, column a: value of the j-th character of Z/nZ at a."""
     _check_order(n)
-    roots = [TurnValue(Fraction(k, n)) for k in range(n)]
+    roots = [_turn(k, n) for k in range(n)]
     return [[roots[j * a % n] for a in range(n)] for j in range(n)]
 
 
@@ -171,17 +181,7 @@ def gram_exact(n: int) -> list[list[Fraction]]:
     """
     _check_order(n)
     for g in range(1, n):
-        if n % g:
-            continue
-        # all turns share denominator n, so the shift symmetry of the sum
-        # lemma is checked on integer numerators mod n
-        bag = Counter(a * g % n for a in range(n))
-        certified = any(
-            Counter((t + s) % n for t in bag.elements()) == bag
-            for s in bag
-            if s != 0
-        )
-        if not certified:
+        if n % g == 0 and not _shift_invariant(range(0, n * g, g), n):
             raise CertificationFailed("sum lemma failed to certify vanishing")
     entry = [Fraction(1)] + [Fraction(0)] * (n - 1)
     # row j is entry[(j - j') mod n] over j': a slice of the reversed list
@@ -216,13 +216,13 @@ def l2_distance_squared(n: int, j1: int, j2: int) -> Fraction:
     """int |chi_j1 - chi_j2|^2 dH = 2 for distinct characters, exactly.
 
     |phi - psi|^2 = 2 - 2 Re(phi conj(psi)); the cross term averages to 0
-    by the sum lemma.
+    by the sum lemma, on {a gcd(j1 - j2, n)} as in ``gram_exact``.
     """
+    _check_order(n)
     if j1 % n == j2 % n:
         return Fraction(0)
-    d = (j1 - j2) % n
-    turns = [Fraction(a * d, n) for a in range(n)]
-    if not turn_sum_is_zero(turns):
+    g = gcd(j1 - j2, n)
+    if not _shift_invariant(range(0, n * g, g), n):
         raise CertificationFailed("sum lemma failed to certify vanishing")
     return Fraction(2)
 
@@ -233,6 +233,7 @@ def sup_distance_exceeds_one(n: int, j1: int, j2: int) -> bool:
     |1 - e(theta)| > 1 exactly when theta mod 1 lies in (1/6, 5/6), so the
     test at theta = a d / n is n < 6 (a d mod n) < 5 n, in integers.
     """
+    _check_order(n)
     if j1 % n == j2 % n:
         return False
     d = (j1 - j2) % n
@@ -243,12 +244,10 @@ def padic_characters(p: int, k: int) -> list[PadicCharacter]:
     return [PadicCharacter(p, k, y) for y in range(p**k)]
 
 
-def radic_character(radix: Radix, n: int, j: int):
-    """Character on Z_r trivial on Y_n, via composition with the projection
-    onto Z/R_nZ: returns a callable on integer representatives."""
-    R = radix.cumulative(n)
-    chi = CyclicCharacter(R, j)
-    return lambda a: chi.eval(a % R)
+def radic_character(radix, n: int, j: int):
+    """Character on Z_r trivial on Y_n, for r a ``radic.Radix``: the character
+    j of Z/R_nZ, which reduces its integer argument mod R_n."""
+    return CyclicCharacter(radix.cumulative(n), j).eval
 
 
 def product_character(factors: list) -> object:
@@ -275,6 +274,8 @@ def all_product_characters_match(ns: list[int]) -> bool:
     """
     from itertools import product as iproduct
 
+    if any(n < 1 for n in ns):
+        raise ValueError(f"{ns} are not all group orders")
     elements = list(iproduct(*[range(n) for n in ns]))
 
     def is_character(values: dict) -> bool:
@@ -292,19 +293,13 @@ def all_product_characters_match(ns: list[int]) -> bool:
         product_tables.add(tuple(phi(x).turn for x in elements))
 
     # enumerate all homomorphisms directly: a character is fixed by its
-    # values on the coordinate generators, each an |G|-th root of unity
-    # killed by the generator's order; verify the law on the full table
-    M = 1
-    for n in ns:
-        M *= n
+    # values e(m_i/M) on the coordinate generators, |G| = M, killed by the
+    # generator's order: n_i m_i = 0 mod M, so m_i is a multiple of M/n_i;
+    # verify the law on the full table
+    M = prod(ns)
     all_tables = set()
-    for ms in iproduct(*[range(M) for _ in ns]):
-        if any(n * m % M != 0 for n, m in zip(ns, ms)):
-            continue
-        values = {
-            x: TurnValue(sum((Fraction(m * a, M) for m, a in zip(ms, x)), Fraction(0)))
-            for x in elements
-        }
+    for ms in iproduct(*[range(0, M, M // n) for n in ns]):
+        values = {x: _turn(sum(m * a for m, a in zip(ms, x)), M) for x in elements}
         if is_character(values):
             all_tables.add(tuple(values[x].turn for x in elements))
     return product_tables == all_tables

@@ -322,12 +322,15 @@ def interval_reduce(family: list[Interval]) -> list[Interval]:
 
 
 def ultra_ball_reduce(family: list[Cylinder]) -> list[Cylinder]:
-    """Maximal-by-inclusion cylinders: same union, pairwise disjoint."""
+    """Maximal-by-inclusion cylinders: same union, pairwise disjoint.
+
+    A member is dropped when a strictly shallower member contains it; of
+    equal copies the first is kept.
+    """
     out = []
     for c in family:
-        if not any(other is not c and other.contains_prefix(c) for other in family):
-            if c not in out:
-                out.append(c)
+        if c not in out and not any(o.depth < c.depth and o.contains_prefix(c) for o in family):
+            out.append(c)
     return out
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificationFailed, UltrametricError
+from .errors import CertificationFailed, PrecisionMismatch, UltrametricError
 from .padic import abs_from_valuation, check_prime, rational_valuation
 
 MAX_DIM = 64
@@ -25,6 +25,14 @@ MAX_DIM = 64
 def _min_valuation(entries, p: int) -> int | None:
     """min v_p over the nonzero entries, Fractions or ints; None when all are 0."""
     return min((rational_valuation(e, p) for e in entries if e), default=None)
+
+
+def _check_same_space(a, b) -> None:
+    """Refuse to combine two vectors or matrices of different primes or dimensions."""
+    if a.p != b.p:
+        raise PrecisionMismatch(f"cannot combine {a.p}-adic with {b.p}-adic")
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -51,9 +59,8 @@ class UltraVector:
         return UltraVector(self.p, tuple(t * e for e in self.entries))
 
     def __add__(self, other: "UltraVector") -> "UltraVector":
-        return UltraVector(
-            self.p, tuple(a + b for a, b in zip(self.entries, other.entries, strict=True))
-        )
+        _check_same_space(self, other)
+        return UltraVector(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,7 @@ class UltraMatrix:
         return len(self.rows)
 
     def apply(self, v: UltraVector) -> UltraVector:
-        if v.dim != self.dim:
-            raise ValueError("dimension mismatch")
+        _check_same_space(self, v)
         return UltraVector(
             self.p,
             tuple(sum(a * x for a, x in zip(row, v.entries)) for row in self.rows),
@@ -85,6 +91,7 @@ class UltraMatrix:
 
     def compose(self, other: "UltraMatrix") -> "UltraMatrix":
         """Matrix of self after other."""
+        _check_same_space(self, other)
         n = self.dim
         return UltraMatrix(
             self.p,

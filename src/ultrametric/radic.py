@@ -46,6 +46,8 @@ class LevelGrid:
         For a periodic radix, l may exceed the stored depth:
         R_l = R_L^(l // L) * R_(l mod L).
         """
+        if l < 0:
+            raise ValueError(f"depth {l} is negative")
         if l <= self.depth:
             return self.prefix[l]
         if not self.periodic:

@@ -341,3 +341,74 @@ def test_orthogonality_integral_zero():
         for j in range(1, n):
             turns = [ch.CyclicCharacter(n, j).eval(a).turn for a in range(n)]
             assert ch.turn_sum_is_zero(turns)
+
+
+def turn_sum_is_zero_fraction_oracle(turns):
+    """The Fraction shift certificate that the integer kernel replaced."""
+    bag = Counter(Fraction(t) % 1 for t in turns)
+    shifts = {t for t in bag if t != 0}
+    for s in shifts:
+        if Counter((t + s) % 1 for t in bag.elements()) == bag:
+            return True
+    return False
+
+
+def test_turn_sum_matches_fraction_oracle():
+    # unions of cosets c + K of subgroups K of Q/Z that contain one subgroup
+    # H = (1/m) Z / Z, with repeats and offsets outside [0, 1), so H fixes
+    # the multiset; H itself is a member half the time, which gives the
+    # certificate a shift to find; then each union with one turn moved
+    rng = random.Random(23)
+    verdicts = Counter()
+    assert ch.turn_sum_is_zero([]) is turn_sum_is_zero_fraction_oracle([]) is False
+    for _ in range(2000):
+        m = rng.randrange(1, 5)
+        offsets = [Fraction(rng.randrange(-12, 24), 12) for _ in range(rng.randrange(1, 3))]
+        turns = [Fraction(a, m) for a in range(m)] if rng.randrange(2) else []
+        for c in offsets:
+            k = m * rng.randrange(1, 3)
+            turns += [c + Fraction(a, k) for a in range(k)] * rng.randrange(1, 3)
+        rng.shuffle(turns)
+        moved = list(turns)
+        moved[rng.randrange(len(moved))] += Fraction(rng.randrange(1, 12), rng.choice((12, 35)))
+        for case in (turns, moved):
+            want = turn_sum_is_zero_fraction_oracle(case)
+            assert ch.turn_sum_is_zero(case) is want, case
+            verdicts[want] += 1
+    # both verdicts are exercised, each many times
+    assert min(verdicts.values()) > 1000, verdicts
+
+
+def test_distances_refuse_bad_orders_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the order check")
+
+    monkeypatch.setattr(ch, "Counter", no_work)
+    for n in (0, -3, ch.TABLE_CAP + 1, 10**6):
+        for distance in (ch.l2_distance_squared, ch.sup_distance_exceeds_one):
+            with pytest.raises(ValueError):
+                distance(n, 1, 0)
+
+
+def test_cyclic_character_refuses_order_below_one():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="not a group order"):
+            ch.CyclicCharacter(n, 1)
+
+
+def test_padic_character_refuses_non_int_conductor():
+    for k in (1.5, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="conductor must be an int"):
+            ch.PadicCharacter(2, k, 1)
+    assert ch.PadicCharacter(2, 1, 1).eval_int(1).turn == Fraction(1, 2)
+
+
+def test_radic_character_refuses_negative_level():
+    with pytest.raises(ValueError):
+        ch.radic_character(Radix((2, 3)), -1, 1)
+
+
+def test_product_characters_refuse_orders_below_one():
+    for ns in ([2, 0], [-3], [3, -1]):
+        with pytest.raises(ValueError, match="group orders"):
+            ch.all_product_characters_match(ns)

@@ -308,7 +308,7 @@ SUBCOMMAND_MODULES = [
     ("hausdorff --factors 2,2,2 --scales geometric:1/3", {"errors", "radic", "cantor"}),
     ("audit --isometry 2,3", {"errors", "radic", "cantor", "audit"}),
     ("maximal --tree {tree} --doob 3", {"errors", "radic", "cantor", "harmonic"}),
-    ("characters --gram 4", {"errors", "padic", "radic", "characters"}),
+    ("characters --gram 4", {"errors", "padic", "characters"}),
 ]
 
 

@@ -932,7 +932,7 @@ cases = [
     (linalg, "_int_apply", lambda rows, w: [0] * len(w),
      lambda: linalg.zp_invertibility(linalg.UltraMatrix(2, ((1, 0), (0, 1))))),
     (characters, "Counter", NeverEqual, lambda: characters.gram_exact(4)),
-    (characters, "turn_sum_is_zero", lambda turns: False,
+    (characters, "_shift_invariant", lambda numerators, n: False,
      lambda: characters.l2_distance_squared(4, 0, 1)),
     # a bracket of width 2 around every power never decides 1 <= 4
     (harmonic, "pow_bounds_signed", lambda x, e, prec: (Fraction(0), Fraction(2)),
@@ -978,9 +978,37 @@ def test_certificates_raise_typed_errors_under_python_O():
         "caught vp",
         "caught _int_apply",
         "caught Counter",
-        "caught turn_sum_is_zero",
+        "caught _shift_invariant",
         "caught pow_bounds_signed",
         "caught pow",
         "caught unit_inverse",
         "",
     ]
+
+
+def test_ultra_ball_reduce_keeps_one_of_equal_copies():
+    c = Cylinder((0,))
+    out = harmonic.ultra_ball_reduce([c, Cylinder((0,))])
+    assert out == [c] and out[0] is c
+
+
+def test_ultra_ball_reduce_random_families_against_leaf_sets():
+    # seeded families with equal copies and nested members; the leaf sets
+    # are computed by brute force over every leaf of a small spec
+    spec = ProductSpec.reciprocal((2, 3, 2))
+    leaves = list(spec.points())
+    prefixes = sorted({x[:k] for x in leaves for k in range(spec.depth + 1)})
+
+    def leaf_set(family):
+        return {x for x in leaves if any(x[: c.depth] == c.digits for c in family)}
+
+    rng = random.Random(31)
+    for _ in range(400):
+        family = [Cylinder(rng.choice(prefixes)) for _ in range(rng.randrange(1, 7))]
+        family += [Cylinder(c.digits) for c in rng.sample(family, rng.randrange(len(family) + 1))]
+        rng.shuffle(family)
+        out = harmonic.ultra_ball_reduce(family)
+        assert leaf_set(out) == leaf_set(family)
+        for i, a in enumerate(out):
+            for b in out[i + 1 :]:
+                assert not leaf_set([a]) & leaf_set([b])

@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ultrametric import linalg
-from ultrametric.errors import CertificationFailed
+from ultrametric.errors import CertificationFailed, PrecisionMismatch
 from ultrametric.padic import abs_p
 
 entries = st.fractions(
@@ -227,3 +228,26 @@ def test_det_zero_leading_pivots_and_p_in_denominators():
     assert zero_column.det() == 0
     assert linalg.det_abs(zero_column) == 0
     assert linalg.op_norm(linalg.UltraMatrix(2**61 - 1, ((0, 0), (0, 0)))) == 0
+
+
+def test_mixed_primes_refused():
+    v2, v3 = linalg.UltraVector(2, (1, 2)), linalg.UltraVector(3, (1, 2))
+    I2 = linalg.UltraMatrix(2, ((1, 0), (0, 1)))
+    I3 = linalg.UltraMatrix(3, ((1, 0), (0, 1)))
+    for combine in (lambda: v2 + v3, lambda: I2.apply(v3), lambda: I2.compose(I3)):
+        with pytest.raises(PrecisionMismatch):
+            combine()
+
+
+def test_mixed_dimensions_refused():
+    v2, v1 = linalg.UltraVector(2, (1, 2)), linalg.UltraVector(2, (1,))
+    I2 = linalg.UltraMatrix(2, ((1, 0), (0, 1)))
+    I1 = linalg.UltraMatrix(2, ((1,),))
+    for combine in (
+        lambda: v2 + v1,
+        lambda: I2.apply(v1),
+        lambda: I2.compose(I1),
+        lambda: I1.compose(I2),
+    ):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            combine()

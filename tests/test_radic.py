@@ -367,3 +367,11 @@ def test_project_against_the_oracle():
             assert got == want, (r, r_prime, residue, search_depth)
             projected += isinstance(want, radic.RadicInt)
     assert projected >= 4000
+
+
+def test_cumulative_refuses_negative_depth():
+    for r in (radic.Radix((2, 3)), radic.Radix((2, 3), periodic=True)):
+        with pytest.raises(ValueError, match="negative"):
+            r.cumulative(-1)
+        with pytest.raises(ValueError, match="negative"):
+            radic.haar_ball(-1, r)
