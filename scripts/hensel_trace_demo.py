@@ -7,7 +7,7 @@ The lifted root is cross-checked against the digit-by-digit search oracle.
 
 import argparse
 
-from ultrametric import hensel, padic
+from ultrametric import errors, hensel, padic
 
 
 CASES = [
@@ -28,7 +28,7 @@ def main() -> None:
         point = padic.PAdicInt(p, args.prec, x0)
         try:
             root, trace = hensel.hensel_v1(f, point)
-        except Exception:
+        except errors.HenselPreconditionFailed:
             root, trace = hensel.hensel_v2(f, point)
         oracle = hensel.roots_by_digit_search(f, args.prec, constraint=lambda r: r == x0 % p)
         print(label)

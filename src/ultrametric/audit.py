@@ -15,7 +15,7 @@ from itertools import islice
 
 from .cantor import Cylinder, ProductMeasure, ProductSpec, match_and_dist, match_length
 from .errors import EmptySet
-from .radic import Radix, default_scales, lr_valuation
+from .radic import Radix, lr_valuation
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ def _per_level_check(words: list, radix: Radix) -> tuple[bool, bool]:
 
 def build_radic_isometry(
     radix: Radix,
-    t: tuple | None = None,
     exhaustive_cap: int = 4096,
     samples: int = 2000,
     seed: int = 0,
@@ -162,7 +161,6 @@ def build_radic_isometry(
     at the first failing pair; fewer than one sample raises ValueError,
     since no pair would be checked.
     """
-    spec = ProductSpec(radix.factors, default_scales(radix) if t is None else t)
     R = radix.modulus
     if R > exhaustive_cap and samples < 1:
         raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
@@ -204,7 +202,6 @@ def build_radic_isometry(
         "pushforward_uniform": pushforward_uniform,
         "pairs_checked": pairs_checked,
         "map": psi,
-        "spec": spec,
     }
 
 

@@ -191,7 +191,10 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
 
     ``math.isqrt`` for k = 2; otherwise integer Newton from 2^ceil(bits/k),
     which is at least the root, so the iterates decrease to the floor.
+    n < 0 or k < 1 raises ValueError.
     """
+    if n < 0 or k < 1:
+        raise ValueError(f"iroot needs n >= 0 and k >= 1, not n = {n}, k = {k}")
     if k == 2:
         x = isqrt(n)
     elif n < 2:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import CertificationFailed
+from .errors import CertificationFailed, PrecisionMismatch
 from .padic import PAdicInt, PAdicScalar, check_prime, vp
 
 TABLE_CAP = 4096
@@ -81,11 +81,19 @@ class CyclicCharacter:
         return _turn(self.j * a, self.n)
 
 
+def _known_digits(x: PAdicInt | PAdicScalar) -> int:
+    """d with x known mod p^d: N for a residue mod p^N or a zero, e + N for p^e u."""
+    return x.precision if isinstance(x, PAdicInt) or x.is_zero else x.exponent + x.precision
+
+
 def ep_eval(x: PAdicScalar) -> TurnValue:
     """E_p(x) = e(x') where x' in Z[1/p] carries the negative-exponent digits.
 
-    Trivial exactly on Z_p.
+    Trivial exactly on Z_p; an x not known mod Z_p raises PrecisionMismatch.
     """
+    d = _known_digits(x)
+    if d < 0:
+        raise PrecisionMismatch(f"E_p reads x mod Z_p, but x is known mod {x.p}^{d}")
     if x.is_zero or x.exponent >= 0:
         return ONE
     return _turn(x.unit_residue, x.p**-x.exponent)
@@ -115,7 +123,16 @@ class PadicCharacter:
         """Value at x in Z_p (any integer representative)."""
         return _turn(x * self.y_residue, self.p**self.conductor)
 
+    def _check_point(self, x: PAdicInt | PAdicScalar) -> None:
+        """Refuse an x of another prime, or one known to fewer digits than the
+        conductor, which a nontrivial phi_y reads."""
+        d = _known_digits(x)
+        if x.p != self.p or d < self.conductor and not self.trivial:
+            raise PrecisionMismatch(
+                f"phi_y reads x mod {self.p}^{self.conductor}, but x is known mod {x.p}^{d}")
+
     def eval(self, x: PAdicInt) -> TurnValue:
+        self._check_point(x)
         return self.eval_int(x.residue)
 
     def kernel_exponent(self) -> int:
@@ -127,6 +144,7 @@ class PadicCharacter:
 
 def phi_y(y: PadicCharacter, x: PAdicScalar) -> TurnValue:
     """phi_y(x) = E_p(x y) for x with a finite tail."""
+    y._check_point(x)
     if x.is_zero:
         return ONE
     # x = p^e u; x y = y_residue u / p^(k - e)

@@ -54,7 +54,8 @@ def _emit(report: dict) -> None:
     print(json.dumps(encode({"schema": SCHEMA, **report}), sort_keys=True))
 
 
-def _rational(text) -> Fraction:
+# value types: argparse exits 2 naming the type ("invalid rational value: '1/0'")
+def rational(text) -> Fraction:
     """Fraction(text) for outside input: a zero denominator is invalid input."""
     try:
         return Fraction(text)
@@ -62,8 +63,16 @@ def _rational(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _ints(s: str) -> tuple[int, ...]:
+def rationals(s: str) -> tuple[Fraction, ...]:
+    return tuple(rational(x) for x in s.split(","))
+
+
+def ints(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(","))
+
+
+def weight_levels(s: str) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(rationals(level) for level in s.split(";"))
 
 
 def _check_modulus(p: int, N: int) -> None:
@@ -77,8 +86,7 @@ def cmd_hensel(args) -> tuple[int, dict]:
     from . import hensel, padic
 
     _check_modulus(args.prime, args.prec)
-    coeffs = [_rational(c) for c in args.coeffs.split(",")]
-    f = hensel.ZpPoly.from_rationals(coeffs, args.prime, args.prec)
+    f = hensel.ZpPoly.from_rationals(args.coeffs, args.prime, args.prec)
     x0 = padic.PAdicInt(args.prime, args.prec, args.x0)
     lift = hensel.hensel_v1 if args.variant == "v1" else hensel.hensel_v2
     root, trace = lift(f, x0)
@@ -94,53 +102,47 @@ def cmd_padic(args) -> tuple[int, dict]:
     from . import padic
 
     if args.abs is not None:
-        return 0, {"abs": padic.abs_p(_rational(args.abs), args.prime)}
+        return 0, {"abs": padic.abs_p(args.abs, args.prime)}
     _check_modulus(args.prime, args.prec)
     if args.geom is not None:
-        y = padic.PAdicScalar.from_rational(_rational(args.geom), args.prime, args.prec)
+        y = padic.PAdicScalar.from_rational(args.geom, args.prime, args.prec)
         return 0, {"geometric_sum": repr(padic.geometric_sum(y))}
+    a, b = (padic.padic_from_rational(x, args.prime, args.prec) for x in args.add or args.mul)
     if args.add:
-        a, b = (padic.padic_from_rational(_rational(x), args.prime, args.prec) for x in args.add)
         return 0, {"sum": str((a + b).residue), "modulus": str(a.modulus)}
-    if args.mul:
-        a, b = (padic.padic_from_rational(_rational(x), args.prime, args.prec) for x in args.mul)
-        return 0, {"product": str((a * b).residue), "modulus": str(a.modulus)}
-    raise UltrametricError("no padic operation requested")
+    return 0, {"product": str((a * b).residue), "modulus": str(a.modulus)}
 
 
 def cmd_radic(args) -> tuple[int, dict]:
     from . import radic
 
-    r = radic.Radix(_ints(args.radix))
+    r = radic.Radix(args.radix)
     if args.embed is not None:
         return 0, {"sequence": [str(x) for x in radic.embed_q(args.embed, r)]}
     if args.abs is not None:
         l, a = radic.lr_and_abs(args.abs, r)
         return 0, {"valuation": "saturated" if l is None else l, "abs": a}
     if args.preceq is not None:
-        r2 = radic.Radix(_ints(args.preceq), periodic=args.periodic)
+        r2 = radic.Radix(args.preceq, periodic=args.periodic)
         try:
             w = radic.preceq(r, r2, args.depth)
         except NotComparable as e:
             return 1, {"holds": False, "reason": e.reason, "search_depth": e.search_depth,
                        "level": e.level, "modulus": str(e.modulus)}
         return 0, {"holds": True, "witness": w.witnesses}
-    if args.project is not None:
-        x = radic.RadicInt(radic.Radix(_ints(args.project)), args.residue)
-        y = radic.project(x, r, args.depth)
-        return 0, {"residue": str(y.residue), "modulus": str(r.modulus)}
-    raise UltrametricError("no radic operation requested")
+    x = radic.RadicInt(radic.Radix(args.project), args.residue)
+    y = radic.project(x, r, args.depth)
+    return 0, {"residue": str(y.residue), "modulus": str(r.modulus)}
 
 
 def _spec_from_args(args) -> cantor.ProductSpec:
     from . import cantor
 
-    factors = _ints(args.factors)
     if args.scales == "reciprocal":
-        return cantor.ProductSpec.reciprocal(factors)
+        return cantor.ProductSpec.reciprocal(args.factors)
     if args.scales.startswith("geometric:"):
-        return cantor.ProductSpec.geometric(factors, _rational(args.scales.split(":", 1)[1]))
-    return cantor.ProductSpec(factors, tuple(_rational(s) for s in args.scales.split(",")))
+        return cantor.ProductSpec.geometric(args.factors, rational(args.scales.split(":", 1)[1]))
+    return cantor.ProductSpec(args.factors, rationals(args.scales))
 
 
 def cmd_hausdorff(args) -> tuple[int, dict]:
@@ -150,9 +152,8 @@ def cmd_hausdorff(args) -> tuple[int, dict]:
     if args.dimension:
         lo, hi = cantor.dimension_estimate(spec, args.tolerance)
         return 0, {"dimension_interval": [float(lo), float(hi)]}
-    gauge = cantor.Gauge.power(_rational(args.alpha))
-    delta = None if args.delta is None else _rational(args.delta)
-    value = cantor.hausdorff_content(spec, [cantor.Cylinder(())], gauge, delta=delta)
+    gauge = cantor.Gauge.power(args.alpha)
+    value = cantor.hausdorff_content(spec, [cantor.Cylinder(())], gauge, delta=args.delta)
     if isinstance(value, tuple):
         # some t^alpha is irrational, so the content is a bracket (lo, hi)
         return 0, {"content": value, "exact": False}
@@ -163,21 +164,15 @@ def cmd_audit(args) -> tuple[int, dict]:
     from . import audit, cantor, radic
 
     if args.isometry is not None:
-        rep = audit.build_radic_isometry(radic.Radix(_ints(args.isometry)), seed=args.seed)
+        rep = audit.build_radic_isometry(radic.Radix(args.isometry), seed=args.seed)
         keys = ("bijective", "isometric", "pushforward_uniform")
         out = {k: rep[k] for k in keys}
         code = 0 if all(out.values()) else 1
         return code, {**out, "pairs_checked": rep["pairs_checked"], "seed": args.seed}
-    if args.factors is None:
-        raise UltrametricError("audit needs --factors or --isometry")
     spec = _spec_from_args(args)
     out = {"seed": args.seed}
-    if args.measure_weights:
-        weights = tuple(
-            tuple(_rational(w) for w in level.split(","))
-            for level in args.measure_weights.split(";")
-        )
-        mu = cantor.ProductMeasure(weights)
+    if args.measure_weights is not None:
+        mu = cantor.ProductMeasure(args.measure_weights)
         rep = audit.doubling_measure(spec, mu, args.candidate)
         least = rep.constant["min_weight"]  # 1 / ratio_c2
         out["ratio_c2"] = "infinite" if least == 0 else 1 / least
@@ -194,7 +189,7 @@ def _tree_from_json(path: str) -> harmonic.FiniteUltraTree:
     try:
         factors = tuple(obj["spec"]["factors"])
         scales, mu, nu = (
-            tuple(_rational(x) for x in xs) for xs in (obj["spec"]["scales"], obj["mu"], obj["nu"])
+            tuple(rational(x) for x in xs) for xs in (obj["spec"]["scales"], obj["mu"], obj["nu"])
         )
     except (KeyError, TypeError):
         raise ValueError(
@@ -210,12 +205,12 @@ def cmd_maximal(args) -> tuple[int, dict]:
     tree = _tree_from_json(args.tree)
     f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
     if args.weak_type is not None:
-        rep = harmonic.weak_type_verify(tree, _rational(args.weak_type))
+        rep = harmonic.weak_type_verify(tree, args.weak_type)
     elif args.lp is not None:
-        rep = harmonic.lp_maximal_bound(f, tree, *map(_rational, args.lp))
+        rep = harmonic.lp_maximal_bound(f, tree, *args.lp)
     elif args.doob is not None:
         filt = harmonic.Filtration.dyadic(tree.spec)
-        doob = harmonic.martingale_maximal(f, filt, list(tree.mu), _rational(args.doob))
+        doob = harmonic.martingale_maximal(f, filt, list(tree.mu), args.doob)
         rep = {"holds": doob["holds"]}
     else:
         return 0, {"maximal": harmonic.maximal_function(tree)}
@@ -230,10 +225,8 @@ def cmd_characters(args) -> tuple[int, dict]:
         g = characters.gram_exact(n)
         identity = all(g[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
         return (0 if identity else 1), {"gram_is_identity": identity, "n": n}
-    if args.table is not None:
-        table = characters.character_table(args.table)
-        return 0, {"n": args.table, "table": [[v.turn for v in row] for row in table]}
-    raise UltrametricError("characters needs --table or --gram")
+    table = characters.character_table(args.table)
+    return 0, {"n": args.table, "table": [[v.turn for v in row] for row in table]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hensel", help="root lifting over Z_p")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--coeffs", required=True, help="constant term first, comma separated")
+    p.add_argument("--coeffs", type=rationals, required=True,
+                   help="constant term first, comma separated")
     p.add_argument("--x0", type=int, required=True)
     p.add_argument("--prec", type=int, default=10)
     p.add_argument("--variant", choices=("v1", "v2"), default="v2")
@@ -252,59 +246,63 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("padic", help="p-adic absolute values, arithmetic, series")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--prec", type=int, default=10)
-    p.add_argument("--abs")
-    p.add_argument("--geom")
-    p.add_argument("--add", nargs=2)
-    p.add_argument("--mul", nargs=2)
+    op = p.add_mutually_exclusive_group(required=True)
+    op.add_argument("--abs", type=rational)
+    op.add_argument("--geom", type=rational)
+    op.add_argument("--add", type=rational, nargs=2)
+    op.add_argument("--mul", type=rational, nargs=2)
     p.set_defaults(func=cmd_padic)
 
     p = sub.add_parser("radic", help="mixed-radix integers")
-    p.add_argument("--radix", required=True)
-    p.add_argument("--embed", type=int)
-    p.add_argument("--abs", type=int)
-    p.add_argument("--preceq")
+    p.add_argument("--radix", type=ints, required=True)
+    op = p.add_mutually_exclusive_group(required=True)
+    op.add_argument("--embed", type=int)
+    op.add_argument("--abs", type=int)
+    op.add_argument("--preceq", type=ints)
+    op.add_argument("--project", type=ints)
     p.add_argument("--periodic", action="store_true")
-    p.add_argument("--project")
     p.add_argument("--residue", type=int, default=0)
     p.add_argument("--depth", type=int, default=64)
     p.set_defaults(func=cmd_radic)
 
     p = sub.add_parser("hausdorff", help="contents and dimension on Cantor products")
-    p.add_argument("--factors", required=True)
+    p.add_argument("--factors", type=ints, required=True)
     p.add_argument("--scales", default="reciprocal")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--delta")
+    p.add_argument("--alpha", type=rational, default="1")
+    p.add_argument("--delta", type=rational)
     p.add_argument("--dimension", action="store_true")
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(func=cmd_hausdorff)
 
     p = sub.add_parser("audit", help="doubling and isometry audits")
-    p.add_argument("--factors")
+    op = p.add_mutually_exclusive_group(required=True)
+    op.add_argument("--factors", type=ints)
+    op.add_argument("--isometry", type=ints, help="radix digits, comma separated")
     p.add_argument("--scales", default="reciprocal")
     p.add_argument("--candidate", type=int)
-    p.add_argument("--measure-weights", help='per level "a/b,c/d;..." weights')
-    p.add_argument("--isometry", help="radix digits, comma separated")
+    p.add_argument("--measure-weights", type=weight_levels, help='per level "a/b,c/d;..."')
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("maximal", help="maximal functions on weighted trees")
     p.add_argument("--tree", required=True, help="JSON file {spec, mu, nu}")
-    p.add_argument("--weak-type")
-    p.add_argument("--lp", nargs=2, metavar=("P", "A"))
-    p.add_argument("--doob")
+    op = p.add_mutually_exclusive_group()
+    op.add_argument("--weak-type", type=rational)
+    op.add_argument("--lp", type=rational, nargs=2, metavar=("P", "A"))
+    op.add_argument("--doob", type=rational)
     p.set_defaults(func=cmd_maximal)
 
     p = sub.add_parser("characters", help="character tables and Gram matrices")
-    p.add_argument("--table", type=int)
-    p.add_argument("--gram", type=int)
+    op = p.add_mutually_exclusive_group(required=True)
+    op.add_argument("--table", type=int)
+    op.add_argument("--gram", type=int)
     p.set_defaults(func=cmd_characters)
 
     return top
 
 
 # flags whose values may be negative numbers, with the number of values each takes
-_NUMERIC_FLAGS = {
-    "--coeffs": 1, "--abs": 1, "--geom": 1, "--delta": 1, "--alpha": 1, "--add": 2, "--mul": 2,
-}
+_NUMERIC_FLAGS = {"--coeffs": 1, "--abs": 1, "--geom": 1, "--delta": 1, "--alpha": 1,
+                  "--add": 2, "--mul": 2, "--weak-type": 1, "--lp": 2, "--doob": 1}
 
 
 def _mark_dash_values(argv: list[str]) -> list[str]:

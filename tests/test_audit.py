@@ -204,6 +204,12 @@ def test_radic_isometry_2_3():
     assert rep["pairs_checked"] == 36
 
 
+def test_radic_isometry_report_holds_no_scales():
+    # the verdict compares match lengths, so no scale sequence enters it
+    rep = audit.build_radic_isometry(radic.Radix((2, 3)))
+    assert set(rep) == {"bijective", "isometric", "pushforward_uniform", "pairs_checked", "map"}
+
+
 def test_radic_isometry_single_level_and_binary():
     assert audit.build_radic_isometry(radic.Radix((5,)))["isometric"]
     rep = audit.build_radic_isometry(radic.Radix((2, 2)))
@@ -300,7 +306,7 @@ def test_sampled_pairs_against_fraction_oracle(monkeypatch):
                 pairs = oracle_sampled_pairs(lambda a: psi(a, r), r, t, seed, r.depth)
                 for samples in range(1, r.depth + 1):
                     rep = audit.build_radic_isometry(
-                        r, t, exhaustive_cap=1, samples=samples, seed=seed)
+                        r, exhaustive_cap=1, samples=samples, seed=seed)
                     failed = [p for p in pairs[:samples] if not p[2]]
                     assert rep["isometric"] is not failed
                     # the first failing pair ends the check

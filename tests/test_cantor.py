@@ -182,6 +182,14 @@ def test_iroot_against_defining_inequality():
     assert cantor.iroot(10**40 - 1, 2) == (10**20 - 1, False)
 
 
+def test_iroot_refuses_negative_n_and_degree_below_one():
+    # -8 once came back as (-8, False) and k = 0 as a ZeroDivisionError
+    for n, k in ((-8, 3), (-1, 2), (8, 0), (8, -2)):
+        with pytest.raises(ValueError, match="n >= 0 and k >= 1"):
+            cantor.iroot(n, k)
+    assert cantor.iroot(0, 1) == (0, True) and cantor.iroot(7, 1) == (7, True)
+
+
 def test_snowflake_halves_dimension():
     spec = cantor.ProductSpec.geometric((2,) * 10, Fraction(1, 2))
     flaked = cantor.snowflake(spec, 2)
@@ -305,6 +313,12 @@ def test_measure_bound_check():
     mu = cantor.ProductMeasure.uniform(a)
     rep = cantor.measure_bound_check(join, mu, mu, cantor.Gauge.power(1), cantor.Gauge.power(1))
     assert rep["holds"]
+    # with h(t) = t^3 the depth-1 rectangles of mass 1/4 exceed (1/2)^3 (1/2)^3
+    h = cantor.Gauge.power(3)
+    rep = cantor.measure_bound_check(join, mu, mu, h, h)
+    assert not rep["holds"]
+    assert rep["violations"][0] == ((0,), (0,), Fraction(1, 4), Fraction(1, 64))
+    assert all(m > bound for _, _, m, bound in rep["violations"])
 
 
 # ---------------------------------------------------------------------------

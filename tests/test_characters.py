@@ -10,7 +10,7 @@ import pytest
 
 from ultrametric import characters as ch
 from ultrametric.characters import TurnValue
-from ultrametric.errors import CertificationFailed
+from ultrametric.errors import CertificationFailed, PrecisionMismatch
 from ultrametric.padic import PAdicInt, PAdicScalar
 from ultrametric.radic import Radix
 
@@ -401,6 +401,49 @@ def test_padic_character_refuses_non_int_conductor():
         with pytest.raises(ValueError, match="conductor must be an int"):
             ch.PadicCharacter(2, k, 1)
     assert ch.PadicCharacter(2, 1, 1).eval_int(1).turn == Fraction(1, 2)
+
+
+def test_padic_character_eval_reads_the_residue():
+    y = ch.PadicCharacter(2, 5, 3)
+    for r in range(64):
+        assert y.eval(PAdicInt(2, 6, r)) == y.eval_int(r) == ch.TurnValue(Fraction(3 * r, 32))
+
+
+def test_padic_characters_refuse_a_point_of_another_prime():
+    # both once returned a value of no character: e(1/9) and e(1/2)
+    y = ch.PadicCharacter(2, 1, 1)
+    with pytest.raises(PrecisionMismatch):
+        ch.phi_y(y, PAdicScalar.from_rational(Fraction(1, 3), 3, 6))
+    with pytest.raises(PrecisionMismatch):
+        y.eval(PAdicInt(3, 5, 1))
+    with pytest.raises(PrecisionMismatch):
+        ch.phi_y(ch.PadicCharacter(2, 0, 0), PAdicScalar.zero(3, 6))
+
+
+def test_padic_characters_refuse_a_point_known_below_the_conductor():
+    # 1 and 9 agree mod 2^3, but phi_y reads x mod 2^5: e(1/32) against e(9/32)
+    y = ch.PadicCharacter(2, 5, 1)
+    with pytest.raises(PrecisionMismatch):
+        y.eval(PAdicInt(2, 3, 1))
+    assert y.eval(PAdicInt(2, 5, 9)).turn == Fraction(9, 32)
+    # x = 2 u known mod 2^4, and a zero known mod 2^4
+    for x in (PAdicScalar(2, 3, 1, 1), PAdicScalar.zero(2, 4)):
+        with pytest.raises(PrecisionMismatch):
+            ch.phi_y(y, x)
+    assert ch.phi_y(y, PAdicScalar(2, 4, 1, 1)).turn == Fraction(1, 16)
+    assert ch.phi_y(y, PAdicScalar.zero(2, 5)).is_one()
+    # a trivial character reads no digit
+    trivial = ch.PadicCharacter(2, 5, 0)
+    assert trivial.eval(PAdicInt(2, 3, 1)).is_one()
+    assert ch.phi_y(trivial, PAdicScalar.zero(2, 1)).is_one()
+
+
+def test_ep_eval_refuses_a_point_not_known_mod_z_p():
+    # a unit known mod 4 at 2^-5 is x mod 2^-3: its class mod Z_2 is unknown
+    with pytest.raises(PrecisionMismatch):
+        ch.ep_eval(PAdicScalar(2, 2, -5, 1))
+    assert ch.ep_eval(PAdicScalar(2, 5, -5, 1)).turn == Fraction(1, 32)
+    assert ch.ep_eval(PAdicScalar(2, 3, -3, 5)).turn == Fraction(5, 8)
 
 
 def test_radic_character_refuses_negative_level():

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import time
@@ -279,12 +280,52 @@ def test_characters_table_and_gram(capsys):
 
 def test_characters_no_operation(capsys):
     code, out, err = run(capsys, "characters")
-    assert code == 2 and out == "" and "--table or --gram" in err
+    assert code == 2 and out == "" and "one of the arguments --table --gram is required" in err
 
 
 def test_audit_no_operation(capsys):
     code, out, err = run(capsys, "audit")
-    assert code == 2 and out == "" and "--factors or --isometry" in err
+    assert code == 2 and out == "" and "one of the arguments --factors --isometry is required" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # two operations: the first in code order once ran and the other was dropped
+    ("padic --prime 7 --abs 3 --geom 7", "argument --geom: not allowed with argument --abs"),
+    ("radic --radix 2,3 --embed 5 --abs 6", "argument --abs: not allowed with argument --embed"),
+    ("audit --isometry 2,3 --factors 2,2", "argument --factors: not allowed with argument --isometry"),
+    ("characters --gram 4 --table 3", "argument --table: not allowed with argument --gram"),
+    ("maximal --tree {tree} --weak-type 3 --doob 3", "argument --doob: not allowed with argument"),
+    # no operation
+    ("padic --prime 3", "one of the arguments --abs --geom --add --mul is required"),
+    ("radic --radix 2,3", "one of the arguments --embed --abs --preceq --project is required"),
+    ("audit", "one of the arguments --factors --isometry is required"),
+    ("characters", "one of the arguments --table --gram is required"),
+])
+def test_each_invocation_runs_exactly_one_operation(capsys, tmp_path, argv, message):
+    code, out, err = run(capsys, *argv.format(tree=tree_file(tmp_path)).split())
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_numeric_flags_cover_every_rational_flag(capsys, tmp_path):
+    # a flag typed rational must be in _NUMERIC_FLAGS with its count of values,
+    # or argparse reads a negative value such as -1/2 as an option
+    top = cli.build_parser()
+    subparsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    rational_flags = {
+        flag: action.nargs or 1
+        for parser in subparsers.choices.values() for action in parser._actions
+        if action.type in (cli.rational, cli.rationals) for flag in action.option_strings
+    }
+    assert {"--coeffs", "--weak-type", "--lp", "--doob"} <= rational_flags.keys()
+    assert rational_flags.items() <= cli._NUMERIC_FLAGS.items()
+    # so a negative value reaches the check that refuses it
+    path = tree_file(tmp_path)
+    for flag, message in (("--weak-type", "t must be positive"), ("--doob", "t must be positive")):
+        code, out, err = run(capsys, "maximal", "--tree", path, flag, "-1/2")
+        assert code == 2 and out == "" and err == message
+    code, _, err = run(capsys, "maximal", "--tree", path, "--lp", "2", "-1/2")
+    assert code == 2 and err == "need 0 < a < 1"
 
 
 def test_bad_subcommand(capsys):
@@ -341,6 +382,28 @@ def test_each_subcommand_loads_only_its_modules(tmp_path):
         assert code in (0, 1), argv
         assert set(loaded) == {"ultrametric.cli"} | {f"ultrametric.{m}" for m in modules}, argv
         assert not numpy, argv
+
+
+def test_values_are_refused_before_any_module_loads():
+    # every value is typed in build_parser, so a refused one never reaches the
+    # cmd_* imports
+    import os
+    import subprocess
+    import sys
+
+    import ultrametric
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultrametric.__file__)))
+    child = (
+        "import sys\n"
+        "from ultrametric import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('ultrametric.')))\n"
+    )
+    for argv in ("padic --prime 2 --abs 1/0", "audit --factors 2,x", "characters --table 3 --gram 4"):
+        out = subprocess.run([sys.executable, "-c", child, *argv.split()], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "2 ['ultrametric.cli', 'ultrametric.errors']\n", argv
 
 
 def test_report_past_the_int_to_str_limit_exits_2_without_a_traceback(capsys):

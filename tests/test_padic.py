@@ -208,6 +208,15 @@ def test_ring_ops():
         x * padic.PAdicInt(3, 4, 1)
 
 
+def test_int_operands_act_as_their_residues():
+    x = padic.PAdicInt(3, 4, 50)
+    for n in (0, 7, -7, 3**4 + 2, -(3**9)):
+        y = padic.PAdicInt(3, 4, n)
+        assert x + n == x + y and x - n == x - y and x * n == x * y
+    with pytest.raises(PrecisionMismatch):
+        x + padic.PAdicInt(3, 5, 1)
+
+
 @given(
     a=st.integers(0, 10**6),
     b=st.integers(0, 10**6),

@@ -54,3 +54,21 @@ def test_weak_type_audit_checks_under_python_O():
     assert proc.returncode == 1, proc.stderr
     assert "C1 = 1 fails at t = " in proc.stdout
     assert "all pass" not in proc.stdout
+
+
+def test_hensel_trace_demo_retries_only_a_failed_precondition():
+    # a v1 lift that fails its certificate must stop the run, not fall back to v2
+    script = str(SCRIPTS / "hensel_trace_demo.py")
+    broken = (
+        "import runpy, sys\n"
+        "from ultrametric import errors, hensel\n"
+        "def v1(f, x0):\n"
+        "    raise errors.CertificationFailed('broken v1')\n"
+        "hensel.hensel_v1 = v1\n"
+        f"sys.argv = [{script!r}, '--prec', '8']\n"
+        f"runpy.run_path({script!r}, run_name='__main__')\n"
+    )
+    proc = run_python("-c", broken)
+    assert proc.returncode == 1
+    assert "CertificationFailed: broken v1" in proc.stderr
+    assert proc.stdout == ""
