@@ -42,10 +42,6 @@ class ProductSpec(LevelGrid):
         super().__post_init__()
         object.__setattr__(self, "scales", check_scales(self.scales, self.depth))
 
-    def branching(self, k: int) -> int:
-        """Number of children of a depth-k node (factor n_{k+1})."""
-        return self.factors[k]
-
     @classmethod
     def geometric(cls, factors, theta) -> "ProductSpec":
         theta = Fraction(theta)
@@ -245,14 +241,6 @@ def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction,
     return Fraction(r_lo, S), Fraction(r_hi + (not exact), S)
 
 
-def pow_bounds_signed(x: Fraction, e: Fraction, prec_bits: int = 64):
-    """x^e bounds for x > 0 and any rational e."""
-    if e >= 0:
-        return pow_bounds(x, e, prec_bits)
-    lo, hi = pow_bounds(x, -e, prec_bits)
-    return 1 / hi, 1 / lo
-
-
 def _check_antichain(target: list[Cylinder], spec: ProductSpec):
     """The target's digit words and their proper prefixes; nested pairs raise."""
     for c in target:
@@ -308,11 +296,11 @@ def hausdorff_content(
 
         inside = [inf] * L + [inf if h[L] is None else h[L]]
         for k in range(L - 1, -1, -1):
-            inside[k] = best(k, spec.branching(k) * inside[k + 1])
+            inside[k] = best(k, spec.factors[k] * inside[k + 1])
         cost = {w: inside[len(w)] for w in words}
         for prefix in order:  # deepest first, so every child's cost is known
             k = len(prefix)
-            children = (cost.get(prefix + (d,)) for d in range(spec.branching(k)))
+            children = (cost.get(prefix + (d,)) for d in range(spec.factors[k]))
             cost[prefix] = best(k, sum(c for c in children if c is not None))
         return cost[()]
 

@@ -24,7 +24,8 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import product
+from math import gcd, lcm
 
 from .errors import CertificationFailed, PrecisionMismatch
 from .padic import PAdicInt, PAdicScalar, check_prime, vp
@@ -165,12 +166,17 @@ def _shift_invariant(numerators, n: int) -> bool:
     return any(Counter((t + s) % n for t in bag.elements()) == bag for s in bag if s)
 
 
+def _cleared(turns: list[Fraction]) -> tuple[int, list[int]]:
+    """(m, [t m for t in turns]), m the lcm of the denominators: e(t) = e(t m / m)."""
+    m = lcm(*(t.denominator for t in turns))
+    return m, [t.numerator * (m // t.denominator) for t in turns]
+
+
 def turn_sum_is_zero(turns: list[Fraction]) -> bool:
     """Exact vanishing certificate for sums of roots of unity: the shift
     certificate on the turns cleared to one common denominator."""
-    turns = [Fraction(t) for t in turns]
-    m = lcm(*(t.denominator for t in turns))
-    return _shift_invariant([t.numerator * (m // t.denominator) for t in turns], m)
+    m, numerators = _cleared([Fraction(t) for t in turns])
+    return _shift_invariant(numerators, m)
 
 
 def _check_order(n: int) -> None:
@@ -284,40 +290,24 @@ def product_character(factors: list) -> object:
 
 
 def all_product_characters_match(ns: list[int]) -> bool:
-    """Every character of prod Z/n_iZ factors through the coordinates.
+    """Every character of G = prod Z/n_iZ factors through the coordinates.
 
-    Verified exhaustively by comparing the table of the product group
-    (cyclic decomposition via CRT is not assumed) with all products of
-    per-factor characters.
+    Characters are orthonormal, so G has at most |G| of them.  The |G|
+    products of per-factor characters are certified to obey phi(x + y) =
+    phi(x) phi(y) on every pair, in integers over one denominator, and to
+    have pairwise distinct tables; so they are all of them.  O(|G|^3).
     """
-    from itertools import product as iproduct
-
     if any(n < 1 for n in ns):
         raise ValueError(f"{ns} are not all group orders")
-    elements = list(iproduct(*[range(n) for n in ns]))
-
-    def is_character(values: dict) -> bool:
-        for x in elements:
-            for y in elements:
-                z = tuple((a + b) % n for a, b, n in zip(x, y, ns))
-                if values[z].turn != (values[x] * values[y]).turn:
-                    return False
-        return True
-
-    product_tables = set()
-    for js in iproduct(*[range(n) for n in ns]):
-        chis = [CyclicCharacter(n, j).eval for n, j in zip(ns, js)]
-        phi = product_character(chis)
-        product_tables.add(tuple(phi(x).turn for x in elements))
-
-    # enumerate all homomorphisms directly: a character is fixed by its
-    # values e(m_i/M) on the coordinate generators, |G| = M, killed by the
-    # generator's order: n_i m_i = 0 mod M, so m_i is a multiple of M/n_i;
-    # verify the law on the full table
-    M = prod(ns)
-    all_tables = set()
-    for ms in iproduct(*[range(0, M, M // n) for n in ns]):
-        values = {x: _turn(sum(m * a for m, a in zip(ms, x)), M) for x in elements}
-        if is_character(values):
-            all_tables.add(tuple(values[x].turn for x in elements))
-    return product_tables == all_tables
+    elements = list(product(*[range(n) for n in ns]))
+    index = {x: i for i, x in enumerate(elements)}
+    sums = [(i, j, index[tuple((a + b) % n for a, b, n in zip(x, y, ns))])  # x_i + x_j = x_s
+            for i, x in enumerate(elements) for j, y in enumerate(elements)]
+    tables = set()
+    for js in elements:  # the j_i range over Z/n_iZ, as the elements do
+        phi = product_character([CyclicCharacter(n, j).eval for n, j in zip(ns, js)])
+        m, a = _cleared([phi(x).turn for x in elements])
+        if any((a[i] + a[j] - a[s]) % m for i, j, s in sums):  # e(a_i/m) e(a_j/m) = e(a_s/m)
+            return False
+        tables.add((m, *a))
+    return len(tables) == len(elements)

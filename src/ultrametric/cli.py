@@ -54,13 +54,17 @@ def _emit(report: dict) -> None:
     print(json.dumps(encode({"schema": SCHEMA, **report}), sort_keys=True))
 
 
-# value types: argparse exits 2 naming the type ("invalid rational value: '1/0'")
+class InvalidRational(argparse.ArgumentTypeError, ValueError):
+    """Printed as it stands by argparse; outside argparse ``main`` catches it."""
+
+
+# value types: argparse exits 2 naming the flag ("argument --x0: invalid int value: 'a'")
 def rational(text) -> Fraction:
-    """Fraction(text) for outside input: a zero denominator is invalid input."""
+    """Fraction(text) for outside input, quoted without ``_mark_dash_values``'s space."""
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    except (ValueError, ZeroDivisionError, OverflowError):  # OverflowError: JSON's Infinity
+        raise InvalidRational(f"invalid rational value: {str(text).strip()!r}") from None
 
 
 def rationals(s: str) -> tuple[Fraction, ...]:

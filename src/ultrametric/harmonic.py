@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .cantor import MAX_ROOT_DEGREE, Cylinder, ProductSpec, pow_bounds, pow_bounds_signed
+from .cantor import MAX_POWER_BITS, MAX_ROOT_DEGREE, Cylinder, ProductSpec, pow_bounds
 from .errors import (
     CertificationFailed,
     DegenerateMeasure,
@@ -78,7 +78,7 @@ def _ball_masses(spec: ProductSpec, weights) -> tuple[int, list[list[int]]]:
     D, level = _integer_masses(weights)
     masses = [level]
     for k in range(spec.depth, 0, -1):
-        n = spec.branching(k - 1)
+        n = spec.factors[k - 1]
         level = [sum(level[i : i + n]) for i in range(0, len(level), n)]
         masses.append(level)
     masses.reverse()  # depth 0 first
@@ -97,7 +97,7 @@ def _maximal_pairs(tree: FiniteUltraTree):
     d_nu, nu = _ball_masses(spec, tree.nu)
     best = [(nu[0][0], mu[0][0])]
     for k in range(1, spec.depth + 1):
-        n = spec.branching(k - 1)
+        n = spec.factors[k - 1]
         parents = (p for p in best for _ in range(n))
         best = [(a, b) if a * p[1] > p[0] * b else p for p, a, b in zip(parents, nu[k], mu[k])]
     return d_mu, mu, d_nu, nu, best
@@ -129,7 +129,7 @@ def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
             return
         if depth == tree.spec.depth:
             return
-        n = tree.spec.branching(depth)
+        n = tree.spec.factors[depth]
         for d in range(n):
             rec(depth + 1, rank * n + d, digits + (d,))
 
@@ -138,7 +138,11 @@ def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
 
 
 def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
-    """Check mu{M(nu) > t} <= C1 t^{-1} nu(X); C1 = 1 on trees, 2 on grids."""
+    """Check mu{M(nu) > t} <= C1 t^{-1} nu(X); C1 = 1 on trees, 2 on grids.
+
+    The values v of M(nu), where t -> mu{M > t} jumps, test it with slack:
+    {M > v} leaves out {M = v}, and sup t mu{M > t} = v mu{M >= v} over
+    (v_prev, v) is approached only as t rises to v."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
@@ -148,18 +152,6 @@ def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
     lhs = Fraction(sum(w for w, (a, b) in zip(mu[-1], best) if a * c_a > b * c_b), d_mu)
     rhs = Fraction(nu[0][0] * t.denominator, d_nu * t.numerator)
     return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(1)}
-
-
-def ratio_grid(tree: FiniteUltraTree) -> list[Fraction]:
-    """All distinct values of M(nu), in increasing order.
-
-    They are the points where t -> mu{M > t} jumps, but not where the
-    weak-type bound is tight: at t = v the set {M > t} leaves out the
-    points where M = v, and on (v_prev, v) the supremum of t mu{M > t},
-    v mu{M >= v}, is approached only as t rises to v.  A check at these
-    values alone tests the bound with slack.
-    """
-    return sorted(set(maximal_function(tree)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +239,10 @@ def adversarial_grid() -> tuple[GridMeasure, Fraction]:
 
 @dataclass(frozen=True)
 class Interval:
-    """Rational interval with endpoint flags; default closed."""
+    """Closed rational interval [a, b]."""
 
     a: Fraction
     b: Fraction
-    closed_left: bool = True
-    closed_right: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -261,16 +251,7 @@ class Interval:
             raise ValueError("empty interval")
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.a or x > self.b:
-            return False
-        if x == self.a and not self.closed_left:
-            return False
-        if x == self.b and not self.closed_right:
-            return False
-        return True
-
-    def right_key(self):
-        return (self.b, self.closed_right)
+        return self.a <= x <= self.b
 
 
 def _sample_points(family: list[Interval]) -> list[Fraction]:
@@ -313,7 +294,7 @@ def interval_reduce(family: list[Interval]) -> list[Interval]:
         candidates = [iv for iv in family if iv.contains(x)]
         if not candidates:
             continue
-        chosen.append(max(candidates, key=Interval.right_key))
+        chosen.append(max(candidates, key=lambda iv: iv.b))
     if not same_union(chosen, family):
         raise CertificationFailed("interval reduction changed the union")
     if interval_multiplicity(chosen) > 2:
@@ -350,8 +331,8 @@ class Ball:
     def intersects(self, other: "Ball") -> bool:
         return abs(self.center - other.center) <= self.radius + other.radius
 
-    def within_dilate(self, other: "Ball", factor: int = 3) -> bool:
-        return abs(self.center - other.center) + self.radius <= factor * other.radius
+    def within_dilate(self, other: "Ball") -> bool:
+        return abs(self.center - other.center) + self.radius <= 3 * other.radius
 
 
 def vitali_select(family: list[Ball]) -> tuple[list[Ball], dict[int, int]]:
@@ -389,10 +370,11 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     Exact for integer p: ``lhs`` and ``rhs`` are Fractions and ``equal``
     says they agree.  For fractional p each side is a rational bracket
     (lo, hi) built from ``pow_bounds`` at 2^-64 resolution per power, and
-    ``equal`` says the two brackets intersect.
+    ``equal`` says the two brackets intersect.  Either way a power past the
+    budget of ``pow_bounds`` raises ExponentOutOfRange before it is formed.
 
-    The points are grouped by value on integer masses, and lambda at every
-    jump is one suffix sum over the sorted values.
+    Points are grouped by value on integer masses; lambda at each jump is one
+    suffix sum over the sorted values, and both sides share its one power.
     """
     g = [Fraction(x) for x in g]
     mu = [Fraction(w) for w in mu]
@@ -416,16 +398,19 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     lam = list(accumulate(at[x] for x in reversed(jumps[1:])))[::-1]
     if p.denominator == 1:
         k = p.numerator
+        if any(k * max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_POWER_BITS
+               for x in jumps[1:] if x != 1):  # the budget of pow_bounds, which is not called
+            raise ExponentOutOfRange(f"a power g^{k} passes the {MAX_POWER_BITS}-bit budget")
         powers = [x**k for x in jumps]
         lhs = sum((x * at[v] for v, x in zip(jumps[1:], powers[1:])), Fraction(0)) / D
         rhs = sum((m * (b - a) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D
         return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
-    lhs = _power_integral_bounds(g, mu, p, 64)
     powers = [pow_bounds(t, p) for t in jumps]
-    rhs = (
-        sum((m * (b[0] - a[1]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D,
-        sum((m * (b[1] - a[0]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D,
-    )
+    # i = 0 the lower ends, i = 1 the upper: b[i] - a[1 - i] bounds b^p - a^p
+    lhs = tuple(sum((x[i] * at[v] for v, x in zip(jumps[1:], powers[1:])), Fraction(0)) / D
+                for i in (0, 1))
+    rhs = tuple(sum((m * (b[i] - a[1 - i]) for m, a, b in zip(lam, powers, powers[1:])),
+                    Fraction(0)) / D for i in (0, 1))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs[0] <= rhs[1] and rhs[0] <= lhs[1]}
 
 
@@ -434,7 +419,7 @@ def _power_integral_bounds(values, mu, p: Fraction, prec: int) -> tuple[Fraction
     lo = hi = Fraction(0)
     for v, w in zip(values, mu):
         if v != 0:
-            v_lo, v_hi = pow_bounds_signed(abs(v), p, prec)
+            v_lo, v_hi = pow_bounds(abs(v), p, prec)
             lo += v_lo * w
             hi += v_hi * w
     return lo, hi
@@ -451,9 +436,10 @@ def _lp_exponent(p) -> Fraction:
 
 
 def _lp_constant_bounds(p: Fraction, a: Fraction, C1, prec: int) -> tuple[Fraction, Fraction]:
-    """Bounds on p C1 (1-a)^{-1} (p-1)^{-1} a^{1-p}, from a 2^-prec bracket on a^{1-p}."""
+    """Bounds on p C1 (1-a)^{-1} (p-1)^{-1} a^{1-p}, from a 2^-prec bracket on a^{p-1}."""
     c = p * C1 / (1 - a) / (p - 1)
-    return tuple(c * b for b in pow_bounds_signed(a, 1 - p, prec))
+    lo, hi = pow_bounds(a, p - 1, prec)
+    return c / hi, c / lo
 
 
 def _maximal_of_abs(f, tree: FiniteUltraTree) -> tuple[list[Fraction], list[Fraction]]:
@@ -490,8 +476,8 @@ def lp_maximal_bound(
     raise CertificationFailed("power bracket did not resolve the comparison")
 
 
-def lp_best_a(p, C1: int = 1, grid: int = 32) -> tuple[Fraction, Fraction]:
-    """The grid point a = j/grid minimizing p C1 (1-a)^{-1} (p-1)^{-1} a^{1-p}.
+def lp_best_a(p, grid: int = 32) -> tuple[Fraction, Fraction]:
+    """The grid point a = j/grid minimizing p (1-a)^{-1} (p-1)^{-1} a^{1-p}, C1 = 1.
 
     Returns (a, an upper bound on the constant there); comparisons between
     grid points use exact rational brackets.
@@ -502,7 +488,7 @@ def lp_best_a(p, C1: int = 1, grid: int = 32) -> tuple[Fraction, Fraction]:
     best = None
     for j in range(1, grid):
         a = Fraction(j, grid)
-        hi = _lp_constant_bounds(p, a, C1, 128)[1]
+        hi = _lp_constant_bounds(p, a, 1, 128)[1]
         if best is None or hi < best[1]:
             best = (a, hi)
     return best
@@ -637,11 +623,9 @@ def martingale_maximal(
     return {"levels": levels, "doob": reports, "holds": all(r["holds"] for r in reports)}
 
 
-def random_tree(
-    spec: ProductSpec, rng: random.Random, max_weight: int = 8
-) -> FiniteUltraTree:
-    """Random positive mu and nonnegative nu, for randomized audits."""
+def random_tree(spec: ProductSpec, rng: random.Random) -> FiniteUltraTree:
+    """Random positive mu and nonnegative nu, numerators up to 8, for randomized audits."""
     m = spec.cumulative(spec.depth)
-    mu = tuple(Fraction(rng.randrange(1, max_weight + 1), rng.randrange(1, 4)) for _ in range(m))
-    nu = tuple(Fraction(rng.randrange(0, max_weight + 1), rng.randrange(1, 4)) for _ in range(m))
+    mu = tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(m))
+    nu = tuple(Fraction(rng.randrange(0, 9), rng.randrange(1, 4)) for _ in range(m))
     return FiniteUltraTree(spec, mu, nu)

@@ -18,7 +18,6 @@ exact inverse, bit for bit.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -79,15 +78,6 @@ class ZpPoly(_Residues):
             self.precision,
             tuple(k * c for k, c in enumerate(self.coeffs))[1:] or (0,),
         )
-
-
-def eval_and_derivative(f: ZpPoly, x: PAdicInt) -> tuple[PAdicInt, PAdicInt]:
-    """Horner evaluation of f and its formal derivative at x, mod p^N."""
-    f._check_compatible(x)
-    m = x.modulus
-    fx = f.eval_int(x.residue, m)
-    dfx = f.derivative().eval_int(x.residue, m)
-    return PAdicInt(f.p, f.precision, fx), PAdicInt(f.p, f.precision, dfx)
 
 
 @dataclass
@@ -221,43 +211,22 @@ def contraction_solve(f: ZpPoly, x0: PAdicInt) -> PAdicInt:
     raise CertificationFailed(f"the orbit did not settle mod p^{N} in {work + 1} steps")
 
 
-def local_scaling_check(
-    f: ZpPoly,
-    x0: PAdicInt,
-    k: int,
-    samples: int = 100,
-    seed: int = 0,
-) -> dict:
-    """Verify |f(x)-f(y)|_p = p^-k |x-y|_p for x, y in x0 + p^{k+1} Z_p; needs k + 1 < N."""
-    if samples < 1:
-        raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
+def local_scaling_check(f: ZpPoly, x0: PAdicInt, k: int) -> dict:
+    """Certify |f(x)-f(y)|_p = p^-k |x-y|_p for x, y in x0 + p^{k+1} Z_p; needs k + 1 < N.
+
+    f has integer coefficients, so f(x) - f(y) = (x - y) g(x, y) with
+    g = f'(x0) mod p^{k+1} on the ball: the identity holds for every pair
+    iff v_p(f'(x0)) = k, read exactly by one probe mod p^(N+k+1).  Any other
+    valuation raises KMismatch."""
     f._check_compatible(x0)
-    p = f.p
-    N = f.precision
+    p, N = f.p, f.precision
     if k + 1 >= N:
         raise ValueError(f"x0 + p^{k + 1} Z_p is one point mod p^{N}, so no pair can be checked")
     probe = N + k + 1
-    mp = p**probe
-    actual_k = vp(f.derivative().eval_int(x0.residue, mp), p, probe)
+    actual_k = vp(f.derivative().eval_int(x0.residue, p**probe), p, probe)
     if actual_k != k:
         raise KMismatch(f"|f'(x0)|_p = p^-{actual_k}, expected p^-{k}")
-    rng = random.Random(seed)
-    work = N + k
-    mw = p**work
-    step = p ** (k + 1)
-    violations = []
-    checked = 0
-    for _ in range(samples):
-        x = (x0.residue + step * rng.randrange(p ** (work - k - 1))) % mw
-        y = (x0.residue + step * rng.randrange(p ** (work - k - 1))) % mw
-        v_xy = vp(x - y, p, work)
-        if v_xy >= N:  # difference below resolution; equality untestable
-            continue
-        v_f = vp(f.eval_int(x, mw) - f.eval_int(y, mw), p, work)
-        checked += 1
-        if v_f != v_xy + k:
-            violations.append((x % p**N, y % p**N, v_xy, v_f))
-    return {"checked": checked, "violations": violations, "holds": not violations}
+    return {"holds": True, "scale": abs_from_valuation(k, p)}
 
 
 @dataclass(frozen=True)

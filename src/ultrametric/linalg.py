@@ -162,12 +162,12 @@ def _int_apply(rows: list[list[int]], w: list[int]) -> list[int]:
     return [sum(a * x for a, x in zip(row, w)) for row in rows]
 
 
-def zp_invertibility(T: UltraMatrix, samples: int = 20, seed: int = 0) -> dict:
+def zp_invertibility(T: UltraMatrix, seed: int = 0) -> dict:
     """Decide invertibility over Z_p, equivalently whether T is an isometry.
 
     T is invertible over Z_p iff every entry lies in Z_p and |det T|_p = 1;
     that in turn is equivalent to ||Tv|| = ||v|| for all v, which is
-    cross-checked on basis vectors and random rational vectors.  The
+    cross-checked on the basis vectors and 20 seeded random rational vectors.  The
     cross-check runs in integers: D T for the common denominator D, a
     p-adic unit when T is integral, applied to p^2 v, whose entries are
     integers; ||Tv|| = ||v|| iff both sides have the same minimum valuation.
@@ -183,7 +183,7 @@ def zp_invertibility(T: UltraMatrix, samples: int = 20, seed: int = 0) -> dict:
         rows = [_cleared(row, d) for row in T.rows]
         # p^2 times the probes: the basis vectors and entries a / p^k, k < 3
         probes = [[p * p * int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(samples):
+        for _ in range(20):
             probes.append(
                 [rng.randrange(-50, 51) * p ** (2 - rng.randrange(3)) for _ in range(n)]
             )

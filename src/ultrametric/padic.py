@@ -218,11 +218,6 @@ class PAdicInt(_Residues):
         """Largest l <= N with p^l | residue; saturates at N for residue 0."""
         return vp(self.residue, self.p, self.precision)
 
-    @property
-    def valuation_saturated(self) -> bool:
-        """True when the valuation reads ">= N" rather than an exact value."""
-        return self.residue == 0
-
     def abs(self) -> Fraction:
         """|x|_p of the residue; 0 for the (saturated) zero residue."""
         return abs_from_valuation(None if self.residue == 0 else self.valuation, self.p)
@@ -262,13 +257,6 @@ class PAdicInt(_Residues):
         if l > self.precision:
             raise PrecisionMismatch(f"cannot reduce mod p^{l} at precision {self.precision}")
         return self.residue % self.p**l
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "N": self.precision, "residue": str(self.residue)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PAdicInt":
-        return cls(int(obj["p"]), int(obj["N"]), int(obj["residue"]))
 
     def __repr__(self):
         return f"{self.residue} mod {self.p}^{self.precision}"

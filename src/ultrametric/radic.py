@@ -71,9 +71,6 @@ class Radix(LevelGrid):
         if not self.factors:
             raise ValueError("a radix needs at least one factor")
 
-    def to_json(self) -> dict:
-        return {"factors": list(self.factors), "periodic": self.periodic}
-
 
 def check_scales(scales, depth: int) -> tuple[Fraction, ...]:
     """The scales as Fractions, checked to satisfy 1 = t_0 > t_1 > ... > t_depth > 0."""
@@ -142,9 +139,6 @@ class RadicInt:
 
     def __post_init__(self):
         object.__setattr__(self, "residue", self.residue % self.radix.modulus)
-
-    def sequence(self) -> tuple[int, ...]:
-        return embed_q(self.residue, self.radix)
 
     def _check(self, other: "RadicInt") -> None:
         if self.radix != other.radix:

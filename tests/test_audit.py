@@ -681,7 +681,7 @@ def oracle_uniform_distribution(spec, mu):
         masses.append({
             prefix + (d,): m * mu.weights[k - 1][d]
             for prefix, m in masses[-1].items()
-            for d in range(spec.branching(k - 1))
+            for d in range(spec.factors[k - 1])
         })
         values = set(masses[-1].values())
         uniform = uniform and len(values) == 1

@@ -215,6 +215,23 @@ def test_monotone_map():
         cantor.monotone_map_point((0, 0, 0), cantor.ProductSpec.geometric((2, 2, 2), Fraction(1, 3)))
 
 
+def test_monotone_map_collides_exactly_for_neighbouring_images():
+    # f(x) = rank(x) / N_L, so x and y touch when equal or one grid step apart;
+    # the mixed factors give digit gaps above 1, and both orders of each pair run
+    for spec in (BINARY3_RECIP, cantor.ProductSpec.reciprocal((3, 2, 3))):
+        step = Fraction(1, spec.modulus)
+        pts = list(spec.points())
+        for x in pts:
+            fx = cantor.monotone_map_point(x, spec)
+            for y in pts:
+                touch = abs(fx - cantor.monotone_map_point(y, spec)) in (0, step)
+                assert cantor.monotone_map_collides(x, y, spec) is touch
+    spec = cantor.ProductSpec.reciprocal((3, 2, 3))
+    assert cantor.monotone_map_collides((1, 0, 2), (1, 0, 2), spec)
+    assert cantor.monotone_map_collides((1, 0, 0), (0, 1, 2), spec)
+    assert not cantor.monotone_map_collides((0, 1, 2), (2, 0, 0), spec)
+
+
 def test_monotone_map_is_one_lipschitz_and_order_preserving():
     spec = BINARY3_RECIP
     pts = list(spec.points())
@@ -366,7 +383,7 @@ def oracle_hausdorff_content(
             options.append(h(spec.scales[k]))
         if k < L:
             total = 0
-            for d in range(spec.branching(k)):
+            for d in range(spec.factors[k]):
                 child = prefix + (d,)
                 crel = rel if rel == "inside" else _oracle_target_relation(child, target)
                 if crel == "disjoint":

@@ -1,6 +1,7 @@
 import cmath
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -319,6 +320,62 @@ def test_product_characters_z2_z3():
     assert ch.all_product_characters_match([2, 3])
     assert ch.all_product_characters_match([2, 2])
     assert ch.all_product_characters_match([4, 2])
+
+
+def all_product_characters_match_oracle(ns):
+    """The check that compared the product tables with every homomorphism
+    G -> Q/Z enumerated from its values e(m_i/M) on the generators."""
+    from itertools import product
+    from math import prod
+
+    elements = list(product(*[range(n) for n in ns]))
+    product_tables = set()
+    for js in product(*[range(n) for n in ns]):
+        phi = ch.product_character([ch.CyclicCharacter(n, j).eval for n, j in zip(ns, js)])
+        product_tables.add(tuple(phi(x).turn for x in elements))
+    M = prod(ns)
+    all_tables = set()
+    for ms in product(*[range(0, M, M // n) for n in ns]):
+        values = {x: ch._turn(sum(m * a for m, a in zip(ms, x)), M) for x in elements}
+        if all(values[tuple((a + b) % n for a, b, n in zip(x, y, ns))].turn
+               == (values[x] * values[y]).turn for x in elements for y in elements):
+            all_tables.add(tuple(values[x].turn for x in elements))
+    return product_tables == all_tables
+
+
+PRODUCT_GROUPS = ([1], [5], [2, 3], [2, 2], [4, 2], [3, 3], [2, 2, 2], [2, 3, 4])
+
+
+def test_product_characters_match_the_enumeration_oracle():
+    for ns in PRODUCT_GROUPS:
+        assert ch.all_product_characters_match(ns) is all_product_characters_match_oracle(ns) is True
+
+
+def test_product_characters_refute_a_dropped_factor_and_a_wrong_kernel(monkeypatch):
+    # dropping the first factor repeats each table n_1 times; e(j a^2 / n)
+    # breaks the law phi(x + y) = phi(x) phi(y) at n = 3
+    real = ch.product_character
+    monkeypatch.setattr(ch, "product_character",
+                        lambda factors: lambda x, phi=real(factors[1:]): phi(x[1:]))
+    assert not ch.all_product_characters_match([2, 3, 4])
+    assert not all_product_characters_match_oracle([2, 3, 4])
+    monkeypatch.undo()
+    monkeypatch.setattr(ch.CyclicCharacter, "eval", lambda self, a: ch._turn(self.j * a * a, self.n))
+    assert not ch.all_product_characters_match([2, 3, 4])
+    assert not all_product_characters_match_oracle([2, 3, 4])
+
+
+def test_product_characters_are_no_slower_than_the_enumeration():
+    def best_of_three(check):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            check([2, 3, 4])
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(ch.all_product_characters_match) <= best_of_three(
+        all_product_characters_match_oracle)
 
 
 def test_product_character_trivial_and_law():

@@ -499,6 +499,58 @@ def test_every_error_type_is_raised():
     assert raised_names(source) == {"A", "B"}
 
 
+def unused_imports(source: str) -> set[str]:
+    """Names that an import in the body of the module or of a function binds
+    and that nothing in that module or function reads."""
+    tree = ast.parse(source)
+    found = set()
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for stmt in scope.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(
+                    stmt, "module", None) != "__future__":
+                found |= {a.asname or a.name.split(".")[0] for a in stmt.names} - read
+    return found
+
+
+def private_names_never_read(sources: list[str]) -> set[str]:
+    """Private functions, classes and module constants (one leading underscore)
+    defined in the sources that no source reads, by name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+        defined |= {t.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    for t in stmt.targets if isinstance(t, ast.Name)}
+    return {n for n in defined - read if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_import_is_used_and_every_private_helper_is_called():
+    # what a deletion tends to leave behind: an import of what it deleted,
+    # and a helper whose one caller it deleted
+    import pathlib
+
+    import ultrametric
+
+    sources = {path.stem: path.read_text()
+               for path in pathlib.Path(ultrametric.__file__).parent.glob("*.py")}
+    assert {stem: unused_imports(s) for stem, s in sources.items() if unused_imports(s)} == {}
+    assert private_names_never_read(list(sources.values())) == set()
+    source = ("from __future__ import annotations\nimport os.path\nfrom math import lcm, prod\n"
+              "_CAP = 3\ndef f():\n    from . import padic\n    return lcm(os.sep)\n"
+              "def _g():\n    return _CAP\n")
+    assert unused_imports(source) == {"prod", "padic"}
+    assert private_names_never_read([source]) == {"_g"}
+
+
 # Exit code and stdout of each subcommand branch, as printed before every
 # report went through cli.encode; the two --lp reports differ, whose lhs and
 # rhs were floats and are now the exact bracket ends, and so do the --alpha
@@ -556,6 +608,8 @@ GOLDEN = [
      '{"content": "8/27", "schema": "1"}'),
     ('hausdorff --factors 2,2,2 --scales geometric:1/3 --alpha 3/4', 0,
      '{"content": ["12459106161143598759/18446744073709551616", "24918212322287197519/36893488147419103232"], "exact": false, "schema": "1"}'),
+    ('hausdorff --factors 2,2 --scales 1,1/9,1/81 --alpha 1/2', 0,
+     '{"content": "4/9", "schema": "1"}'),
     ('hausdorff --factors 2,2,2 --delta 0', 0,
      '{"content": "inf", "schema": "1"}'),
     ('hausdorff --factors 2,3,2 --delta 1/6', 0,
@@ -667,6 +721,38 @@ def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv.format(**files).split())
     assert code == 2 and out == "" and err
     assert time.perf_counter() - start < 1  # a root of degree 10^5 is refused, not taken
+
+
+@pytest.mark.parametrize("argv, value", [
+    # a value that begins with a dash reaches argparse with a space before it
+    ("padic --prime 3 --abs -1/0", "'-1/0'"),
+    ("padic --prime 3 --add -1/0 1", "'-1/0'"),
+    ("hensel --prime 3 --coeffs -x,1 --x0 1", "'-x'"),
+    # --scales is parsed outside argparse, and main reports it
+    ("hausdorff --factors 2,2 --scales 1,1/0,1/4", "'1/0'"),
+])
+def test_invalid_rational_is_quoted_as_typed(capsys, argv, value):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"invalid rational value: {value}")
+
+
+def test_tree_weight_of_infinity_or_nan_exits_2_without_a_traceback(capsys, tmp_path):
+    # json reads Infinity and NaN as floats, which have no exact Fraction
+    for value, shown in (("Infinity", "'inf'"), ("-Infinity", "'-inf'"), ("NaN", "'nan'")):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(TREE).replace('"1/8"', value, 1))
+        code, out, err = run(capsys, "maximal", "--tree", str(path))
+        assert code == 2 and out == "" and err == f"invalid rational value: {shown}"
+
+
+def test_rational_error_is_an_argparse_type_error_and_a_value_error():
+    for text in ("1/0", " -1/0", "x", "1.5.2"):
+        with pytest.raises(argparse.ArgumentTypeError) as caught:
+            cli.rational(text)
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == f"invalid rational value: {text.strip()!r}"
+    assert cli.rational(" -3/6") == Fraction(-1, 2)
 
 
 def test_modulus_cap_counts_bits_of_p_times_n():

@@ -56,7 +56,7 @@ def test_zero_mass_leaf_rejected():
 
 def test_superlevel_is_cylinder_union():
     t = leaf0_tree()
-    for thr in harmonic.ratio_grid(t) + [Fraction(1, 2), Fraction(3)]:
+    for thr in sorted(set(harmonic.maximal_function(t))) + [Fraction(1, 2), Fraction(3)]:
         cyls = harmonic.superlevel_cylinders(t, thr)
         m = harmonic.maximal_function(t)
         covered = set()
@@ -64,7 +64,7 @@ def test_superlevel_is_cylinder_union():
             width = 8 // BINARY3.cumulative(c.depth)
             rank = 0
             for k, d in enumerate(c.digits):
-                rank = rank * BINARY3.branching(k) + d
+                rank = rank * BINARY3.factors[k] + d
             covered |= set(range(rank * width, (rank + 1) * width))
         assert covered == {i for i, v in enumerate(m) if v > thr}
 
@@ -87,7 +87,7 @@ def test_weak_type_random_trees():
     for _ in range(200):
         spec = rng.choice(specs)
         t = harmonic.random_tree(spec, rng)
-        for thr in harmonic.ratio_grid(t):
+        for thr in sorted(set(harmonic.maximal_function(t))):
             if thr > 0:
                 assert harmonic.weak_type_verify(t, thr)["holds"]
 
@@ -137,7 +137,7 @@ def test_grid_weak_type_c2_random():
 def level_sums_oracle(spec, weights):
     sums = [list(weights)]
     for k in range(spec.depth, 0, -1):
-        n = spec.branching(k - 1)
+        n = spec.factors[k - 1]
         prev = sums[-1]
         sums.append([sum(prev[i * n : (i + 1) * n], Fraction(0)) for i in range(len(prev) // n)])
     sums.reverse()
@@ -170,7 +170,7 @@ def superlevel_cylinders_oracle(tree, t, mu_sums, nu_sums):
             return
         if depth == tree.spec.depth:
             return
-        n = tree.spec.branching(depth)
+        n = tree.spec.factors[depth]
         for d in range(n):
             rec(depth + 1, rank * n + d, digits + (d,))
 
@@ -266,7 +266,7 @@ def test_superlevel_cylinders_and_weak_type_match_oracles():
         mu_sums = level_sums_oracle(t.spec, t.mu)
         nu_sums = level_sums_oracle(t.spec, t.nu)
         M = maximal_function_oracle(t)
-        grid = harmonic.ratio_grid(t)
+        grid = sorted(set(harmonic.maximal_function(t)))
         assert grid == sorted(set(M))
         for thr in grid + [grid[0] / 2, grid[-1] + 1]:
             new = harmonic.superlevel_cylinders(t, thr)
@@ -300,7 +300,7 @@ def test_weak_type_verify_matches_fraction_oracle():
         ))
     for t in trees:
         # values of M, where mu{M > t} jumps, and points just below them
-        values = harmonic.ratio_grid(t)
+        values = sorted(set(harmonic.maximal_function(t)))
         grid = rng.sample(values, min(4, len(values)))
         thresholds = grid + [v * Fraction(rng.randrange(1, 100), 99) for v in grid]
         for thr in [x for x in thresholds if x > 0] + [Fraction(rng.randrange(1, 50), 7)]:
@@ -497,7 +497,10 @@ def distribution_identity_oracle(g, mu, p):
         lhs = sum((x**k * w for x, w in zip(g, mu)), Fraction(0))
         rhs = sum((m * (b**k - a**k) for m, a, b in zip(lam, jumps, jumps[1:])), Fraction(0))
         return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
-    lhs = harmonic._power_integral_bounds(g, mu, p, 64)
+    # one bracket per point, where distribution_identity takes one per jump
+    brackets = [(harmonic.pow_bounds(x, p), w) for x, w in zip(g, mu)]
+    lhs = (sum((b[0] * w for b, w in brackets), Fraction(0)),
+           sum((b[1] * w for b, w in brackets), Fraction(0)))
     powers = [harmonic.pow_bounds(t, p) for t in jumps]
     rhs = (
         sum((m * (b[0] - a[1]) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)),
@@ -522,6 +525,23 @@ def test_distribution_identity_matches_per_jump_oracle():
             rep = harmonic.distribution_identity(g, mu, p)
             assert_same(rep, distribution_identity_oracle(g, mu, p))
             assert rep["equal"]
+
+
+def test_layer_cake_refuses_an_integer_power_past_the_budget():
+    # (5/3)^(10^6) has millions of bits; it is refused before it is formed, as
+    # pow_bounds refuses it for a fractional p of that size
+    start = time.perf_counter()
+    for p in (10**6, Fraction(10**6 + 1, 2)):
+        with pytest.raises(ExponentOutOfRange, match="bit budget"):
+            harmonic.distribution_identity([Fraction(3, 2), Fraction(5, 3)], [1, 1], p)
+    assert time.perf_counter() - start < 1
+    # 1^k and 0^k cost nothing at any k, and (3/2)^k is taken up to the budget
+    assert harmonic.distribution_identity([0, 1], [1, 1], 10**9)["lhs"] == 1
+    k = harmonic.MAX_POWER_BITS // 2
+    rep = harmonic.distribution_identity([Fraction(3, 2)], [1], k)
+    assert rep["equal"] and rep["lhs"] == Fraction(3, 2) ** k
+    with pytest.raises(ExponentOutOfRange):
+        harmonic.distribution_identity([Fraction(3, 2)], [1], k + 1)
 
 
 def test_weights_must_match_points():
@@ -934,8 +954,8 @@ cases = [
     (characters, "Counter", NeverEqual, lambda: characters.gram_exact(4)),
     (characters, "_shift_invariant", lambda numerators, n: False,
      lambda: characters.l2_distance_squared(4, 0, 1)),
-    # a bracket of width 2 around every power never decides 1 <= 4
-    (harmonic, "pow_bounds_signed", lambda x, e, prec: (Fraction(0), Fraction(2)),
+    # a bracket (1/4, 4) around every power never decides 1 <= 4
+    (harmonic, "pow_bounds", lambda x, e, prec: (Fraction(1, 4), Fraction(4)),
      lambda: harmonic.lp_maximal_bound([1] * 4, tree, 2, Fraction(1, 2))),
     # a mod-p seed off by one has no correct digit: 3 * (5 + 1) = 4 mod 7
     (padic, "pow", lambda base, exp, mod: (pow(base, exp, mod) + 1) % mod,
@@ -979,7 +999,7 @@ def test_certificates_raise_typed_errors_under_python_O():
         "caught _int_apply",
         "caught Counter",
         "caught _shift_invariant",
-        "caught pow_bounds_signed",
+        "caught pow_bounds",
         "caught pow",
         "caught unit_inverse",
         "",

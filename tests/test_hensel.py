@@ -32,9 +32,8 @@ def test_from_rationals_keeps_integers_and_reads_fractions_with_headroom():
 def test_eval_and_derivative():
     f = poly([-17, 0, 1], 2, 6)
     x = padic.PAdicInt(2, 6, 1)
-    fx, dfx = hensel.eval_and_derivative(f, x)
-    assert fx.residue == (-16) % 64 == 48
-    assert dfx.residue == 2
+    assert f.eval_int(x.residue, x.modulus) == (-16) % 64 == 48
+    assert f.derivative().eval_int(x.residue, x.modulus) == 2
     const = poly([5], 2, 6)
     assert const.derivative().degree is None
 
@@ -151,25 +150,53 @@ def test_contraction_agrees_randomized():
 
 def test_local_scaling():
     rep = hensel.local_scaling_check(poly([0, 0, 1], 3, 8), padic.PAdicInt(3, 8, 1), 0)
-    assert rep["holds"] and rep["checked"] > 0
+    assert rep["holds"] and rep["scale"] == 1
     rep2 = hensel.local_scaling_check(poly([0, 0, 1], 2, 8), padic.PAdicInt(2, 8, 1), 1)
     assert rep2["holds"]
     rep3 = hensel.local_scaling_check(poly([0, 1], 2, 8), padic.PAdicInt(2, 8, 0), 0)
     assert rep3["holds"]
     with pytest.raises(KMismatch):
         hensel.local_scaling_check(poly([0, 0, 1], 2, 8), padic.PAdicInt(2, 8, 1), 0)
-    # zero samples would certify with checked = 0
-    for samples in (0, -5):
-        with pytest.raises(ValueError):
-            hensel.local_scaling_check(
-                poly([0, 0, 1], 3, 8), padic.PAdicInt(3, 8, 1), 0, samples=samples
-            )
     # with k + 1 >= N every sampled x - y is 0 mod p^N, so no pair is checked
     for N, k in ((2, 1), (1, 0), (3, 2)):
         with pytest.raises(ValueError, match="no pair"):
             hensel.local_scaling_check(poly([0, 0, 1], 2, N), padic.PAdicInt(2, N, 1), k)
     with pytest.raises(PrecisionMismatch):
         hensel.local_scaling_check(poly([0, 0, 1], 3, 8), padic.PAdicInt(3, 9, 1), 0)
+
+
+def scaling_holds_on_every_pair(f, x0, k):
+    """|f(x) - f(y)|_p = p^-k |x - y|_p over every pair of the ball x0 + p^(k+1) Z_p
+    mod p^N, f read mod p^(N+k) so that a difference of valuation N + k - 1 shows."""
+    p, N = f.p, f.precision
+    work = p ** (N + k)
+    ball = [(x, f.eval_int(x, work)) for x in range(x0 % p ** (k + 1), p**N, p ** (k + 1))]
+    return all(padic.vp(fx - fy, p, N + k) == padic.vp(x - y, p) + k
+               for x, fx in ball for y, fy in ball if x != y), len(ball) * (len(ball) - 1)
+
+
+def test_local_scaling_check_against_every_pair_of_the_ball():
+    # the check reads one valuation, v_p(f'(x0)) = k; on each random (f, x0)
+    # it certifies exactly the k for which every pair of the ball obeys the identity
+    rng = random.Random(25)
+    certified = refused = pairs = 0
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        N = rng.randrange(2, {2: 7, 3: 5, 5: 4}[p])
+        f = hensel.ZpPoly(p, N, tuple(rng.randrange(-40, 41) for _ in range(rng.randrange(2, 6))))
+        x0 = padic.PAdicInt(p, N, rng.randrange(p**N))
+        for k in range(N - 1):
+            holds, n = scaling_holds_on_every_pair(f, x0.residue, k)
+            try:
+                rep = hensel.local_scaling_check(f, x0, k)
+            except KMismatch:
+                assert not holds
+                refused += 1
+                continue
+            assert holds and rep == {"holds": True, "scale": Fraction(1, p**k)}
+            certified += 1
+            pairs += n
+    assert certified > 200 and refused > 200 and pairs > 10**4
 
 
 def test_lipschitz_bounds_on_zp():
@@ -399,7 +426,6 @@ def test_every_lift_refuses_a_point_at_another_p_or_N():
         lambda x: hensel.hensel_v2(f, x),
         lambda x: hensel.contraction_solve(f, x),
         lambda x: hensel.series_eval(s, x),
-        lambda x: hensel.eval_and_derivative(f, x),
     )
     for call in calls:
         for x in (padic.PAdicInt(3, 5, 1), padic.PAdicInt(2, 6, 1), padic.PAdicInt(2, 4, 1)):

@@ -38,6 +38,14 @@ def test_abs_rejects_composite():
         padic.abs_p(12, 4)
 
 
+def test_padic_int_abs_reads_the_residue():
+    # |x|_p of the residue mod p^N: the saturated zero is 0, as abs_p(0) is
+    for residue in (0, 1, 7, 18, 162, 3**5 - 1):
+        x = padic.PAdicInt(3, 5, residue)
+        assert x.abs() == padic.abs_p(residue, 3)
+    assert padic.PAdicInt(3, 5, 3**5).abs() == 0
+
+
 # psi_12 and psi_13, the least strong pseudoprimes to the first 12 and 13
 # prime bases (Sorenson & Webster 2017)
 PSI_12 = 318665857834031151167461
@@ -443,12 +451,7 @@ def test_unit_inverse_refuses_non_units_and_wrong_seeds():
 def test_valuation_saturation():
     z = padic.PAdicInt(2, 5, 0)
     assert z.valuation == 5
-    assert z.valuation_saturated
+    assert z.residue == 0
     nz = padic.PAdicInt(2, 5, 16)
     assert nz.valuation == 4
-    assert not nz.valuation_saturated
-
-
-def test_json_roundtrip():
-    x = padic.PAdicInt(7, 3, 123)
-    assert padic.PAdicInt.from_json(x.to_json()) == x
+    assert nz.residue != 0
