@@ -28,10 +28,14 @@ def main() -> None:
 
     rng = random.Random(args.seed)
     spec = cantor.ProductSpec.geometric((2,) * args.depth, Fraction(1, 2))
+    leaves = spec.cumulative(spec.depth)
     worst = Fraction(0)
     checks = 0
     for _ in range(args.trials):
-        tree = harmonic.random_tree(spec, rng)
+        # positive mu and nonnegative nu, numerators up to 8
+        mu = tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(leaves))
+        nu = tuple(Fraction(rng.randrange(0, 9), rng.randrange(1, 4)) for _ in range(leaves))
+        tree = harmonic.FiniteUltraTree(spec, mu, nu)
         m = harmonic.maximal_function(tree)
         nu_total = sum(tree.nu, Fraction(0))
         for t in sorted(set(m)):

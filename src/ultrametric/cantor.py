@@ -60,16 +60,6 @@ class ProductSpec(LevelGrid):
         """All depth-L digit words, lexicographic."""
         return product(*[range(n) for n in self.factors])
 
-    def point(self, i: int) -> tuple[int, ...]:
-        """Word i of ``points()``, 0 <= i < N_L, the last digit fastest: O(L) divisions."""
-        if not 0 <= i < self.modulus:
-            raise ValueError(f"point index {i} outside [0, {self.modulus})")
-        digits = []
-        for n in reversed(self.factors):
-            i, d = divmod(i, n)
-            digits.append(d)
-        return tuple(reversed(digits))
-
 
 @dataclass(frozen=True)
 class Cylinder:
@@ -441,21 +431,19 @@ def measure_bound_check(
     mu_b: ProductMeasure,
     h_a: Gauge,
     h_b: Gauge,
-    C_a=1,
-    C_b=1,
 ) -> dict:
-    """Check mu(A x B) <= C_a C_b h_a(diam) h_b(diam) on all cylinder pairs.
+    """Check mu(A x B) <= h_a(diam) h_b(diam) on all cylinder pairs.
 
-    Valid whenever the per-factor bounds mu_i(A_i) <= C_i h_i(diam A_i)
-    hold, since both gauges are monotone and diam(A x B) dominates each
-    factor diameter.
+    Valid whenever the per-factor bounds mu_i(A_i) <= h_i(diam A_i) hold,
+    since both gauges are monotone and diam(A x B) dominates each factor
+    diameter.
     """
     violations = []
     for ka in range(join.a.depth + 1):
         for kb in range(join.b.depth + 1):
             diam = join.rect_diam(ka, kb)
             # lower ends of the gauge values, so a bound that holds is certain
-            bound = Fraction(C_a) * Fraction(C_b) * h_a.value(diam)[0] * h_b.value(diam)[0]
+            bound = h_a.value(diam)[0] * h_b.value(diam)[0]
             for cyl_a in cylinders_at_depth(join.a, ka):
                 ma = ball_measure(cyl_a, mu_a)
                 for cyl_b in cylinders_at_depth(join.b, kb):

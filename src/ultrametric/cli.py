@@ -19,7 +19,6 @@ from math import inf, isfinite
 from .errors import NotComparable, UltrametricError
 
 SCHEMA = "1"
-DEFAULT_SEED = 0
 # the largest modulus p^N a subcommand forms, in bits, counted as N * bitlength(p):
 # a quadratic lift mod 5^21845 takes about a second
 MODULUS_BITS_CAP = 1 << 16
@@ -174,15 +173,14 @@ def cmd_audit(args) -> tuple[int, dict]:
         code = 0 if all(out.values()) else 1
         return code, {**out, "pairs_checked": rep["pairs_checked"], "seed": args.seed}
     spec = _spec_from_args(args)
-    out = {"seed": args.seed}
-    if args.measure_weights is not None:
-        mu = cantor.ProductMeasure(args.measure_weights)
-        rep = audit.doubling_measure(spec, mu, args.candidate)
-        least = rep.constant["min_weight"]  # 1 / ratio_c2
-        out["ratio_c2"] = "infinite" if least == 0 else 1 / least
-    else:
+    if args.measure_weights is None:
         rep = audit.doubling_metric(spec, args.candidate)
-    return (0 if rep.verdict else 1), {**rep.to_json(), **out}
+        return (0 if rep.verdict else 1), rep.to_json()
+    mu = cantor.ProductMeasure(args.measure_weights)
+    rep = audit.doubling_measure(spec, mu, args.candidate)
+    c2 = audit.ratio_c2(spec, mu)
+    out = {**rep.to_json(), "ratio_c2": "infinite" if c2 is None else c2}
+    return (0 if rep.verdict else 1), out
 
 
 def _tree_from_json(path: str) -> harmonic.FiniteUltraTree:
@@ -235,7 +233,6 @@ def cmd_characters(args) -> tuple[int, dict]:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ultrametric")
-    top.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hensel", help="root lifting over Z_p")
@@ -285,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", default="reciprocal")
     p.add_argument("--candidate", type=int)
     p.add_argument("--measure-weights", type=weight_levels, help='per level "a/b,c/d;..."')
+    p.add_argument("--seed", type=int, default=0, help="of the isometry's sampled pairs")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("maximal", help="maximal functions on weighted trees")

@@ -20,7 +20,6 @@ distinct value.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -476,18 +475,16 @@ def lp_maximal_bound(
     raise CertificationFailed("power bracket did not resolve the comparison")
 
 
-def lp_best_a(p, grid: int = 32) -> tuple[Fraction, Fraction]:
-    """The grid point a = j/grid minimizing p (1-a)^{-1} (p-1)^{-1} a^{1-p}, C1 = 1.
+def lp_best_a(p) -> tuple[Fraction, Fraction]:
+    """The point a = j/32 minimizing p (1-a)^{-1} (p-1)^{-1} a^{1-p}, C1 = 1.
 
     Returns (a, an upper bound on the constant there); comparisons between
     grid points use exact rational brackets.
     """
     p = _lp_exponent(p)
-    if grid < 2:
-        raise ValueError(f"the grid needs a point strictly inside (0, 1), got grid = {grid}")
     best = None
-    for j in range(1, grid):
-        a = Fraction(j, grid)
+    for j in range(1, 32):
+        a = Fraction(j, 32)
         hi = _lp_constant_bounds(p, a, 1, 128)[1]
         if best is None or hi < best[1]:
             best = (a, hi)
@@ -621,11 +618,3 @@ def martingale_maximal(
             }
         )
     return {"levels": levels, "doob": reports, "holds": all(r["holds"] for r in reports)}
-
-
-def random_tree(spec: ProductSpec, rng: random.Random) -> FiniteUltraTree:
-    """Random positive mu and nonnegative nu, numerators up to 8, for randomized audits."""
-    m = spec.cumulative(spec.depth)
-    mu = tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(m))
-    nu = tuple(Fraction(rng.randrange(0, 9), rng.randrange(1, 4)) for _ in range(m))
-    return FiniteUltraTree(spec, mu, nu)

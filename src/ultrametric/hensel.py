@@ -224,6 +224,8 @@ def local_scaling_check(f: ZpPoly, x0: PAdicInt, k: int) -> dict:
         raise ValueError(f"x0 + p^{k + 1} Z_p is one point mod p^{N}, so no pair can be checked")
     probe = N + k + 1
     actual_k = vp(f.derivative().eval_int(x0.residue, p**probe), p, probe)
+    if actual_k == probe:  # vp saturated at the cap, which is not a valuation
+        raise KMismatch(f"f'(x0) = 0 mod p^{probe}, expected |f'(x0)|_p = p^-{k}")
     if actual_k != k:
         raise KMismatch(f"|f'(x0)|_p = p^-{actual_k}, expected p^-{k}")
     return {"holds": True, "scale": abs_from_valuation(k, p)}

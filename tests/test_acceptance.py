@@ -21,6 +21,7 @@ from ultrametric import (
     radic,
 )
 from ultrametric.errors import HenselPreconditionFailed
+from trees import random_tree
 
 BINARY3 = cantor.ProductSpec.geometric((2, 2, 2), Fraction(1, 2))
 
@@ -118,7 +119,7 @@ def test_criterion_3_weak_type_constants():
     trees = 0
     for _ in range(1000):
         spec = rng.choice(specs)
-        t = harmonic.random_tree(spec, rng)
+        t = random_tree(spec, rng)
         m = harmonic.maximal_function(t)
         nu_total = sum(t.nu, Fraction(0))
         for thr in sorted(set(m)):
@@ -147,7 +148,7 @@ def test_criterion_4_lp_maximal_bound():
     rng = random.Random(400)
     cases = 0
     for _ in range(25):
-        t = harmonic.random_tree(BINARY3, rng)
+        t = random_tree(BINARY3, rng)
         f = [Fraction(rng.randrange(-8, 9), rng.choice([1, 2])) for _ in range(8)]
         for p in (Fraction(3, 2), Fraction(2), Fraction(3)):
             for a in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):

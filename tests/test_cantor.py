@@ -740,11 +740,3 @@ def test_deep_products_need_no_float():
     # its float snowflake underflowed into equal scales
     flaked = cantor.snowflake(spec, Fraction(1, 2))
     assert flaked.depth == 700 and flaked.scales[700] == Fraction(1, 3**350)
-
-
-def test_point_refuses_index_outside_grid():
-    spec = cantor.ProductSpec.reciprocal((2, 3))
-    assert [spec.point(i) for i in range(6)] == list(spec.points())
-    for i in (-1, 6, 7):
-        with pytest.raises(ValueError, match="outside"):
-            spec.point(i)

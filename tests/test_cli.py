@@ -332,6 +332,18 @@ def test_bad_subcommand(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
+def test_only_audit_takes_a_seed(capsys):
+    # the isometry's sampled pairs are the one draw a subcommand makes
+    top = cli.build_parser()
+    subparsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    takers = {name for name, parser in subparsers.choices.items()
+              if any("--seed" in action.option_strings for action in parser._actions)}
+    assert takers == {"audit"}
+    for argv in ("--seed 3 padic --prime 3 --abs 9", "padic --prime 3 --abs 9 --seed 3"):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "" and err
+
+
 def test_reports_deterministic(capsys, tmp_path):
     runs = []
     for _ in range(2):
@@ -551,6 +563,38 @@ def test_every_import_is_used_and_every_private_helper_is_called():
     assert private_names_never_read([source]) == {"_g"}
 
 
+def imports_module(source: str, module: str) -> bool:
+    """Whether an import anywhere in the source loads the module or a submodule."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == module for name in names):
+            return True
+    return False
+
+
+def test_random_is_imported_only_by_the_two_samplers_the_benchmark_pins():
+    # a sampled check belongs in the tests; the two left in src/ are the
+    # isometry's pairs, whose count bench/checks.py pins, and the probes of
+    # linalg.zp_invertibility, whose seed bench/workloads.py passes
+    import pathlib
+
+    import ultrametric
+
+    importers = {path.stem for path in pathlib.Path(ultrametric.__file__).parent.glob("*.py")
+                 if imports_module(path.read_text(), "random")}
+    assert importers == {"audit", "linalg"}
+    for source in ("import random", "def f():\n    from random import Random",
+                   "import os, random.x"):
+        assert imports_module(source, "random")
+    for source in ("import randomness", "from . import random", "from numpy import random"):
+        assert not imports_module(source, "random")
+
+
 # Exit code and stdout of each subcommand branch, as printed before every
 # report went through cli.encode; the two --lp reports differ, whose lhs and
 # rhs were floats and are now the exact bracket ends, and so do the --alpha
@@ -619,18 +663,18 @@ GOLDEN = [
     ('hausdorff --factors 2,3,2 --scales geometric:1/5 --dimension --tolerance 1e-9', 0,
      '{"dimension_interval": [0.4306765580730013, 0.4306765580737847], "schema": "1"}'),
     ('audit --factors 2,2,2 --scales geometric:1/2', 0,
-     '{"constant": "{\'factor_bound\': 2, \'scale_census\': 2}", "degenerate": false, "schema": "1", "seed": 0, "verdict": true, "witness": null}'),
+     '{"constant": "{\'factor_bound\': 2, \'scale_census\': 2}", "degenerate": false, "schema": "1", "verdict": true, "witness": null}'),
     ('audit --factors 3,4,5,6 --candidate 4', 1,
-     '{"constant": "{\'factor_bound\': 6, \'scale_census\': 1}", "degenerate": false, "schema": "1", "seed": 0, "verdict": false, "witness": {"kind": "factor", "level": 4}}'),
+     '{"constant": "{\'factor_bound\': 6, \'scale_census\': 1}", "degenerate": false, "schema": "1", "verdict": false, "witness": {"kind": "factor", "level": 4}}'),
     ('audit --factors 2,2 --scales geometric:1/2 --measure-weights 1/2,1/2;1/2,1/2', 0,
-     '{"constant": "{\'min_weight\': Fraction(1, 2), \'metric\': {\'factor_bound\': 2, \'scale_census\': 2}}", "degenerate": false, "ratio_c2": "2", "schema": "1", "seed": 0, "verdict": true, "witness": null}'),
+     '{"constant": "{\'min_weight\': Fraction(1, 2), \'metric\': {\'factor_bound\': 2, \'scale_census\': 2}}", "degenerate": false, "ratio_c2": "2", "schema": "1", "verdict": true, "witness": null}'),
     ('audit --factors 2,2 --scales geometric:1/2 --measure-weights 1/3,2/3;1/2,1/2 --candidate 2', 1,
-     '{"constant": "{\'min_weight\': Fraction(1, 3), \'metric\': {\'factor_bound\': 2, \'scale_census\': 2}}", "degenerate": false, "ratio_c2": "3", "schema": "1", "seed": 0, "verdict": false, "witness": {"kind": "weight", "level": 1}}'),
+     '{"constant": "{\'min_weight\': Fraction(1, 3), \'metric\': {\'factor_bound\': 2, \'scale_census\': 2}}", "degenerate": false, "ratio_c2": "3", "schema": "1", "verdict": false, "witness": {"kind": "weight", "level": 1}}'),
     ('audit --factors 2,2 --measure-weights 1,0;1/2,1/2', 1,
-     '{"constant": "{\'min_weight\': 0}", "degenerate": true, "ratio_c2": "infinite", "schema": "1", "seed": 0, "verdict": false, "witness": null}'),
+     '{"constant": "{\'min_weight\': 0}", "degenerate": true, "ratio_c2": "infinite", "schema": "1", "verdict": false, "witness": null}'),
     ('audit --isometry 2,3', 0,
      '{"bijective": true, "isometric": true, "pairs_checked": 36, "pushforward_uniform": true, "schema": "1", "seed": 0}'),
-    ('--seed 7 audit --isometry 2,4,8,16,8', 0,
+    ('audit --isometry 2,4,8,16,8 --seed 7', 0,
      '{"bijective": true, "isometric": true, "pairs_checked": 2000, "pushforward_uniform": true, "schema": "1", "seed": 7}'),
     ('maximal --tree {tree}', 0,
      '{"maximal": ["8", "4", "2", "2", "1", "1", "1", "1"], "schema": "1"}'),

@@ -165,6 +165,15 @@ def test_local_scaling():
         hensel.local_scaling_check(poly([0, 0, 1], 3, 8), padic.PAdicInt(3, 9, 1), 0)
 
 
+def test_local_scaling_zero_derivative_is_not_reported_as_a_valuation():
+    # f'(0) = 0 for x^3 over Z_2 and x^2 over Z_3: vp saturates at the probe
+    # exponent N + k + 1 = 10, which the message once printed as p^-10
+    for p, coeffs in ((2, (0, 0, 0, 1)), (3, (0, 0, 1))):
+        with pytest.raises(KMismatch) as e:
+            hensel.local_scaling_check(hensel.ZpPoly(p, 8, coeffs), padic.PAdicInt(p, 8, 0), 1)
+        assert str(e.value) == "f'(x0) = 0 mod p^10, expected |f'(x0)|_p = p^-1"
+
+
 def scaling_holds_on_every_pair(f, x0, k):
     """|f(x) - f(y)|_p = p^-k |x - y|_p over every pair of the ball x0 + p^(k+1) Z_p
     mod p^N, f read mod p^(N+k) so that a difference of valuation N + k - 1 shows."""
