@@ -205,17 +205,18 @@ def cmd_maximal(args) -> tuple[int, dict]:
     from . import harmonic
 
     tree = _tree_from_json(args.tree)
-    f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]
     if args.weak_type is not None:
         rep = harmonic.weak_type_verify(tree, args.weak_type)
-    elif args.lp is not None:
-        rep = harmonic.lp_maximal_bound(f, tree, *args.lp)
-    elif args.doob is not None:
-        filt = harmonic.Filtration.dyadic(tree.spec)
-        doob = harmonic.martingale_maximal(f, filt, list(tree.mu), args.doob)
-        rep = {"holds": doob["holds"]}
-    else:
+    elif args.lp is None and args.doob is None:
         return 0, {"maximal": harmonic.maximal_function(tree)}
+    else:
+        f = [nu / mu for nu, mu in zip(tree.nu, tree.mu)]  # d nu / d mu, read by --lp and --doob
+        if args.lp is not None:
+            rep = harmonic.lp_maximal_bound(f, tree, *args.lp)
+        else:
+            filt = harmonic.Filtration.dyadic(tree.spec)
+            doob = harmonic.martingale_maximal(f, filt, list(tree.mu), args.doob)
+            rep = {"holds": doob["holds"]}
     return (0 if rep["holds"] else 1), rep
 
 

@@ -8,22 +8,26 @@ constant 1 on trees and constant 2 on the grid, and both constants are
 verified exactly rather than numerically.
 
 Ball masses are integers over one common denominator per weight vector,
-so ratios compare by cross-multiplication.  The tree maximal function
-costs O(nodes) (top-down, one ratio per node) and the grid maximal
-function O(m^2) (one sweep of right ends per left end).  A weak-type check
-on a tree is that pass plus one integer comparison per leaf.  The
-layer cake costs O(n log n): points grouped by value, one suffix sum over
-the sorted jumps.  Conditional expectations and Doob's inequality cost
-O(n) integer work per partition, and each builds one Fraction per
-distinct value.
+so ratios compare by cross-multiplication; the sums of a depth are taken
+by stride, the n children of every block as n strided slices.  The tree
+maximal function costs O(nodes) (top-down, one ratio per node) and the
+grid maximal function O(m^2) (one sweep of right ends per left end).
+Balls are nested or disjoint, so a weak-type check on a tree is one
+signed integer sum per ball and one top-down pass that marks the leaves
+under a ball where nu/mu > t.  The layer cake costs O(n log n): it sorts
+integer keys over the lcm of g's denominators, takes one suffix sum over
+the jumps and one power per distinct jump.  Conditional expectations and
+Doob's inequality cost O(n) integer work per partition, and each builds
+one Fraction per distinct value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from math import lcm
+from operator import add, itemgetter, mul, or_, sub
 
 from .cantor import MAX_POWER_BITS, MAX_ROOT_DEGREE, Cylinder, ProductSpec, pow_bounds
 from .errors import (
@@ -66,40 +70,54 @@ class FiniteUltraTree:
 
 
 def _integer_masses(weights) -> tuple[int, list[int]]:
-    """(D, [D * w for w in weights]), D the lcm of the denominators."""
-    D = lcm(*(w.denominator for w in weights))
-    return D, [w.numerator * (D // w.denominator) for w in weights]
+    """(D, [D * w for w in weights]), D the lcm of the denominators.
+
+    Each Fraction is read once through ``as_integer_ratio``, and D // d is
+    taken once per distinct denominator d."""
+    ratios = list(map(Fraction.as_integer_ratio, weights))
+    dens = set(map(itemgetter(1), ratios))
+    D = lcm(*dens)
+    scale = {d: D // d for d in dens}
+    return D, [n * scale[d] for n, d in ratios]
 
 
-def _ball_masses(spec: ProductSpec, weights) -> tuple[int, list[list[int]]]:
-    """(D, masses): masses[k][r] is D times the weight of the depth-k
-    cylinder of rank r, an integer over one common denominator D."""
-    D, level = _integer_masses(weights)
-    masses = [level]
+def _ball_sums(spec: ProductSpec, level: list[int]) -> list[list[int]]:
+    """sums[k][r]: the sum of ``level`` over the depth-k cylinder of rank r,
+    depth 0 first.  The n children of each block are n strided slices, so
+    each depth is n - 1 builtin ``map(add)`` passes."""
+    sums = [level]
     for k in range(spec.depth, 0, -1):
         n = spec.factors[k - 1]
-        level = [sum(level[i : i + n]) for i in range(0, len(level), n)]
-        masses.append(level)
-    masses.reverse()  # depth 0 first
-    return D, masses
+        block = level[::n]
+        for i in range(1, n):
+            block = map(add, block, level[i::n])
+        level = list(block)
+        sums.append(level)
+    sums.reverse()
+    return sums
+
+
+def _repeat_each(values: list, n: int):
+    """Each value n times in a row: the parent of every child of a depth."""
+    return chain.from_iterable(zip(*(values,) * n))
 
 
 def _maximal_pairs(tree: FiniteUltraTree):
-    """(d_mu, mu, d_nu, nu, best): the ball masses of ``_ball_masses`` and,
-    per leaf, the integer pair (a, b) with M(nu) = (a / d_nu) / (b / d_mu).
+    """(d_mu, d_nu, best): per leaf, the integer pair (a, b) with
+    M(nu) = (a / d_nu) / (b / d_mu), from ball masses over d_mu and d_nu.
 
     Top-down in O(nodes): M(child) = max(M(parent), nu/mu(child)), one
     ratio per node, compared by cross-multiplication.
     """
     spec = tree.spec
-    d_mu, mu = _ball_masses(spec, tree.mu)
-    d_nu, nu = _ball_masses(spec, tree.nu)
+    d_mu, mu = _integer_masses(tree.mu)
+    d_nu, nu = _integer_masses(tree.nu)
+    mu, nu = _ball_sums(spec, mu), _ball_sums(spec, nu)
     best = [(nu[0][0], mu[0][0])]
     for k in range(1, spec.depth + 1):
-        n = spec.factors[k - 1]
-        parents = (p for p in best for _ in range(n))
+        parents = _repeat_each(best, spec.factors[k - 1])
         best = [(a, b) if a * p[1] > p[0] * b else p for p, a, b in zip(parents, nu[k], mu[k])]
-    return d_mu, mu, d_nu, nu, best
+    return d_mu, d_nu, best
 
 
 def maximal_function(tree: FiniteUltraTree) -> list[Fraction]:
@@ -108,22 +126,33 @@ def maximal_function(tree: FiniteUltraTree) -> list[Fraction]:
     O(nodes) by ``_maximal_pairs``; each Fraction is built at most once per
     maximizing ball.
     """
-    d_mu, _, d_nu, _, best = _maximal_pairs(tree)
+    d_mu, d_nu, best = _maximal_pairs(tree)
     fracs = {pair: Fraction(pair[0] * d_mu, pair[1] * d_nu) for pair in set(best)}
     return [fracs[pair] for pair in best]
 
 
+def _excess(tree: FiniteUltraTree, t: Fraction):
+    """(d_mu, mu, d_nu, nu, excess): the integer leaf masses over d_mu and
+    d_nu, and excess[k][r] > 0 iff nu/mu > t on the depth-k cylinder of rank r.
+
+    nu(B)/mu(B) > t  <=>  nu d_mu t.den - mu t.num d_nu > 0 in the integer
+    masses, and that signed integer adds over the leaves of B, so one
+    ``_ball_sums`` of its leaf values decides every ball.
+    """
+    d_mu, mu = _integer_masses(tree.mu)
+    d_nu, nu = _integer_masses(tree.nu)
+    c_nu, c_mu = d_mu * t.denominator, t.numerator * d_nu
+    leaf = list(map(sub, map(c_nu.__mul__, nu), map(c_mu.__mul__, mu)))
+    return d_mu, mu, d_nu, nu, _ball_sums(tree.spec, leaf)
+
+
 def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
     """{M(nu) > t} as a disjoint union of maximal cylinders."""
-    t = Fraction(t)
-    d_mu, mu = _ball_masses(tree.spec, tree.mu)
-    d_nu, nu = _ball_masses(tree.spec, tree.nu)
-    # nu/mu > t  <=>  a * d_mu * t.den > t.num * b * d_nu
-    lhs, rhs = d_mu * t.denominator, t.numerator * d_nu
+    excess = _excess(tree, Fraction(t))[-1]
     out: list[Cylinder] = []
 
     def rec(depth: int, rank: int, digits: tuple[int, ...]):
-        if nu[depth][rank] * lhs > mu[depth][rank] * rhs:
+        if excess[depth][rank] > 0:
             out.append(Cylinder(digits))
             return
         if depth == tree.spec.depth:
@@ -139,17 +168,24 @@ def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
 def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
     """Check mu{M(nu) > t} <= C1 t^{-1} nu(X); C1 = 1 on trees, 2 on grids.
 
+    Balls are nested or disjoint, so {M(nu) > t} is the union of the balls
+    on which nu/mu > t: one signed integer sum per ball (``_excess``) and
+    one top-down pass that marks a leaf when some ball above it is
+    positive.
+
     The values v of M(nu), where t -> mu{M > t} jumps, test it with slack:
     {M > v} leaves out {M = v}, and sup t mu{M > t} = v mu{M >= v} over
     (v_prev, v) is approached only as t rises to v."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    d_mu, mu, d_nu, nu, best = _maximal_pairs(tree)
-    # M > t  <=>  a * d_mu * t.den > t.num * b * d_nu
-    c_a, c_b = d_mu * t.denominator, t.numerator * d_nu
-    lhs = Fraction(sum(w for w, (a, b) in zip(mu[-1], best) if a * c_a > b * c_b), d_mu)
-    rhs = Fraction(nu[0][0] * t.denominator, d_nu * t.numerator)
+    d_mu, mu, d_nu, nu, excess = _excess(tree, t)
+    above = [excess[0][0] > 0]
+    for k in range(1, tree.spec.depth + 1):
+        parents = _repeat_each(above, tree.spec.factors[k - 1])
+        above = list(map(or_, parents, map((0).__lt__, excess[k])))
+    lhs = Fraction(sum(compress(mu, above)), d_mu)
+    rhs = Fraction(sum(nu) * t.denominator, d_nu * t.numerator)
     return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(1)}
 
 
@@ -372,41 +408,47 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     ``equal`` says the two brackets intersect.  Either way a power past the
     budget of ``pow_bounds`` raises ExponentOutOfRange before it is formed.
 
-    Points are grouped by value on integer masses; lambda at each jump is one
-    suffix sum over the sorted values, and both sides share its one power.
+    Values and masses are integers over the lcm E of g's denominators and
+    the lcm D of mu's: points are grouped by integer key, lambda at each
+    jump is one suffix sum over the sorted keys, and both sides share the
+    one power of each jump, taken of g's own reduced value there.
     """
     g = [Fraction(x) for x in g]
     mu = [Fraction(w) for w in mu]
     if len(mu) != len(g):
         raise ValueError(f"{len(g)} points but {len(mu)} weights")
-    if any(x < 0 for x in g):
+    E, keys = _integer_masses(g)
+    D, masses = _integer_masses(mu)
+    if min(keys, default=0) < 0:
         raise NotNonnegative("g must be nonnegative")
-    if any(w < 0 for w in mu):
+    if min(masses, default=0) < 0:
         raise NotNonnegative("mu must be nonnegative")
     p = Fraction(p)
     if p <= 0:
         raise ExponentOutOfRange("p must be positive")
 
-    D, masses = _integer_masses(mu)
-    at: dict[Fraction, int] = {}  # D times the mass of {g = x}, for x > 0
-    for x, w in zip(g, masses):
-        if x > 0:
-            at[x] = at.get(x, 0) + w
-    jumps = [Fraction(0)] + sorted(at)
+    at: dict[int, int] = {}  # D times the mass of {g = v / E}, for v > 0
+    for v, w in zip(keys, masses):
+        if v > 0:
+            at[v] = at.get(v, 0) + w
+    value = dict(zip(keys, g))  # the reduced g at each key, so no gcd with E is taken
+    keys = sorted(at)
+    jumps = [Fraction(0)] + list(map(value.__getitem__, keys))
+    mass = list(map(at.__getitem__, keys))
     # lam[i] = D mu{g > jumps[i]}, constant on [jumps[i], jumps[i + 1])
-    lam = list(accumulate(at[x] for x in reversed(jumps[1:])))[::-1]
+    lam = list(accumulate(reversed(mass)))[::-1]
     if p.denominator == 1:
         k = p.numerator
         if any(k * max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_POWER_BITS
                for x in jumps[1:] if x != 1):  # the budget of pow_bounds, which is not called
             raise ExponentOutOfRange(f"a power g^{k} passes the {MAX_POWER_BITS}-bit budget")
         powers = [x**k for x in jumps]
-        lhs = sum((x * at[v] for v, x in zip(jumps[1:], powers[1:])), Fraction(0)) / D
-        rhs = sum((m * (b - a) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D
+        lhs = sum(map(mul, powers[1:], mass), Fraction(0)) / D
+        rhs = sum(map(mul, lam, map(sub, powers[1:], powers)), Fraction(0)) / D
         return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
     powers = [pow_bounds(t, p) for t in jumps]
     # i = 0 the lower ends, i = 1 the upper: b[i] - a[1 - i] bounds b^p - a^p
-    lhs = tuple(sum((x[i] * at[v] for v, x in zip(jumps[1:], powers[1:])), Fraction(0)) / D
+    lhs = tuple(sum((x[i] * m for x, m in zip(powers[1:], mass)), Fraction(0)) / D
                 for i in (0, 1))
     rhs = tuple(sum((m * (b[i] - a[1 - i]) for m, a, b in zip(lam, powers, powers[1:])),
                     Fraction(0)) / D for i in (0, 1))

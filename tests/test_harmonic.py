@@ -1,12 +1,13 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt, prod
+from itertools import accumulate
+from math import isqrt, lcm, prod
 
 import pytest
 
 from ultrametric import harmonic
-from ultrametric.cantor import Cylinder, ProductSpec
+from ultrametric.cantor import MAX_POWER_BITS, Cylinder, ProductSpec
 from ultrametric.errors import (
     DegenerateMeasure,
     DegeneratePartition,
@@ -213,6 +214,120 @@ def assert_same(new, old):
         assert new == old
 
 
+# The integer kernels of the tree checks and the layer cake before signed ball
+# sums and integer keys, kept as oracles: the (nu, mu) pair of each leaf's
+# maximizing ball, the recursion over two ball-mass tables, and the layer cake
+# grouped, sorted and summed on Fraction keys.
+
+
+def integer_masses_oracle(weights):
+    D = lcm(*(w.denominator for w in weights))
+    return D, [w.numerator * (D // w.denominator) for w in weights]
+
+
+def ball_masses_oracle(spec, weights):
+    D, level = integer_masses_oracle(weights)
+    masses = [level]
+    for k in range(spec.depth, 0, -1):
+        n = spec.factors[k - 1]
+        level = [sum(level[i : i + n]) for i in range(0, len(level), n)]
+        masses.append(level)
+    masses.reverse()  # depth 0 first
+    return D, masses
+
+
+def maximal_pairs_oracle(tree):
+    spec = tree.spec
+    d_mu, mu = ball_masses_oracle(spec, tree.mu)
+    d_nu, nu = ball_masses_oracle(spec, tree.nu)
+    best = [(nu[0][0], mu[0][0])]
+    for k in range(1, spec.depth + 1):
+        n = spec.factors[k - 1]
+        parents = (p for p in best for _ in range(n))
+        best = [(a, b) if a * p[1] > p[0] * b else p for p, a, b in zip(parents, nu[k], mu[k])]
+    return d_mu, mu, d_nu, nu, best
+
+
+def superlevel_cylinders_tables_oracle(tree, t):
+    t = Fraction(t)
+    d_mu, mu = ball_masses_oracle(tree.spec, tree.mu)
+    d_nu, nu = ball_masses_oracle(tree.spec, tree.nu)
+    # nu/mu > t  <=>  a * d_mu * t.den > t.num * b * d_nu
+    lhs, rhs = d_mu * t.denominator, t.numerator * d_nu
+    out = []
+
+    def rec(depth, rank, digits):
+        if nu[depth][rank] * lhs > mu[depth][rank] * rhs:
+            out.append(Cylinder(digits))
+            return
+        if depth == tree.spec.depth:
+            return
+        n = tree.spec.factors[depth]
+        for d in range(n):
+            rec(depth + 1, rank * n + d, digits + (d,))
+
+    rec(0, 0, ())
+    return out
+
+
+def weak_type_verify_pairs_oracle(tree, t):
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    d_mu, mu, d_nu, nu, best = maximal_pairs_oracle(tree)
+    # M > t  <=>  a * d_mu * t.den > t.num * b * d_nu
+    c_a, c_b = d_mu * t.denominator, t.numerator * d_nu
+    lhs = Fraction(sum(w for w, (a, b) in zip(mu[-1], best) if a * c_a > b * c_b), d_mu)
+    rhs = Fraction(nu[0][0] * t.denominator, d_nu * t.numerator)
+    return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(1)}
+
+
+def distribution_identity_fraction_keys_oracle(g, mu, p):
+    g = [Fraction(x) for x in g]
+    mu = [Fraction(w) for w in mu]
+    if len(mu) != len(g):
+        raise ValueError(f"{len(g)} points but {len(mu)} weights")
+    if any(x < 0 for x in g):
+        raise NotNonnegative("g must be nonnegative")
+    if any(w < 0 for w in mu):
+        raise NotNonnegative("mu must be nonnegative")
+    p = Fraction(p)
+    if p <= 0:
+        raise ExponentOutOfRange("p must be positive")
+
+    D, masses = integer_masses_oracle(mu)
+    at = {}  # D times the mass of {g = x}, for x > 0
+    for x, w in zip(g, masses):
+        if x > 0:
+            at[x] = at.get(x, 0) + w
+    jumps = [Fraction(0)] + sorted(at)
+    # lam[i] = D mu{g > jumps[i]}, constant on [jumps[i], jumps[i + 1])
+    lam = list(accumulate(at[x] for x in reversed(jumps[1:])))[::-1]
+    if p.denominator == 1:
+        k = p.numerator
+        if any(k * max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_POWER_BITS
+               for x in jumps[1:] if x != 1):  # the budget of pow_bounds, which is not called
+            raise ExponentOutOfRange(f"a power g^{k} passes the {MAX_POWER_BITS}-bit budget")
+        powers = [x**k for x in jumps]
+        lhs = sum((x * at[v] for v, x in zip(jumps[1:], powers[1:])), Fraction(0)) / D
+        rhs = sum((m * (b - a) for m, a, b in zip(lam, powers, powers[1:])), Fraction(0)) / D
+        return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+    powers = [harmonic.pow_bounds(t, p) for t in jumps]
+    # i = 0 the lower ends, i = 1 the upper: b[i] - a[1 - i] bounds b^p - a^p
+    lhs = tuple(sum((x[i] * at[v] for v, x in zip(jumps[1:], powers[1:])), Fraction(0)) / D
+                for i in (0, 1))
+    rhs = tuple(sum((m * (b[i] - a[1 - i]) for m, a, b in zip(lam, powers, powers[1:])),
+                    Fraction(0)) / D for i in (0, 1))
+    return {"lhs": lhs, "rhs": rhs, "equal": lhs[0] <= rhs[1] and rhs[0] <= lhs[1]}
+
+
+def ball_ratios(tree):
+    """nu(B)/mu(B) for every ball B: thresholds at which a ball's signed sum is 0."""
+    mu_sums = level_sums_oracle(tree.spec, tree.mu)
+    nu_sums = level_sums_oracle(tree.spec, tree.nu)
+    return sorted({n / m for ns, ms in zip(nu_sums, mu_sums) for n, m in zip(ns, ms)})
+
+
 def oracle_weights(rng, n, positive):
     """Zero (nu only), integral and fractional weights.  The denominators
     come from a pool of six up to 10^6, so ball sums keep a bounded lcm."""
@@ -261,22 +376,34 @@ def test_maximal_function_matches_per_level_oracle():
     assert_same(harmonic.maximal_function(zero), maximal_function_oracle(zero))
 
 
+def zero_nu_trees():
+    """nu = 0: every ball's signed sum is -t mu(B) d_nu, never above t."""
+    zero = harmonic.FiniteUltraTree(BINARY3, leaf0_tree().mu, (Fraction(0),) * 8)
+    t = oracle_trees(68, 4, 256)[-1]
+    return [zero, harmonic.FiniteUltraTree(t.spec, t.mu, (Fraction(0),) * t.leaves)]
+
+
 def test_superlevel_cylinders_and_weak_type_match_oracles():
     rng = random.Random(62)
-    for t in oracle_trees(62, 12, 256):
+    for t in oracle_trees(62, 12, 256) + zero_nu_trees():
         mu_sums = level_sums_oracle(t.spec, t.mu)
         nu_sums = level_sums_oracle(t.spec, t.nu)
         M = maximal_function_oracle(t)
         grid = sorted(set(harmonic.maximal_function(t)))
         assert grid == sorted(set(M))
-        for thr in grid + [grid[0] / 2, grid[-1] + 1]:
+        # a ball's own ratio: its signed sum is 0, so that ball is not above it
+        ratios = ball_ratios(t)
+        ratios = rng.sample(ratios, min(6, len(ratios)))
+        for thr in grid + [grid[0] / 2, grid[-1] + 1] + ratios:
             new = harmonic.superlevel_cylinders(t, thr)
             assert_same(new, superlevel_cylinders_oracle(t, thr, mu_sums, nu_sums))
-        for thr in rng.sample(grid, min(6, len(grid))):
+            assert_same(new, superlevel_cylinders_tables_oracle(t, thr))
+        for thr in rng.sample(grid, min(6, len(grid))) + ratios + [Fraction(1, 3)]:
             if thr > 0:
                 rep = harmonic.weak_type_verify(t, thr)
                 assert rep["lhs"] == sum((w for w, v in zip(t.mu, M) if v > thr), Fraction(0))
                 assert rep["holds"]
+                assert_same(rep, weak_type_verify_pairs_oracle(t, thr))
 
 
 def weak_type_verify_oracle(tree, t):
@@ -299,13 +426,18 @@ def test_weak_type_verify_matches_fraction_oracle():
             distinct_denominator_weights(rng, n, True),
             distinct_denominator_weights(rng, n, False),
         ))
-    for t in trees:
-        # values of M, where mu{M > t} jumps, and points just below them
+    for t in trees + zero_nu_trees():
+        # values of M, where mu{M > t} jumps, points just below them, and the
+        # ratios of balls that do not maximize M, where only their sum is 0
         values = sorted(set(harmonic.maximal_function(t)))
         grid = rng.sample(values, min(4, len(values)))
         thresholds = grid + [v * Fraction(rng.randrange(1, 100), 99) for v in grid]
+        ratios = ball_ratios(t)
+        thresholds += rng.sample(ratios, min(4, len(ratios)))
         for thr in [x for x in thresholds if x > 0] + [Fraction(rng.randrange(1, 50), 7)]:
-            assert_same(harmonic.weak_type_verify(t, thr), weak_type_verify_oracle(t, thr))
+            rep = harmonic.weak_type_verify(t, thr)
+            assert_same(rep, weak_type_verify_oracle(t, thr))
+            assert_same(rep, weak_type_verify_pairs_oracle(t, thr))
 
 
 def test_grid_maximal_matches_cubic_oracle():
@@ -525,6 +657,7 @@ def test_distribution_identity_matches_per_jump_oracle():
         for p in (1, 2, 3, 5, Fraction(3, 2)) if i % 10 == 0 else (1, 2, 3, 5):
             rep = harmonic.distribution_identity(g, mu, p)
             assert_same(rep, distribution_identity_oracle(g, mu, p))
+            assert_same(rep, distribution_identity_fraction_keys_oracle(g, mu, p))
             assert rep["equal"]
 
 
@@ -579,8 +712,6 @@ def test_pow_bounds_brackets():
 
 
 def test_pow_bounds_refuses_powers_past_the_bit_budget():
-    from ultrametric.cantor import MAX_POWER_BITS
-
     # 2^c has c + 1 bits; x = 2 has bit length 2, so c = MAX_POWER_BITS / 2 is the last allowed
     c = MAX_POWER_BITS // 2
     assert harmonic.pow_bounds(Fraction(2), Fraction(c)) == (2**c, 2**c)
