@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import inf, isqrt, log, log1p
+from operator import index
 
 from .errors import (
     ExponentOutOfRange,
@@ -68,7 +69,7 @@ class Cylinder:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple(map(index, self.digits)))
 
     @property
     def depth(self) -> int:
@@ -137,18 +138,33 @@ def ball_measure(B: Cylinder, mu: ProductMeasure) -> Fraction:
 
 @dataclass(frozen=True)
 class Gauge:
-    """Monotone gauge h on the scale grid; ``alpha`` marks h(t) = t^alpha.
+    """Monotone gauge h on the scale grid: h(t) = t^alpha, or a table of (t, h(t)).
 
-    ``value(t)`` is a pair lo <= h(t) <= hi: (v, v) for a table value v, and
-    ``pow_bounds`` of t^alpha to 64 significant bits for a power gauge.
+    Made from exactly one of ``table`` and ``alpha``, and checked when made:
+    alpha >= 0, stored as a Fraction, or a table monotone in t.  ``value(t)``
+    is a pair lo <= h(t) <= hi: (v, v) for a table value v, and ``pow_bounds``
+    of t^alpha to 64 significant bits for a power gauge.
     """
 
     table: tuple[tuple[Fraction, object], ...] | None = None
-    alpha: object = None  # Fraction exponent when algebraic
+    alpha: Fraction | None = None
+
+    def __post_init__(self):
+        if (self.table is None) == (self.alpha is None):
+            raise InvalidGauge("a gauge takes exactly one of a table and an exponent alpha")
+        if self.table is None:
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
+            if self.alpha < 0:
+                raise InvalidGauge("t^alpha with alpha < 0 decreases, so it is no gauge")
+        else:
+            object.__setattr__(self, "table", tuple((Fraction(s), v) for s, v in self.table))
+            ordered = sorted(self.table)
+            if any(a[1] > b[1] for a, b in zip(ordered, ordered[1:])):
+                raise InvalidGauge("gauge must be monotone on the scale grid")
 
     def value(self, t: Fraction) -> tuple:
         if self.alpha is not None:
-            a = Fraction(self.alpha)
+            a = self.alpha
             bits = max(0, t.denominator.bit_length() - t.numerator.bit_length() + 1)  # 1/t < 2^bits
             return pow_bounds(t, a, 64 - (-a.numerator * bits // a.denominator))
         for s, v in self.table:
@@ -158,18 +174,11 @@ class Gauge:
 
     @classmethod
     def power(cls, alpha) -> "Gauge":
-        alpha = Fraction(alpha)
-        if alpha < 0:
-            raise InvalidGauge("t^alpha with alpha < 0 decreases, so it is no gauge")
         return cls(alpha=alpha)
 
     @classmethod
     def from_table(cls, pairs) -> "Gauge":
-        table = tuple((Fraction(s), v) for s, v in pairs)
-        ordered = sorted(table)
-        if any(ordered[i][1] > ordered[i + 1][1] for i in range(len(ordered) - 1)):
-            raise InvalidGauge("gauge must be monotone on the scale grid")
-        return cls(table=table)
+        return cls(table=pairs)
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:
@@ -199,12 +208,19 @@ MAX_ROOT_DEGREE = 64
 MAX_POWER_BITS = 1 << 16
 
 
+def check_power_budget(x: Fraction, c: int) -> None:
+    """Refuse x^c before it is formed if it would pass MAX_POWER_BITS bits; 0^c and 1^c pass."""
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    if c * bits > MAX_POWER_BITS and x not in (0, 1):
+        raise ExponentOutOfRange(f"({x})^{c} passes the {MAX_POWER_BITS}-bit budget")
+
+
 def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
     """Rational bounds (lo, hi) on x^p for x >= 0, p = c/k > 0: (r, r) when
     x^p is the rational r, else the floor and ceiling k-th roots of
     x^c 2^(k prec) over 2^prec.  k above MAX_ROOT_DEGREE raises before any
     work, since integer Newton takes O(k) steps for a k-th root, and so does
-    an x^c whose numerator or denominator would pass MAX_POWER_BITS bits."""
+    an x^c that ``check_power_budget`` refuses."""
     p = Fraction(p)
     k = p.denominator
     if k > MAX_ROOT_DEGREE:
@@ -215,8 +231,7 @@ def pow_bounds(x: Fraction, p: Fraction, prec_bits: int = 64) -> tuple[Fraction,
         return Fraction(0), Fraction(0)
     if x == 1:
         return Fraction(1), Fraction(1)
-    if p.numerator * max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_POWER_BITS:
-        raise ExponentOutOfRange(f"{x}^{p.numerator} passes the {MAX_POWER_BITS}-bit budget")
+    check_power_budget(x, p.numerator)
     q = x**p.numerator
     if k == 1:
         return q, q
@@ -353,8 +368,6 @@ def monotone_map_point(x, spec: ProductSpec) -> Fraction:
 
 def monotone_map_cylinder(B: Cylinder, spec: ProductSpec) -> tuple[Fraction, Fraction]:
     """Image interval [f_k(x), f_k(x) + 1/N_k] of the cylinder."""
-    if not spec.is_reciprocal():
-        raise ScaleMismatch("monotone map needs t_l = 1/N_l scales")
     validate_cylinder(B, spec)
     lo = monotone_map_point(B.digits, spec)
     return lo, lo + Fraction(1, spec.cumulative(B.depth))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import index
 
 from .errors import CertificationFailed, PrecisionMismatch
 from .padic import PAdicInt, PAdicScalar, check_prime, vp
@@ -44,9 +45,6 @@ class TurnValue:
 
     def __mul__(self, other: "TurnValue") -> "TurnValue":
         return TurnValue(self.turn + other.turn)
-
-    def conj(self) -> "TurnValue":
-        return TurnValue(-self.turn)
 
     def complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.turn))
@@ -76,7 +74,7 @@ class CyclicCharacter:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n = {self.n} is not a group order")
-        object.__setattr__(self, "j", self.j % self.n)
+        object.__setattr__(self, "j", index(self.j) % self.n)
 
     def eval(self, a: int) -> TurnValue:
         return _turn(self.j * a, self.n)
@@ -114,7 +112,7 @@ class PadicCharacter:
             raise ValueError(f"conductor must be an int, not {self.conductor!r}")
         if self.conductor < 0:
             raise ValueError("conductor must be nonnegative")
-        object.__setattr__(self, "y_residue", self.y_residue % self.p**self.conductor)
+        object.__setattr__(self, "y_residue", index(self.y_residue) % self.p**self.conductor)
 
     @property
     def trivial(self) -> bool:
@@ -132,27 +130,21 @@ class PadicCharacter:
             raise PrecisionMismatch(
                 f"phi_y reads x mod {self.p}^{self.conductor}, but x is known mod {x.p}^{d}")
 
-    def eval(self, x: PAdicInt) -> TurnValue:
+    def eval(self, x: PAdicInt | PAdicScalar) -> TurnValue:
+        """phi_y(x) = E_p(x y) for x in Z_p, or for x = p^e u in Q_p with a finite tail."""
         self._check_point(x)
-        return self.eval_int(x.residue)
+        if isinstance(x, PAdicInt):
+            return self.eval_int(x.residue)
+        # x y = y_residue u / p^(k - e), which is in Z_p unless k > e
+        if x.is_zero or self.conductor <= x.exponent:
+            return ONE
+        return _turn(self.y_residue * x.unit_residue, self.p ** (self.conductor - x.exponent))
 
     def kernel_exponent(self) -> int:
         """phi_y is trivial exactly on p^k Z_p, k = conductor - v_p(y_residue)."""
         if self.trivial:
             return 0
         return self.conductor - vp(self.y_residue, self.p)
-
-
-def phi_y(y: PadicCharacter, x: PAdicScalar) -> TurnValue:
-    """phi_y(x) = E_p(x y) for x with a finite tail."""
-    y._check_point(x)
-    if x.is_zero:
-        return ONE
-    # x = p^e u; x y = y_residue u / p^(k - e)
-    k = y.conductor - x.exponent
-    if k <= 0 or y.trivial:
-        return ONE
-    return _turn(y.y_residue * x.unit_residue, x.p**k)
 
 
 def _shift_invariant(numerators, n: int) -> bool:

@@ -78,6 +78,15 @@ def weight_levels(s: str) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rationals(level) for level in s.split(";"))
 
 
+def scale_choice(s: str) -> str | Fraction | tuple[Fraction, ...]:
+    """The string "reciprocal", the theta of "geometric:theta", or a list of scales."""
+    if s == "reciprocal":
+        return s
+    if s.startswith("geometric:"):
+        return rational(s.split(":", 1)[1])
+    return rationals(s)
+
+
 def _check_modulus(p: int, N: int) -> None:
     """Refuse --prec before p^N is formed, so its cost is bounded."""
     if N * p.bit_length() > MODULUS_BITS_CAP:
@@ -143,9 +152,9 @@ def _spec_from_args(args) -> cantor.ProductSpec:
 
     if args.scales == "reciprocal":
         return cantor.ProductSpec.reciprocal(args.factors)
-    if args.scales.startswith("geometric:"):
-        return cantor.ProductSpec.geometric(args.factors, rational(args.scales.split(":", 1)[1]))
-    return cantor.ProductSpec(args.factors, rationals(args.scales))
+    if isinstance(args.scales, Fraction):
+        return cantor.ProductSpec.geometric(args.factors, args.scales)
+    return cantor.ProductSpec(args.factors, args.scales)
 
 
 def cmd_hausdorff(args) -> tuple[int, dict]:
@@ -189,16 +198,16 @@ def _tree_from_json(path: str) -> harmonic.FiniteUltraTree:
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        factors = tuple(obj["spec"]["factors"])
         scales, mu, nu = (
             tuple(rational(x) for x in xs) for xs in (obj["spec"]["scales"], obj["mu"], obj["nu"])
         )
-    except (KeyError, TypeError):
+        spec = cantor.ProductSpec(tuple(obj["spec"]["factors"]), scales)
+    except (KeyError, TypeError):  # TypeError also for a factor that is not an int
         raise ValueError(
-            f'{path}: expected {{"spec": {{"factors": [...], "scales": [...]}}, '
+            f'{path}: expected {{"spec": {{"factors": [int, ...], "scales": [...]}}, '
             '"mu": [...], "nu": [...]}'
         ) from None
-    return harmonic.FiniteUltraTree(cantor.ProductSpec(factors, scales), mu, nu)
+    return harmonic.FiniteUltraTree(spec, mu, nu)
 
 
 def cmd_maximal(args) -> tuple[int, dict]:
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hausdorff", help="contents and dimension on Cantor products")
     p.add_argument("--factors", type=ints, required=True)
-    p.add_argument("--scales", default="reciprocal")
+    p.add_argument("--scales", type=scale_choice, default="reciprocal")
     p.add_argument("--alpha", type=rational, default="1")
     p.add_argument("--delta", type=rational)
     p.add_argument("--dimension", action="store_true")
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     op = p.add_mutually_exclusive_group(required=True)
     op.add_argument("--factors", type=ints)
     op.add_argument("--isometry", type=ints, help="radix digits, comma separated")
-    p.add_argument("--scales", default="reciprocal")
+    p.add_argument("--scales", type=scale_choice, default="reciprocal")
     p.add_argument("--candidate", type=int)
     p.add_argument("--measure-weights", type=weight_levels, help='per level "a/b,c/d;..."')
     p.add_argument("--seed", type=int, default=0, help="of the isometry's sampled pairs")

@@ -54,9 +54,7 @@ class NotComparable(UltrametricError):
 
 
 class HenselPreconditionFailed(UltrametricError):
-    def __init__(self, message, condition):
-        super().__init__(message)
-        self.condition = condition
+    pass
 
 
 class KMismatch(UltrametricError):

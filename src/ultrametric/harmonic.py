@@ -29,7 +29,7 @@ from itertools import accumulate, chain, compress
 from math import lcm
 from operator import add, itemgetter, mul, or_, sub
 
-from .cantor import MAX_POWER_BITS, MAX_ROOT_DEGREE, Cylinder, ProductSpec, pow_bounds
+from .cantor import MAX_ROOT_DEGREE, Cylinder, ProductSpec, check_power_budget, pow_bounds
 from .errors import (
     CertificationFailed,
     DegenerateMeasure,
@@ -405,8 +405,8 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     Exact for integer p: ``lhs`` and ``rhs`` are Fractions and ``equal``
     says they agree.  For fractional p each side is a rational bracket
     (lo, hi) built from ``pow_bounds`` at 2^-64 resolution per power, and
-    ``equal`` says the two brackets intersect.  Either way a power past the
-    budget of ``pow_bounds`` raises ExponentOutOfRange before it is formed.
+    ``equal`` says the two brackets intersect.  Either way a power that
+    ``check_power_budget`` refuses raises ExponentOutOfRange before it is formed.
 
     Values and masses are integers over the lcm E of g's denominators and
     the lcm D of mu's: points are grouped by integer key, lambda at each
@@ -439,9 +439,8 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     lam = list(accumulate(reversed(mass)))[::-1]
     if p.denominator == 1:
         k = p.numerator
-        if any(k * max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_POWER_BITS
-               for x in jumps[1:] if x != 1):  # the budget of pow_bounds, which is not called
-            raise ExponentOutOfRange(f"a power g^{k} passes the {MAX_POWER_BITS}-bit budget")
+        for x in jumps[1:]:  # every power is checked before the first is formed
+            check_power_budget(x, k)
         powers = [x**k for x in jumps]
         lhs = sum(map(mul, powers[1:], mass), Fraction(0)) / D
         rhs = sum(map(mul, lam, map(sub, powers[1:], powers)), Fraction(0)) / D

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 from .errors import (
     CertificationFailed,
@@ -44,10 +45,7 @@ class ZpPoly(_Residues):
 
     def __post_init__(self):
         modulus(self.p, self.precision)  # checks p and N
-        cs = tuple(int(c) for c in self.coeffs)
-        if not cs:
-            cs = (0,)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)) or (0,))
 
     @classmethod
     def from_rationals(cls, coeffs, p: int, N: int) -> "ZpPoly":
@@ -57,14 +55,6 @@ class ZpPoly(_Residues):
         for c in map(Fraction, coeffs):
             out.append(c.numerator if c.denominator == 1 else rational_residue(c, p, N + 64))
         return cls(p, N, tuple(out))
-
-    @property
-    def degree(self) -> int | None:
-        m = self.modulus
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] % m != 0:
-                return i
-        return None
 
     def eval_int(self, x: int, modulus: int) -> int:
         out = 0
@@ -138,9 +128,9 @@ def hensel_v1(f: ZpPoly, x0: PAdicInt) -> tuple[PAdicInt, LiftTrace]:
     p = f.p
     x = x0.residue
     if f.eval_int(x, p) % p != 0:
-        raise HenselPreconditionFailed("f(x0) != 0 mod p", "f(x0) mod p")
+        raise HenselPreconditionFailed("f(x0) != 0 mod p")
     if f.derivative().eval_int(x, p) % p == 0:
-        raise HenselPreconditionFailed("|f'(x0)|_p < 1", "f'(x0) unit")
+        raise HenselPreconditionFailed("|f'(x0)|_p < 1")
     return _newton(f, x, 0, f.precision)
 
 
@@ -161,7 +151,7 @@ def _v2_params(f: ZpPoly, x0: PAdicInt) -> tuple[int, int]:
             )
         else:
             reason = f"|f(x0)|_p = p^-{v_f} is not < |f'(x0)|_p^2 = p^-{2 * k}"
-        raise HenselPreconditionFailed(reason, "|f(x0)| < |f'(x0)|^2")
+        raise HenselPreconditionFailed(reason)
     return k, N + 2 * k + 2
 
 
@@ -171,10 +161,7 @@ def hensel_v2(f: ZpPoly, x0: PAdicInt) -> tuple[PAdicInt, LiftTrace]:
     The root satisfies f(root) = 0 mod p^N and |root - x0|_p < |f'(x0)|_p,
     and the trace obeys |f(x_j)|_p <= |f'(x0)|_p^-2 |f(x_{j-1})|_p^2.
     """
-    k, work = _v2_params(f, x0)
-    if f.eval_int(x0.residue, f.modulus) == 0:
-        return x0, LiftTrace()
-    return _newton(f, x0.residue, k, work)
+    return _newton(f, x0.residue, *_v2_params(f, x0))
 
 
 def contraction_solve(f: ZpPoly, x0: PAdicInt) -> PAdicInt:

@@ -182,7 +182,7 @@ def zp_invertibility(T: UltraMatrix, seed: int = 0) -> dict:
         d = math.lcm(*(e.denominator for row in T.rows for e in row))
         rows = [_cleared(row, d) for row in T.rows]
         # p^2 times the probes: the basis vectors and entries a / p^k, k < 3
-        probes = [[p * p * int(i == j) for j in range(n)] for i in range(n)]
+        probes = [[p * p * (i == j) for j in range(n)] for i in range(n)]
         for _ in range(20):
             probes.append(
                 [rng.randrange(-50, 51) * p ** (2 - rng.randrange(3)) for _ in range(n)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import (
     CertificationFailed,
@@ -211,7 +212,7 @@ class PAdicInt(_Residues):
     residue: int
 
     def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % modulus(self.p, self.precision))
+        object.__setattr__(self, "residue", index(self.residue) % modulus(self.p, self.precision))
 
     @property
     def valuation(self) -> int:

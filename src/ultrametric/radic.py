@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .errors import InvalidResidue, NotComparable, RadixMismatch
 
@@ -30,7 +30,7 @@ class LevelGrid:
     periodic = False  # a field of Radix, a constant of every other grid
 
     def __post_init__(self):
-        fs = tuple(int(r) for r in self.factors)
+        fs = tuple(map(index, self.factors))
         if any(r < 2 for r in fs):
             raise ValueError("every factor must be >= 2")
         object.__setattr__(self, "factors", fs)
@@ -138,7 +138,7 @@ class RadicInt:
     residue: int
 
     def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.radix.modulus)
+        object.__setattr__(self, "residue", index(self.residue) % self.radix.modulus)
 
     def _check(self, other: "RadicInt") -> None:
         if self.radix != other.radix:

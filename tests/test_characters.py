@@ -72,9 +72,10 @@ def test_phi_y_kernel():
     trivial = ch.PadicCharacter(5, 0, 0)
     assert trivial.trivial
     assert all(trivial.eval_int(r).is_one() for r in range(25))
-    # y in Z_p: phi_y restricted to Z_p is identically 1
-    x = PAdicScalar.from_padic_int(PAdicInt(2, 6, 13))
-    assert ch.phi_y(ch.PadicCharacter(2, 0, 0), x).is_one()
+    # y in Z_p: phi_y restricted to Z_p is identically 1, on either form of x
+    x = PAdicInt(2, 6, 13)
+    assert ch.PadicCharacter(2, 0, 0).eval(x).is_one()
+    assert ch.PadicCharacter(2, 0, 0).eval(PAdicScalar.from_padic_int(x)).is_one()
 
 
 def test_phi_y_matches_ep_of_product():
@@ -88,7 +89,9 @@ def test_phi_y_matches_ep_of_product():
         x = PAdicScalar.from_rational(xq, p, N)
         yq = Fraction(y_res, p**k)
         expected = ch.ep_eval(PAdicScalar.from_rational(xq * yq, p, N)) if xq * yq else ch.ONE
-        assert ch.phi_y(y, x).turn == expected.turn
+        assert y.eval(x).turn == expected.turn
+        # x is in Z, so the same point as a residue mod p^N
+        assert y.eval(PAdicInt(p, N, int(xq))) == y.eval(x)
 
 
 def test_turn_sum_lemma():
@@ -463,36 +466,40 @@ def test_padic_character_refuses_non_int_conductor():
 def test_padic_character_eval_reads_the_residue():
     y = ch.PadicCharacter(2, 5, 3)
     for r in range(64):
-        assert y.eval(PAdicInt(2, 6, r)) == y.eval_int(r) == ch.TurnValue(Fraction(3 * r, 32))
+        x = PAdicInt(2, 6, r)
+        assert y.eval(x) == y.eval_int(r) == ch.TurnValue(Fraction(3 * r, 32))
+        # one evaluation for both point types: x in Z_p read as an element of Q_p
+        assert y.eval(PAdicScalar.from_padic_int(x)) == y.eval(x)
 
 
 def test_padic_characters_refuse_a_point_of_another_prime():
     # both once returned a value of no character: e(1/9) and e(1/2)
     y = ch.PadicCharacter(2, 1, 1)
     with pytest.raises(PrecisionMismatch):
-        ch.phi_y(y, PAdicScalar.from_rational(Fraction(1, 3), 3, 6))
+        y.eval(PAdicScalar.from_rational(Fraction(1, 3), 3, 6))
     with pytest.raises(PrecisionMismatch):
         y.eval(PAdicInt(3, 5, 1))
     with pytest.raises(PrecisionMismatch):
-        ch.phi_y(ch.PadicCharacter(2, 0, 0), PAdicScalar.zero(3, 6))
+        ch.PadicCharacter(2, 0, 0).eval(PAdicScalar.zero(3, 6))
 
 
 def test_padic_characters_refuse_a_point_known_below_the_conductor():
     # 1 and 9 agree mod 2^3, but phi_y reads x mod 2^5: e(1/32) against e(9/32)
     y = ch.PadicCharacter(2, 5, 1)
-    with pytest.raises(PrecisionMismatch):
-        y.eval(PAdicInt(2, 3, 1))
+    for x in (PAdicInt(2, 3, 1), PAdicScalar.from_padic_int(PAdicInt(2, 3, 1))):
+        with pytest.raises(PrecisionMismatch):
+            y.eval(x)
     assert y.eval(PAdicInt(2, 5, 9)).turn == Fraction(9, 32)
     # x = 2 u known mod 2^4, and a zero known mod 2^4
     for x in (PAdicScalar(2, 3, 1, 1), PAdicScalar.zero(2, 4)):
         with pytest.raises(PrecisionMismatch):
-            ch.phi_y(y, x)
-    assert ch.phi_y(y, PAdicScalar(2, 4, 1, 1)).turn == Fraction(1, 16)
-    assert ch.phi_y(y, PAdicScalar.zero(2, 5)).is_one()
+            y.eval(x)
+    assert y.eval(PAdicScalar(2, 4, 1, 1)).turn == Fraction(1, 16)
+    assert y.eval(PAdicScalar.zero(2, 5)).is_one()
     # a trivial character reads no digit
     trivial = ch.PadicCharacter(2, 5, 0)
     assert trivial.eval(PAdicInt(2, 3, 1)).is_one()
-    assert ch.phi_y(trivial, PAdicScalar.zero(2, 1)).is_one()
+    assert trivial.eval(PAdicScalar.zero(2, 1)).is_one()
 
 
 def test_ep_eval_refuses_a_point_not_known_mod_z_p():

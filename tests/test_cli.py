@@ -412,7 +412,9 @@ def test_values_are_refused_before_any_module_loads():
         "code = cli.main(sys.argv[1:])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('ultrametric.')))\n"
     )
-    for argv in ("padic --prime 2 --abs 1/0", "audit --factors 2,x", "characters --table 3 --gram 4"):
+    for argv in ("padic --prime 2 --abs 1/0", "audit --factors 2,x", "characters --table 3 --gram 4",
+                 "audit --factors 2,2 --scales geometric:x", "hausdorff --factors 2,2 --scales 1,1/0,1/4",
+                 "hausdorff --factors 2 --scales geometric:"):
         out = subprocess.run([sys.executable, "-c", child, *argv.split()], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "2 ['ultrametric.cli', 'ultrametric.errors']\n", argv
@@ -478,6 +480,28 @@ def test_no_float_outside_the_allow_list():
     assert {"cantor.dimension_estimate", "characters.TurnValue.complex"} <= found
     assert float_uses("import math\ndef f(x):\n    return math.log(x)", "m") == {"m.f"}
     assert float_uses("from math import log1p as l\nclass C:\n    y = l(1)", "m") == {"m.C"}
+
+
+def int_calls(source: str) -> list[int]:
+    """Lines that call the builtin ``int``, which truncates 1.7 to 1 and reads "2"."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "int"]
+
+
+def test_no_int_call_outside_the_cli():
+    # an integer field takes operator.index, which refuses a float, a Fraction
+    # and a str; only the CLI parses digits from text
+    import pathlib
+
+    import ultrametric
+
+    found = {path.stem: int_calls(path.read_text())
+             for path in pathlib.Path(ultrametric.__file__).parent.glob("*.py")
+             if path.stem != "cli"}
+    assert not any(found.values()), found
+    assert int_calls("x = tuple(int(d) for d in y)") == [1]
+    assert int_calls("def f(x: int) -> int:\n    return isinstance(x, int) and x * (x == 1)") == []
 
 
 def raised_names(source: str) -> set[str]:
@@ -601,13 +625,18 @@ def test_random_is_imported_only_by_the_two_samplers_the_benchmark_pins():
 # 3/4 content, a float once and now a rational bracket, and the two
 # --dimension intervals, once a float bisection and now the closed form.
 # The --preceq rows with --depth 100000 and with the prime 10^18 + 3 pin
-# refutations that must neither search nor factor.
+# refutations that must neither search nor factor.  The two hensel rows
+# that start at the root x0 = 2 pin the one-entry trace [null] of both lifts.
 # "{tree}" and "{tree2}" name files holding TREE and TREE2.
 GOLDEN = [
     ('hensel --prime 7 --coeffs -2,0,1 --x0 3 --prec 6 --variant v1', 0,
      '{"modulus": "117649", "residue": "38181", "root": "38181 mod 117649", "schema": "1", "trace_exponents": [1, 2, 4, null]}'),
     ('hensel --prime 2 --coeffs -17,0,1 --x0 1 --prec 5', 0,
      '{"modulus": "32", "residue": "9", "root": "9 mod 32", "schema": "1", "trace_exponents": [4, null]}'),
+    ('hensel --prime 3 --coeffs -4,0,1 --x0 2 --prec 5', 0,
+     '{"modulus": "243", "residue": "2", "root": "2 mod 243", "schema": "1", "trace_exponents": [null]}'),
+    ('hensel --prime 3 --coeffs -4,0,1 --x0 2 --prec 5 --variant v1', 0,
+     '{"modulus": "243", "residue": "2", "root": "2 mod 243", "schema": "1", "trace_exponents": [null]}'),
     ('hensel --prime 2 --coeffs -17,0,1 --x0 1 --prec 5 --variant v1', 2,
      ''),
     ('hensel --prime 2 --coeffs -2,0,1 --x0 0', 2,
@@ -743,6 +772,8 @@ def test_radix_comparison_refutes_within_a_second(capsys, argv):
     "maximal --tree {empty}",
     "maximal --tree {list}",
     "maximal --tree {zero_denominator}",
+    # a factor of 2.5 once ran as the (2, 2, 2) tree
+    "maximal --tree {fractional_factor}",
     "characters --table 0",
     "characters --gram -1",
     "characters --gram 0",
@@ -760,6 +791,8 @@ def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
         "empty": tree_file(tmp_path, {}, "empty.json"),
         "list": tree_file(tmp_path, [1, 2], "list.json"),
         "zero_denominator": tree_file(tmp_path, dict(TREE, nu=["1/0"] + TREE["nu"][1:]), "z.json"),
+        "fractional_factor": tree_file(
+            tmp_path, dict(TREE, spec=dict(TREE["spec"], factors=[2.5, 2, 2])), "f.json"),
     }
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.format(**files).split())
@@ -772,7 +805,7 @@ def test_malformed_input_exits_2_without_a_report(capsys, tmp_path, argv):
     ("padic --prime 3 --abs -1/0", "'-1/0'"),
     ("padic --prime 3 --add -1/0 1", "'-1/0'"),
     ("hensel --prime 3 --coeffs -x,1 --x0 1", "'-x'"),
-    # --scales is parsed outside argparse, and main reports it
+    # --scales is typed in the parser, like every other value
     ("hausdorff --factors 2,2 --scales 1,1/0,1/4", "'1/0'"),
 ])
 def test_invalid_rational_is_quoted_as_typed(capsys, argv, value):

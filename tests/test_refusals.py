@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultrametric import cantor, characters, harmonic, linalg, padic, radic
+from ultrametric import cantor, characters, harmonic, hensel, linalg, padic, radic
 from ultrametric.errors import (
     DegenerateMeasure,
     InvalidGauge,
@@ -35,11 +35,30 @@ REFUSALS = [
      ValueError, "probability vector"),
     ("cantor: a negative weight", lambda: cantor.ProductMeasure(((Fraction(3, 2), Fraction(-1, 2)),)),
      ValueError, "probability vector"),
+    # every Gauge is checked when it is made, not only through power and from_table
+    ("cantor: a gauge t^-1", lambda: cantor.Gauge(alpha=-1), InvalidGauge, "alpha < 0"),
+    ("cantor: a gauge of neither table nor alpha", lambda: cantor.Gauge(), InvalidGauge, "exactly one"),
+    ("cantor: a gauge of both table and alpha",
+     lambda: cantor.Gauge(table=((1, 1),), alpha=1), InvalidGauge, "exactly one"),
+    ("cantor: a gauge table that decreases",
+     lambda: cantor.Gauge(table=((Fraction(1, 2), 1), (1, 0))), InvalidGauge, "monotone"),
     ("cantor: a table gauge off its scales",
      lambda: cantor.Gauge.from_table([(1, 1)]).value(Fraction(1, 2)), InvalidGauge, "no value"),
     ("cantor: a power of a negative base", lambda: cantor.pow_bounds(Fraction(-1), Fraction(1, 2)),
      NotNonnegative, "negative base"),
     ("cantor: a snowflake exponent of 0", lambda: cantor.snowflake(SPEC, 0), InvalidGauge, "positive"),
+    # an integer field takes operator.index: int(1.7) once read the digit 1
+    ("cantor: a digit of 1.7", lambda: cantor.Cylinder((1.7,)), TypeError, "float"),
+    ("cantor: a factor of 2.9", lambda: cantor.ProductSpec.reciprocal((2.9, 2)), TypeError, "float"),
+    ("radic: a factor of 2.5", lambda: radic.Radix((2.5, 3)), TypeError, "float"),
+    ("radic: a residue of 1.5", lambda: radic.RadicInt(radic.Radix((2, 3)), 1.5), TypeError, "float"),
+    ("padic: a residue of 1/2", lambda: padic.PAdicInt(3, 4, Fraction(1, 2)), TypeError, "Fraction"),
+    ("hensel: a coefficient of 1.9", lambda: hensel.ZpPoly(2, 5, (1.9, 1)), TypeError, "float"),
+    # j = 1/2 once gave the value e(1/8) of no character of Z/4Z, and y = 3/2 gave e(3/4)
+    ("characters: a character index of 1/2",
+     lambda: characters.CyclicCharacter(4, Fraction(1, 2)), TypeError, "Fraction"),
+    ("characters: a y residue of 3/2",
+     lambda: characters.PadicCharacter(2, 1, Fraction(3, 2)), TypeError, "Fraction"),
     ("harmonic: three leaf weights for four leaves",
      lambda: harmonic.FiniteUltraTree(SPEC, QUARTER[:3], QUARTER[:3]), ValueError, "4 leaf weights"),
     ("harmonic: a negative nu",
