@@ -141,9 +141,10 @@ class Gauge:
     """Monotone gauge h on the scale grid: h(t) = t^alpha, or a table of (t, h(t)).
 
     Made from exactly one of ``table`` and ``alpha``, and checked when made:
-    alpha >= 0, stored as a Fraction, or a table monotone in t.  ``value(t)``
-    is a pair lo <= h(t) <= hi: (v, v) for a table value v, and ``pow_bounds``
-    of t^alpha to 64 significant bits for a power gauge.
+    alpha >= 0, stored as a Fraction, or a table with one value per scale,
+    monotone in t.  ``value(t)`` is a pair lo <= h(t) <= hi: (v, v) for a
+    table value v, and ``pow_bounds`` of t^alpha to 64 significant bits for a
+    power gauge.
     """
 
     table: tuple[tuple[Fraction, object], ...] | None = None
@@ -158,6 +159,8 @@ class Gauge:
                 raise InvalidGauge("t^alpha with alpha < 0 decreases, so it is no gauge")
         else:
             object.__setattr__(self, "table", tuple((Fraction(s), v) for s, v in self.table))
+            if len({s for s, _ in self.table}) < len(self.table):
+                raise InvalidGauge("a gauge table gives each scale one value")
             ordered = sorted(self.table)
             if any(a[1] > b[1] for a, b in zip(ordered, ordered[1:])):
                 raise InvalidGauge("gauge must be monotone on the scale grid")
@@ -175,10 +178,6 @@ class Gauge:
     @classmethod
     def power(cls, alpha) -> "Gauge":
         return cls(alpha=alpha)
-
-    @classmethod
-    def from_table(cls, pairs) -> "Gauge":
-        return cls(table=pairs)
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

@@ -25,11 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import index
 
 from .errors import CertificationFailed, PrecisionMismatch
-from .padic import PAdicInt, PAdicScalar, check_prime, vp
+from .padic import PAdicInt, PAdicScalar, _cleared, check_prime, vp
 
 TABLE_CAP = 4096
 
@@ -72,6 +72,7 @@ class CyclicCharacter:
     j: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise ValueError(f"n = {self.n} is not a group order")
         object.__setattr__(self, "j", index(self.j) % self.n)
@@ -108,8 +109,7 @@ class PadicCharacter:
 
     def __post_init__(self):
         check_prime(self.p)
-        if not isinstance(self.conductor, int):
-            raise ValueError(f"conductor must be an int, not {self.conductor!r}")
+        object.__setattr__(self, "conductor", index(self.conductor))
         if self.conductor < 0:
             raise ValueError("conductor must be nonnegative")
         object.__setattr__(self, "y_residue", index(self.y_residue) % self.p**self.conductor)
@@ -156,12 +156,6 @@ def _shift_invariant(numerators, n: int) -> bool:
     """
     bag = Counter(a % n for a in numerators)
     return any(Counter((t + s) % n for t in bag.elements()) == bag for s in bag if s)
-
-
-def _cleared(turns: list[Fraction]) -> tuple[int, list[int]]:
-    """(m, [t m for t in turns]), m the lcm of the denominators: e(t) = e(t m / m)."""
-    m = lcm(*(t.denominator for t in turns))
-    return m, [t.numerator * (m // t.denominator) for t in turns]
 
 
 def turn_sum_is_zero(turns: list[Fraction]) -> bool:

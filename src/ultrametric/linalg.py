@@ -11,13 +11,13 @@ precision-fragile mod p^N.
 
 from __future__ import annotations
 
-import math
 import random  # zp_invertibility's seeded probes; bench/workloads.py passes the seed
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import CertificationFailed, PrecisionMismatch, UltrametricError
-from .padic import abs_from_valuation, check_prime, rational_valuation
+from .padic import _cleared, abs_from_valuation, check_prime, rational_valuation
 
 MAX_DIM = 64
 
@@ -114,14 +114,8 @@ class UltraMatrix:
         n (b + log2 n) bits for entries of b bits by Hadamard's inequality:
         O(n^3) integer products and exact divisions, and one gcd at the end.
         """
-        dens = [math.lcm(*(e.denominator for e in row)) for row in self.rows]
-        a = [_cleared(row, d) for row, d in zip(self.rows, dens)]
-        return Fraction(_bareiss(a), math.prod(dens))
-
-
-def _cleared(row, d: int) -> list[int]:
-    """d times a row of Fractions, for d a multiple of every denominator."""
-    return [e.numerator * (d // e.denominator) for e in row]
+        dens, a = zip(*map(_cleared, self.rows))
+        return Fraction(_bareiss(list(a)), prod(dens))
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -168,9 +162,10 @@ def zp_invertibility(T: UltraMatrix, seed: int = 0) -> dict:
     T is invertible over Z_p iff every entry lies in Z_p and |det T|_p = 1;
     that in turn is equivalent to ||Tv|| = ||v|| for all v, which is
     cross-checked on the basis vectors and 20 seeded random rational vectors.  The
-    cross-check runs in integers: D T for the common denominator D, a
-    p-adic unit when T is integral, applied to p^2 v, whose entries are
-    integers; ||Tv|| = ||v|| iff both sides have the same minimum valuation.
+    cross-check runs in integers: each row of T times the lcm of its own
+    denominators, which is a p-adic unit once T is integral and so changes no
+    valuation of T v, applied to p^2 v, whose entries are integers;
+    ||Tv|| = ||v|| iff both sides have the same minimum valuation.
     """
     p = T.p
     entries_integral = all(e.denominator % p for row in T.rows for e in row)
@@ -179,8 +174,7 @@ def zp_invertibility(T: UltraMatrix, seed: int = 0) -> dict:
     if invertible:
         rng = random.Random(seed)
         n = T.dim
-        d = math.lcm(*(e.denominator for row in T.rows for e in row))
-        rows = [_cleared(row, d) for row in T.rows]
+        rows = [_cleared(row)[1] for row in T.rows]
         # p^2 times the probes: the basis vectors and entries a / p^k, k < 3
         probes = [[p * p * (i == j) for j in range(n)] for i in range(n)]
         for _ in range(20):

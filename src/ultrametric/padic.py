@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import index
 
 from .errors import (
@@ -163,12 +164,10 @@ def rational_valuation(x: Fraction, p: int) -> int | None:
 
 def abs_from_valuation(v: int | None, p: int) -> Fraction:
     """p^-v, the absolute value of an x with v_p(x) = v; None (x = 0) gives 0.
-    A v that is not an int raises ValueError, so no float p^-v comes out."""
+    v is read through ``operator.index``: a float raises TypeError, so no float p^-v comes out."""
     if v is None:
         return Fraction(0)
-    if not isinstance(v, int):
-        raise ValueError(f"valuation must be an int, not {v!r}")
-    return Fraction(p) ** -v
+    return Fraction(p) ** -index(v)
 
 
 def abs_p(x, p: int) -> Fraction:
@@ -185,6 +184,13 @@ def rational_residue(x, p: int, N: int) -> int:
     if x.denominator % p == 0:
         raise NotPAdicInteger(f"{x} has |x|_{p} > 1")
     return x.numerator * unit_inverse(x.denominator, p, N) % m
+
+
+def _cleared(values) -> tuple[int, list[int]]:
+    """(m, [x m for x in values]) for a sequence of Fractions, m the lcm of
+    their denominators: the one routine that clears denominators."""
+    m = lcm(*(x.denominator for x in values))
+    return m, [x.numerator * (m // x.denominator) for x in values]
 
 
 class _Residues:
@@ -226,25 +232,25 @@ class PAdicInt(_Residues):
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
 
+    def _operand(self, other) -> int:
+        """The residue of a PAdicInt of the same p and N, or an int read
+        through ``operator.index``: each operator builds one PAdicInt."""
+        if isinstance(other, PAdicInt):
+            self._check_compatible(other)
+            return other.residue
+        return index(other)
+
     def __add__(self, other):
-        if isinstance(other, int):
-            other = PAdicInt(self.p, self.precision, other)
-        self._check_compatible(other)
-        return PAdicInt(self.p, self.precision, self.residue + other.residue)
+        return PAdicInt(self.p, self.precision, self.residue + self._operand(other))
 
     def __neg__(self):
         return PAdicInt(self.p, self.precision, -self.residue)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = PAdicInt(self.p, self.precision, other)
-        return self + (-other)
+        return PAdicInt(self.p, self.precision, self.residue - self._operand(other))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = PAdicInt(self.p, self.precision, other)
-        self._check_compatible(other)
-        return PAdicInt(self.p, self.precision, self.residue * other.residue)
+        return PAdicInt(self.p, self.precision, self.residue * self._operand(other))
 
     def invert(self) -> "PAdicInt":
         # unit_inverse raises NotAUnit for a residue divisible by p
@@ -253,8 +259,9 @@ class PAdicInt(_Residues):
 
     def reduce(self, l: int) -> int:
         """Image in Z/p^l Z for an int 0 <= l <= N."""
-        if not isinstance(l, int) or l < 0:
-            raise ValueError(f"reduce needs an int l >= 0, got {l!r}")
+        l = index(l)
+        if l < 0:
+            raise ValueError(f"reduce needs l >= 0, got {l}")
         if l > self.precision:
             raise PrecisionMismatch(f"cannot reduce mod p^{l} at precision {self.precision}")
         return self.residue % self.p**l
@@ -283,12 +290,9 @@ class PAdicScalar(_Residues):
 
     def __post_init__(self):
         m = modulus(self.p, self.precision)
-        if not isinstance(self.exponent, int):
-            raise ValueError(f"exponent must be an int, not {self.exponent!r}")
+        object.__setattr__(self, "exponent", index(self.exponent))
         if self.unit_residue is not None:
-            if not isinstance(self.unit_residue, int):
-                raise ValueError(f"unit residue must be an int, not {self.unit_residue!r}")
-            u = self.unit_residue % m
+            u = index(self.unit_residue) % m
             if u % self.p == 0:
                 raise ValueError("unit part must have valuation 0")
             object.__setattr__(self, "unit_residue", u)

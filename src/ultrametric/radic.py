@@ -140,23 +140,23 @@ class RadicInt:
     def __post_init__(self):
         object.__setattr__(self, "residue", index(self.residue) % self.radix.modulus)
 
-    def _check(self, other: "RadicInt") -> None:
+    def _operand(self, other: "RadicInt") -> int:
+        """The residue of a RadicInt of the same radix: each operator builds one RadicInt."""
         if self.radix != other.radix:
             raise RadixMismatch(f"{self.radix} vs {other.radix}")
+        return other.residue
 
     def __add__(self, other: "RadicInt") -> "RadicInt":
-        self._check(other)
-        return RadicInt(self.radix, self.residue + other.residue)
+        return RadicInt(self.radix, self.residue + self._operand(other))
 
     def __neg__(self) -> "RadicInt":
         return RadicInt(self.radix, -self.residue)
 
     def __sub__(self, other: "RadicInt") -> "RadicInt":
-        return self + (-other)
+        return RadicInt(self.radix, self.residue - self._operand(other))
 
     def __mul__(self, other: "RadicInt") -> "RadicInt":
-        self._check(other)
-        return RadicInt(self.radix, self.residue * other.residue)
+        return RadicInt(self.radix, self.residue * self._operand(other))
 
     def __repr__(self):
         return f"{self.residue} mod {self.radix.modulus}"

@@ -117,6 +117,7 @@ def test_content_monotone_in_delta_and_additive_when_separated():
         a = cantor.hausdorff_content(spec, [target[0]], gauge, delta=delta)
         b = cantor.hausdorff_content(spec, [target[1]], gauge, delta=delta)
         assert a + b == cantor.hausdorff_content(spec, target, gauge, delta=delta)
+    assert cantor.hausdorff_content(spec, [], gauge) == 0
 
 
 def test_overlapping_target_rejected():
@@ -159,11 +160,11 @@ def test_dimension_estimate_tolerance_zero():
 
 
 def test_power_gauge_and_tolerance_reject_values_they_cannot_honour():
-    # t^-1 decreases, which Gauge.from_table rejects as non-monotone
+    # t^-1 decreases, which a table gauge rejects as non-monotone
     with pytest.raises(InvalidGauge):
         cantor.Gauge.power(-1)
     with pytest.raises(InvalidGauge):
-        cantor.Gauge.from_table([(Fraction(1, 2), 2), (Fraction(1), 1)])
+        cantor.Gauge(table=[(Fraction(1, 2), 2), (Fraction(1), 1)])
     assert cantor.Gauge.power(0).value(Fraction(1, 2)) == (1, 1)
     for tolerance in (float("nan"), -1e-9):
         with pytest.raises(ValueError):
@@ -288,8 +289,8 @@ def test_gauge_transform():
 def test_gauge_table_correspondence():
     # h chosen with h(t_l) = 1/N_l makes the gauge content of X equal 1
     spec = cantor.ProductSpec.geometric((2, 3), Fraction(1, 5))
-    h = cantor.Gauge.from_table(
-        [(spec.scales[k], Fraction(1, spec.cumulative(k))) for k in range(3)]
+    h = cantor.Gauge(
+        table=[(spec.scales[k], Fraction(1, spec.cumulative(k))) for k in range(3)]
     )
     assert cantor.hausdorff_content(spec, [cantor.Cylinder(())], h) == 1
 
@@ -496,7 +497,7 @@ def test_hausdorff_content_table_gauge_against_recursive_oracle():
     for _ in range(600):
         spec, target, kw = _random_case(rng)
         values = sorted(rng.choice((0, 1, 2, Fraction(1, 3), Fraction(5, 2))) for _ in spec.scales)
-        gauge = cantor.Gauge.from_table(zip(sorted(spec.scales), values))
+        gauge = cantor.Gauge(table=zip(sorted(spec.scales), values))
         new = content(spec, target, gauge, **kw)
         old = oracle_hausdorff_content(spec, target, end(gauge, 0, spec), **kw)
         assert type(new) is type(old) and new == old, (spec, target, values, kw)

@@ -458,7 +458,7 @@ def test_cyclic_character_refuses_order_below_one():
 
 def test_padic_character_refuses_non_int_conductor():
     for k in (1.5, 1.0, Fraction(1)):
-        with pytest.raises(ValueError, match="conductor must be an int"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             ch.PadicCharacter(2, k, 1)
     assert ch.PadicCharacter(2, 1, 1).eval_int(1).turn == Fraction(1, 2)
 

@@ -504,6 +504,42 @@ def test_no_int_call_outside_the_cli():
     assert int_calls("def f(x: int) -> int:\n    return isinstance(x, int) and x * (x == 1)") == []
 
 
+def isinstance_int_checks(source: str) -> list[str]:
+    """Scopes (Class.function) of the ``isinstance(_, int)`` calls in source,
+    int alone or in a tuple; "" for one at module level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_integer_arguments_are_read_through_index():
+    # an integer argument takes operator.index, which keeps the int it returns;
+    # only the gate of every modulus p^N, and the CLI, test for int itself
+    import pathlib
+
+    import ultrametric
+
+    found = {path.stem: isinstance_int_checks(path.read_text())
+             for path in pathlib.Path(ultrametric.__file__).parent.glob("*.py")
+             if path.stem != "cli"}
+    assert {k: v for k, v in found.items() if v} == {"padic": ["check_prime", "modulus"]}
+    assert isinstance_int_checks("class C:\n    def f(self, x):\n"
+                                 "        return isinstance(x, (bool, int))") == ["C.f"]
+    assert isinstance_int_checks("def f(x):\n    return isinstance(x, float) or int(x)\n"
+                                 "y = isinstance(1, int)") == [""]
+
+
 def raised_names(source: str) -> set[str]:
     """Names of the exception types that the ``raise`` statements of source raise."""
     found = set()
@@ -759,6 +795,8 @@ def test_radix_comparison_refutes_within_a_second(capsys, argv):
     "padic --prime 5 --prec -1 --geom 1/5",
     "padic --prime 5 --prec 0 --geom 5",
     "hensel --prime 3 --coeffs 1/0,1 --x0 1",
+    # a flag in place of the value: argparse reports that --coeffs expected one argument
+    "hensel --prime 3 --coeffs --x0 1",
     "hausdorff --factors 2,2 --alpha 1/0",
     "hausdorff --factors 2,2 --delta 1/0",
     "hausdorff --factors 2,2 --alpha -1",

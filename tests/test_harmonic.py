@@ -501,6 +501,7 @@ def test_interval_reduce_example():
         harmonic.Interval(Fraction(2), Fraction(3)),
     ]
     assert set(harmonic.interval_reduce(disjoint)) == set(disjoint)
+    assert harmonic.interval_reduce([]) == []
 
 
 def test_interval_reduce_random_families():

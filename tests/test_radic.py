@@ -84,6 +84,8 @@ def test_arith_examples():
     assert (x * radic.RadicInt(r, 1)).residue == 4
     with pytest.raises(RadixMismatch):
         x + radic.RadicInt(radic.Radix((2, 2)), 1)
+    with pytest.raises(RadixMismatch):
+        x * radic.RadicInt(radic.Radix((2, 2)), 1)
     assert (-x).residue == 2 and (-(-x)).residue == 4
     assert (x - radic.RadicInt(r, 5)).residue == 5 and (x - x).residue == 0
     with pytest.raises(RadixMismatch):

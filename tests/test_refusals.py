@@ -35,15 +35,19 @@ REFUSALS = [
      ValueError, "probability vector"),
     ("cantor: a negative weight", lambda: cantor.ProductMeasure(((Fraction(3, 2), Fraction(-1, 2)),)),
      ValueError, "probability vector"),
-    # every Gauge is checked when it is made, not only through power and from_table
+    # every Gauge is checked when it is made, not only through power
     ("cantor: a gauge t^-1", lambda: cantor.Gauge(alpha=-1), InvalidGauge, "alpha < 0"),
     ("cantor: a gauge of neither table nor alpha", lambda: cantor.Gauge(), InvalidGauge, "exactly one"),
     ("cantor: a gauge of both table and alpha",
      lambda: cantor.Gauge(table=((1, 1),), alpha=1), InvalidGauge, "exactly one"),
     ("cantor: a gauge table that decreases",
      lambda: cantor.Gauge(table=((Fraction(1, 2), 1), (1, 0))), InvalidGauge, "monotone"),
+    # value(1/2) read whichever pair came first: (2, 2) in this order, (1, 1) in the other
+    ("cantor: a gauge table with two values at one scale",
+     lambda: cantor.Gauge(table=[(Fraction(1, 2), 2), (Fraction(1, 2), 1), (1, 2)]),
+     InvalidGauge, "one value"),
     ("cantor: a table gauge off its scales",
-     lambda: cantor.Gauge.from_table([(1, 1)]).value(Fraction(1, 2)), InvalidGauge, "no value"),
+     lambda: cantor.Gauge(table=[(1, 1)]).value(Fraction(1, 2)), InvalidGauge, "no value"),
     ("cantor: a power of a negative base", lambda: cantor.pow_bounds(Fraction(-1), Fraction(1, 2)),
      NotNonnegative, "negative base"),
     ("cantor: a snowflake exponent of 0", lambda: cantor.snowflake(SPEC, 0), InvalidGauge, "positive"),
@@ -59,6 +63,11 @@ REFUSALS = [
      lambda: characters.CyclicCharacter(4, Fraction(1, 2)), TypeError, "Fraction"),
     ("characters: a y residue of 3/2",
      lambda: characters.PadicCharacter(2, 1, Fraction(3, 2)), TypeError, "Fraction"),
+    # n = 4.0 once built the character with j = 1.0, which failed only at eval
+    ("characters: a group order of 4.0",
+     lambda: characters.CyclicCharacter(4.0, 1), TypeError, "float"),
+    # an operand that is no PAdicInt is read as an int, never truncated
+    ("padic: an operand of 1.5", lambda: padic.PAdicInt(3, 4, 50) + 1.5, TypeError, "float"),
     ("harmonic: three leaf weights for four leaves",
      lambda: harmonic.FiniteUltraTree(SPEC, QUARTER[:3], QUARTER[:3]), ValueError, "4 leaf weights"),
     ("harmonic: a negative nu",
