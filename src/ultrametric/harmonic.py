@@ -18,15 +18,17 @@ under a ball where nu/mu > t.  The layer cake costs O(n log n): it sorts
 integer keys over the lcm of g's denominators, takes one suffix sum over
 the jumps and one power per distinct jump.  Conditional expectations and
 Doob's inequality cost O(n) integer work per partition, and each builds
-one Fraction per distinct value.
+one Fraction per distinct value.  A weighted Fraction sum is O(n) integer
+work and a balanced sum over its distinct denominators (``_weighted_sum``),
+so no term carries the lcm of all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress
-from math import lcm
+from itertools import accumulate, chain, compress, repeat
+from math import gcd, lcm
 from operator import add, itemgetter, mul, or_, sub
 
 from .cantor import MAX_ROOT_DEGREE, Cylinder, ProductSpec, check_power_budget, pow_bounds
@@ -53,8 +55,7 @@ class FiniteUltraTree:
 
     def __post_init__(self):
         m = self.spec.cumulative(self.spec.depth)
-        mu = tuple(Fraction(w) for w in self.mu)
-        nu = tuple(Fraction(w) for w in self.nu)
+        mu, nu = tuple(_fractions(self.mu)), tuple(_fractions(self.nu))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
         if len(mu) != m or len(nu) != m:
@@ -67,6 +68,32 @@ class FiniteUltraTree:
     @property
     def leaves(self) -> int:
         return len(self.mu)
+
+
+def _fractions(values) -> list[Fraction]:
+    """Each value as a Fraction; a Fraction is passed through as it is."""
+    return [x if type(x) is Fraction else Fraction(x) for x in values]
+
+
+def _masses_by(keys, masses) -> dict:
+    """The total of the int masses at each distinct key."""
+    at: dict = {}
+    for k, w in zip(keys, masses):
+        at[k] = at.get(k, 0) + w
+    return at
+
+
+def _weighted_sum(values, weights) -> Fraction:
+    """sum x w, exact, for Fractions x = n / d and int weights w: n w is added
+    into one int per distinct d, then the (d, total) pairs pairwise, in a
+    balanced tree, over lcm(d, e); the sum is reduced once, at the end."""
+    ratios = list(map(Fraction.as_integer_ratio, values))
+    at = _masses_by(map(itemgetter(1), ratios), map(mul, map(itemgetter(0), ratios), weights))
+    terms = list(at.items()) or [(1, 0)]
+    while len(terms) > 1:
+        terms = [(d // g * e, n * (e // g) + m * (d // g)) for (d, n), (e, m) in
+                 zip(terms[::2], terms[1::2]) for g in [gcd(d, e)]] + terms[len(terms) & ~1:]
+    return Fraction(terms[0][1], terms[0][0])
 
 
 def _integer_masses(weights) -> tuple[int, list[int]]:
@@ -203,10 +230,9 @@ class GridMeasure:
     nu: tuple[Fraction, ...]
 
     def __post_init__(self):
-        pts = tuple(Fraction(x) for x in self.points)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "mu", tuple(Fraction(w) for w in self.mu))
-        object.__setattr__(self, "nu", tuple(Fraction(w) for w in self.nu))
+        for name in ("points", "mu", "nu"):
+            object.__setattr__(self, name, tuple(_fractions(getattr(self, name))))
+        pts = self.points
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("grid points must be strictly increasing")
         if len(self.mu) != len(pts) or len(self.nu) != len(pts):
@@ -247,8 +273,8 @@ def grid_weak_type(g: GridMeasure, t: Fraction, C1: Fraction = Fraction(2)) -> d
     if t <= 0:
         raise ValueError("t must be positive")
     m = grid_maximal(g)
-    lhs = sum((w for w, v in zip(g.mu, m) if v > t), Fraction(0))
-    rhs = Fraction(C1) / t * sum(g.nu, Fraction(0))
+    lhs = _weighted_sum([w for w, v in zip(g.mu, m) if v > t], repeat(1))
+    rhs = Fraction(C1) / t * _weighted_sum(g.nu, repeat(1))
     return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(C1)}
 
 
@@ -411,10 +437,11 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     Values and masses are integers over the lcm E of g's denominators and
     the lcm D of mu's: points are grouped by integer key, lambda at each
     jump is one suffix sum over the sorted keys, and both sides share the
-    one power of each jump, taken of g's own reduced value there.
+    one power of each jump, taken of g's own reduced value there.  Each side
+    is one ``_weighted_sum``: O(n) integer work and a balanced sum over the
+    distinct denominators of the powers.
     """
-    g = [Fraction(x) for x in g]
-    mu = [Fraction(w) for w in mu]
+    g, mu = _fractions(g), _fractions(mu)
     if len(mu) != len(g):
         raise ValueError(f"{len(g)} points but {len(mu)} weights")
     E, keys = _integer_masses(g)
@@ -427,10 +454,8 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
     if p <= 0:
         raise ExponentOutOfRange("p must be positive")
 
-    at: dict[int, int] = {}  # D times the mass of {g = v / E}, for v > 0
-    for v, w in zip(keys, masses):
-        if v > 0:
-            at[v] = at.get(v, 0) + w
+    at = _masses_by(keys, masses)  # D times the mass of {g = v / E}, for v > 0
+    at.pop(0, None)
     value = dict(zip(keys, g))  # the reduced g at each key, so no gcd with E is taken
     keys = sorted(at)
     jumps = [Fraction(0)] + list(map(value.__getitem__, keys))
@@ -442,27 +467,21 @@ def distribution_identity(g: list[Fraction], mu: list[Fraction], p) -> dict:
         for x in jumps[1:]:  # every power is checked before the first is formed
             check_power_budget(x, k)
         powers = [x**k for x in jumps]
-        lhs = sum(map(mul, powers[1:], mass), Fraction(0)) / D
-        rhs = sum(map(mul, lam, map(sub, powers[1:], powers)), Fraction(0)) / D
+        lhs = _weighted_sum(powers[1:], mass) / D
+        rhs = _weighted_sum(map(sub, powers[1:], powers), lam) / D
         return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
     powers = [pow_bounds(t, p) for t in jumps]
     # i = 0 the lower ends, i = 1 the upper: b[i] - a[1 - i] bounds b^p - a^p
-    lhs = tuple(sum((x[i] * m for x, m in zip(powers[1:], mass)), Fraction(0)) / D
+    lhs = tuple(_weighted_sum(map(itemgetter(i), powers[1:]), mass) / D for i in (0, 1))
+    rhs = tuple(_weighted_sum([b[i] - a[1 - i] for a, b in zip(powers, powers[1:])], lam) / D
                 for i in (0, 1))
-    rhs = tuple(sum((m * (b[i] - a[1 - i]) for m, a, b in zip(lam, powers, powers[1:])),
-                    Fraction(0)) / D for i in (0, 1))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs[0] <= rhs[1] and rhs[0] <= lhs[1]}
 
 
-def _power_integral_bounds(values, mu, p: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Bounds on sum |v|^p w over the nonzero values, one bracket per value."""
-    lo = hi = Fraction(0)
-    for v, w in zip(values, mu):
-        if v != 0:
-            v_lo, v_hi = pow_bounds(abs(v), p, prec)
-            lo += v_lo * w
-            hi += v_hi * w
-    return lo, hi
+def _power_integral_bounds(at: dict, D: int, p: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """Bounds on sum v^p (w / D) over the values v >= 0 and int masses w of ``at``."""
+    powers = [pow_bounds(v, p, prec) for v in at]
+    return tuple(_weighted_sum(map(itemgetter(i), powers), at.values()) / D for i in (0, 1))
 
 
 def _lp_exponent(p) -> Fraction:
@@ -484,7 +503,7 @@ def _lp_constant_bounds(p: Fraction, a: Fraction, C1, prec: int) -> tuple[Fracti
 
 def _maximal_of_abs(f, tree: FiniteUltraTree) -> tuple[list[Fraction], list[Fraction]]:
     """(f, M(f)): f as Fractions, one per leaf, and the maximal function of |f| mu."""
-    f = [Fraction(x) for x in f]
+    f = _fractions(f)
     if len(f) != tree.leaves:
         raise ValueError(f"{len(f)} values but {tree.leaves} leaves")
     nu = tuple(abs(x) * w for x, w in zip(f, tree.mu))
@@ -498,16 +517,20 @@ def lp_maximal_bound(
 
     The comparison is exact: for fractional p both sides are bracketed by
     rational bounds, refined until the bracket decides the inequality.
-    ``lhs`` and ``rhs`` are the bracket ends that decided it.
+    ``lhs`` and ``rhs`` are the bracket ends that decided it.  An integral
+    is one ``pow_bounds`` per distinct |v| and, per end, O(n) integer work
+    and a balanced sum over the distinct denominators (``_weighted_sum``).
     """
     p, a = _lp_exponent(p), Fraction(a)
     if not 0 < a < 1:
         raise ExponentOutOfRange("need 0 < a < 1")
     f, m = _maximal_of_abs(f, tree)
+    D, masses = _integer_masses(tree.mu)
+    m_at, f_at = _masses_by(m, masses), _masses_by(map(abs, f), masses)  # M(f) >= 0
     for prec in (64, 128, 256, 512):
         c_lo, c_hi = _lp_constant_bounds(p, a, C1, prec)
-        lhs_lo, lhs_hi = _power_integral_bounds(m, tree.mu, p, prec)
-        f_lo, f_hi = _power_integral_bounds(f, tree.mu, p, prec)
+        lhs_lo, lhs_hi = _power_integral_bounds(m_at, D, p, prec)
+        f_lo, f_hi = _power_integral_bounds(f_at, D, p, prec)
         rhs_lo, rhs_hi = c_lo * f_lo, c_hi * f_hi
         if lhs_hi <= rhs_lo:
             return {"holds": True, "lhs": lhs_hi, "rhs": rhs_lo}
@@ -555,8 +578,8 @@ def _integer_products(f, mu) -> tuple[int, int, list[int], list[int]]:
     """(d_f, d_mu, fm, m): integers fm[i] = d_f d_mu f_i mu_i, m[i] = d_mu mu_i."""
     if len(mu) != len(f):
         raise ValueError(f"{len(f)} points but {len(mu)} weights")
-    d_f, F = _integer_masses([Fraction(x) for x in f])
-    d_mu, m = _integer_masses([Fraction(w) for w in mu])
+    d_f, F = _integer_masses(_fractions(f))
+    d_mu, m = _integer_masses(_fractions(mu))
     return d_f, d_mu, [x * w for x, w in zip(F, m)], m
 
 

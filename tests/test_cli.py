@@ -540,6 +540,35 @@ def test_integer_arguments_are_read_through_index():
                                  "y = isinstance(1, int)") == [""]
 
 
+def fraction_start_sums(source: str) -> list[int]:
+    """Lines of the ``sum(...)`` calls in source whose start value is a
+    ``Fraction(...)``, given by position or as ``start=``."""
+    def is_fraction(node):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction")
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+            and any(map(is_fraction, node.args[1:] + [k.value for k in node.keywords]))]
+
+
+def test_no_running_fraction_sum_in_harmonic():
+    # each partial sum of a running Fraction sum carries the lcm of every
+    # denominator so far; harmonic's weighted sums group by denominator and add
+    # the groups in a balanced tree (harmonic._weighted_sum)
+    import pathlib
+
+    import ultrametric
+
+    source = (pathlib.Path(ultrametric.__file__).parent / "harmonic.py").read_text()
+    assert fraction_start_sums(source) == []
+    assert fraction_start_sums("x = sum(v)\ny = sum((a * b for a, b in z), Fraction(0))") == [2]
+    assert fraction_start_sums("y = sum(v, start=fractions.Fraction())\nz = sum(v, 0)\n"
+                               "w = Fraction(sum(v), 3)") == [1]
+
+
 def raised_names(source: str) -> set[str]:
     """Names of the exception types that the ``raise`` statements of source raise."""
     found = set()

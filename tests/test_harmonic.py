@@ -5,6 +5,8 @@ from itertools import accumulate
 from math import isqrt, lcm, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ultrametric import harmonic
 from ultrametric.cantor import MAX_POWER_BITS, Cylinder, ProductSpec
@@ -660,6 +662,43 @@ def test_distribution_identity_matches_per_jump_oracle():
             assert_same(rep, distribution_identity_oracle(g, mu, p))
             assert_same(rep, distribution_identity_fraction_keys_oracle(g, mu, p))
             assert rep["equal"]
+    # 256 points, every value and weight with its own denominator: the lcm
+    # input, on which each partial sum of a running Fraction sum grows
+    g = list(distinct_denominator_weights(rng, 256, False))
+    mu = list(distinct_denominator_weights(rng, 256, False))
+    for p in (1, 2, 3, Fraction(3, 2)):
+        rep = harmonic.distribution_identity(g, mu, p)
+        assert_same(rep, distribution_identity_oracle(g, mu, p))
+        assert_same(rep, distribution_identity_fraction_keys_oracle(g, mu, p))
+        assert rep["equal"]
+
+
+fraction_terms = st.lists(st.tuples(
+    st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6),
+    st.integers(-10**9, 10**9)), max_size=40)
+
+
+@given(terms=fraction_terms)
+def test_weighted_sum_matches_a_running_fraction_sum(terms):
+    xs, ws = [x for x, _ in terms], [w for _, w in terms]
+    got = harmonic._weighted_sum(xs, ws)
+    assert_same(got, sum((x * w for x, w in terms), Fraction(0)))
+
+
+def test_weighted_sum_edge_cases():
+    rng = random.Random(79)
+    cases = [
+        ([], []),  # empty: Fraction(0)
+        ([Fraction(3, 7), Fraction(-5, 2)], [0, 0]),  # zero weights
+        ([Fraction(k, 9) for k in range(-20, 20)], list(range(40))),  # one denominator
+        ([Fraction(rng.randrange(-10**4, 10**4), d) for d in range(1, 300)],  # all distinct
+         [rng.randrange(-10**6, 10**6) for _ in range(299)]),
+        ([Fraction(1, 3), Fraction(-1, 3), Fraction(1, 6)], [2, 2, -4]),  # terms that cancel
+        ([Fraction(-7, 4), Fraction(-1, 4), Fraction(5, 12)], [1, 3, -2]),  # negative terms
+    ]
+    for xs, ws in cases:
+        assert_same(harmonic._weighted_sum(xs, ws), sum(map(Fraction.__mul__, xs, ws), Fraction(0)))
+        assert_same(harmonic._weighted_sum(iter(xs), iter(ws)), harmonic._weighted_sum(xs, ws))
 
 
 def test_layer_cake_refuses_an_integer_power_past_the_budget():
@@ -808,6 +847,61 @@ def test_lp_maximal_bound_randomized():
         for p in (Fraction(3, 2), Fraction(2), Fraction(3)):
             for a in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
                 assert harmonic.lp_maximal_bound(f, t, p, a)["holds"]
+
+
+def power_integral_bounds_oracle(values, mu, p, prec):
+    """The per-leaf sum that lp_maximal_bound took before it grouped the
+    leaves by |v|: one bracket per nonzero value, summed as Fractions."""
+    lo = hi = Fraction(0)
+    for v, w in zip(values, mu):
+        if v != 0:
+            v_lo, v_hi = harmonic.pow_bounds(abs(v), p, prec)
+            lo += v_lo * w
+            hi += v_hi * w
+    return lo, hi
+
+
+def lp_maximal_bound_oracle(f, tree, p, a, C1=1):
+    p, a = Fraction(p), Fraction(a)
+    f = [Fraction(x) for x in f]
+    nu = tuple(abs(x) * w for x, w in zip(f, tree.mu))
+    m = maximal_function_oracle(harmonic.FiniteUltraTree(tree.spec, tree.mu, nu))
+    for prec in (64, 128, 256, 512):
+        c = p * C1 / (1 - a) / (p - 1)
+        a_lo, a_hi = harmonic.pow_bounds(a, p - 1, prec)
+        lhs_lo, lhs_hi = power_integral_bounds_oracle(m, tree.mu, p, prec)
+        f_lo, f_hi = power_integral_bounds_oracle(f, tree.mu, p, prec)
+        rhs_lo, rhs_hi = c / a_hi * f_lo, c / a_lo * f_hi
+        if lhs_hi <= rhs_lo:
+            return {"holds": True, "lhs": lhs_hi, "rhs": rhs_lo}
+        if lhs_lo > rhs_hi:
+            return {"holds": False, "lhs": lhs_lo, "rhs": rhs_hi}
+    raise AssertionError("undecided at 512 bits")
+
+
+def test_lp_maximal_bound_matches_per_leaf_oracle():
+    # M(f) repeats over balls and f repeats |f|, so the grouped sums take one
+    # bracket per distinct |v|; every third tree has a denominator per weight
+    rng = random.Random(83)
+    a_values = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    for i in range(201):
+        # depth 1..4, branching 2 or 3: up to 81 leaves
+        spec = ProductSpec.reciprocal(tuple(rng.randrange(2, 4) for _ in range(1 + i % 4)))
+        n = spec.cumulative(spec.depth)
+        weights = distinct_denominator_weights if i % 3 == 0 else oracle_weights
+        t = harmonic.FiniteUltraTree(spec, weights(rng, n, True), oracle_weights(rng, n, False))
+        pool = [Fraction(0)] + [Fraction(rng.randrange(1, 20), rng.randrange(1, 5))
+                                for _ in range(rng.randrange(1, 5))]
+        f = [rng.choice(pool) * rng.choice((1, -1)) for _ in range(t.leaves)]
+        for p in (Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5, 2)):
+            a = a_values[(i + int(2 * p)) % 3]  # every (p, a) pair occurs as i runs
+            assert_same(harmonic.lp_maximal_bound(f, t, p, a), lp_maximal_bound_oracle(f, t, p, a))
+    # a C1 that makes the bound fail returns the other pair of bracket ends
+    t = leaf0_tree()
+    f = [Fraction(8), 0, Fraction(-8), 0, 0, 0, 0, 0]
+    rep = harmonic.lp_maximal_bound(f, t, 2, Fraction(1, 2), Fraction(1, 100))
+    assert rep["holds"] is False
+    assert_same(rep, lp_maximal_bound_oracle(f, t, 2, Fraction(1, 2), Fraction(1, 100)))
 
 
 def test_lp_best_a():
