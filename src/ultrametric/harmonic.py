@@ -7,27 +7,34 @@ cylinders), the Euclidean model is a finite rational grid on the line
 constant 1 on trees and constant 2 on the grid, and both constants are
 verified exactly rather than numerically.
 
-Ball masses are integers over one common denominator per weight vector,
-so ratios compare by cross-multiplication; the sums of a depth are taken
-by stride, the n children of every block as n strided slices.  The tree
-maximal function costs O(nodes) (top-down, one ratio per node) and the
-grid maximal function O(m^2) (one sweep of right ends per left end).
-Balls are nested or disjoint, so a weak-type check on a tree is one
-signed integer sum per ball and one top-down pass that marks the leaves
-under a ball where nu/mu > t.  The layer cake costs O(n log n): it sorts
-integer keys over the lcm of g's denominators, takes one suffix sum over
-the jumps and one power per distinct jump.  Conditional expectations and
-Doob's inequality cost O(n) integer work per partition, and each builds
-one Fraction per distinct value.  A weighted Fraction sum is O(n) integer
-work and a balanced sum over its distinct denominators (``_weighted_sum``),
-so no term carries the lcm of all of them.
+Each tree and grid derives its integer masses once, at construction: its
+weights as integers over one common denominator per weight vector
+(``d_mu``, ``mu_int``, ``d_nu``, ``nu_int``), which every tree and grid
+kernel reads.  Ratios compare by cross-multiplication, and the sums of a
+depth are taken by stride, the n children of every block as n strided
+slices.  The tree maximal function costs O(nodes) (top-down, one ratio
+per node) and the grid maximal function O(m^2) (one sweep of right ends
+per left end).  Balls are nested or disjoint, so a weak-type check on a
+tree is O(nodes): one signed integer sum per ball and one top-down pass
+that marks the leaves under a ball where nu/mu > t.  On the grid it is
+O(m^2), deciding M(i) > t on M's integer pair.  Each side of either check
+is one Fraction.  The L^p bound takes M(|f|) in O(nodes) from the tree
+kernel on the integer masses |f| mu, then one Fraction per distinct value
+of M or |f| and one power bracket per value and precision.  The layer
+cake costs O(n log n): it sorts integer keys over the lcm of g's
+denominators, takes one suffix sum over the jumps and one power per
+distinct jump.  Conditional expectations and Doob's inequality cost O(n)
+integer work per partition, and each builds one Fraction per distinct
+value.  A weighted Fraction sum is O(n) integer work and a balanced sum
+over its distinct denominators (``_weighted_sum``), so no term carries
+the lcm of all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from math import gcd, lcm
 from operator import add, itemgetter, mul, or_, sub
 
@@ -47,22 +54,30 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FiniteUltraTree:
-    """Leaf weights mu (all ball masses positive) and nu over a ProductSpec."""
+    """Leaf weights mu (all ball masses positive) and nu over a ProductSpec.
+
+    The weights are also read once, here, as ints over their lcm
+    denominators: mu[i] = mu_int[i] / d_mu and nu[i] = nu_int[i] / d_nu.
+    Every kernel reads these; equality, hash and repr ignore them.
+    """
 
     spec: ProductSpec
     mu: tuple[Fraction, ...]
     nu: tuple[Fraction, ...]
+    d_mu: int = field(init=False, repr=False, compare=False)
+    mu_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    d_nu: int = field(init=False, repr=False, compare=False)
+    nu_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.spec.cumulative(self.spec.depth)
         mu, nu = tuple(_fractions(self.mu)), tuple(_fractions(self.nu))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
         if len(mu) != m or len(nu) != m:
             raise ValueError(f"need {m} leaf weights")
-        if any(w.numerator < 0 for w in mu + nu):
+        _set_integer_masses(self, mu, nu)
+        if min(self.mu_int + self.nu_int) < 0:
             raise ValueError("weights must be nonnegative")
-        if not all(mu):  # a leaf's ball is the leaf, its mass its own weight
+        if not all(self.mu_int):  # a leaf's ball is the leaf, its mass its own weight
             raise DegenerateMeasure("a leaf has zero mu-mass")
 
     @property
@@ -108,6 +123,15 @@ def _integer_masses(weights) -> tuple[int, list[int]]:
     return D, [n * scale[d] for n, d in ratios]
 
 
+def _set_integer_masses(measure, mu: tuple, nu: tuple) -> None:
+    """Store mu and nu on a frozen measure, with their integer masses over
+    d_mu and d_nu; each weight is read once."""
+    (d_mu, mu_int), (d_nu, nu_int) = _integer_masses(mu), _integer_masses(nu)
+    for name, value in (("mu", mu), ("nu", nu), ("d_mu", d_mu), ("mu_int", tuple(mu_int)),
+                        ("d_nu", d_nu), ("nu_int", tuple(nu_int))):
+        object.__setattr__(measure, name, value)
+
+
 def _ball_sums(spec: ProductSpec, level: list[int]) -> list[list[int]]:
     """sums[k][r]: the sum of ``level`` over the depth-k cylinder of rank r,
     depth 0 first.  The n children of each block are n strided slices, so
@@ -129,53 +153,48 @@ def _repeat_each(values: list, n: int):
     return chain.from_iterable(zip(*(values,) * n))
 
 
-def _maximal_pairs(tree: FiniteUltraTree):
-    """(d_mu, d_nu, best): per leaf, the integer pair (a, b) with
-    M(nu) = (a / d_nu) / (b / d_mu), from ball masses over d_mu and d_nu.
+def _maximal_pairs(spec: ProductSpec, mu, nu) -> list[tuple[int, int]]:
+    """Per leaf, the pair (a, b) = (nu(B), mu(B)) of the ball B above it
+    where nu/mu is largest, for int leaf masses mu and nu.
 
     Top-down in O(nodes): M(child) = max(M(parent), nu/mu(child)), one
     ratio per node, compared by cross-multiplication.
     """
-    spec = tree.spec
-    d_mu, mu = _integer_masses(tree.mu)
-    d_nu, nu = _integer_masses(tree.nu)
     mu, nu = _ball_sums(spec, mu), _ball_sums(spec, nu)
     best = [(nu[0][0], mu[0][0])]
     for k in range(1, spec.depth + 1):
         parents = _repeat_each(best, spec.factors[k - 1])
         best = [(a, b) if a * p[1] > p[0] * b else p for p, a, b in zip(parents, nu[k], mu[k])]
-    return d_mu, d_nu, best
+    return best
 
 
 def maximal_function(tree: FiniteUltraTree) -> list[Fraction]:
     """M(nu)(leaf) = max over ancestor cylinders of nu(B)/mu(B), exact.
 
-    O(nodes) by ``_maximal_pairs``; each Fraction is built at most once per
-    maximizing ball.
+    O(nodes) by ``_maximal_pairs`` on the tree's integer masses; each
+    Fraction is built at most once per maximizing ball.
     """
-    d_mu, d_nu, best = _maximal_pairs(tree)
+    best = _maximal_pairs(tree.spec, tree.mu_int, tree.nu_int)
+    d_mu, d_nu = tree.d_mu, tree.d_nu
     fracs = {pair: Fraction(pair[0] * d_mu, pair[1] * d_nu) for pair in set(best)}
     return [fracs[pair] for pair in best]
 
 
-def _excess(tree: FiniteUltraTree, t: Fraction):
-    """(d_mu, mu, d_nu, nu, excess): the integer leaf masses over d_mu and
-    d_nu, and excess[k][r] > 0 iff nu/mu > t on the depth-k cylinder of rank r.
+def _excess(tree: FiniteUltraTree, t: Fraction) -> list[list[int]]:
+    """excess[k][r] > 0 iff nu/mu > t on the depth-k cylinder of rank r.
 
     nu(B)/mu(B) > t  <=>  nu d_mu t.den - mu t.num d_nu > 0 in the integer
     masses, and that signed integer adds over the leaves of B, so one
     ``_ball_sums`` of its leaf values decides every ball.
     """
-    d_mu, mu = _integer_masses(tree.mu)
-    d_nu, nu = _integer_masses(tree.nu)
-    c_nu, c_mu = d_mu * t.denominator, t.numerator * d_nu
-    leaf = list(map(sub, map(c_nu.__mul__, nu), map(c_mu.__mul__, mu)))
-    return d_mu, mu, d_nu, nu, _ball_sums(tree.spec, leaf)
+    c_nu, c_mu = tree.d_mu * t.denominator, t.numerator * tree.d_nu
+    leaf = list(map(sub, map(c_nu.__mul__, tree.nu_int), map(c_mu.__mul__, tree.mu_int)))
+    return _ball_sums(tree.spec, leaf)
 
 
 def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
     """{M(nu) > t} as a disjoint union of maximal cylinders."""
-    excess = _excess(tree, Fraction(t))[-1]
+    excess = _excess(tree, Fraction(t))
     out: list[Cylinder] = []
 
     def rec(depth: int, rank: int, digits: tuple[int, ...]):
@@ -206,13 +225,13 @@ def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    d_mu, mu, d_nu, nu, excess = _excess(tree, t)
+    excess = _excess(tree, t)
     above = [excess[0][0] > 0]
     for k in range(1, tree.spec.depth + 1):
         parents = _repeat_each(above, tree.spec.factors[k - 1])
         above = list(map(or_, parents, map((0).__lt__, excess[k])))
-    lhs = Fraction(sum(compress(mu, above)), d_mu)
-    rhs = Fraction(sum(nu) * t.denominator, d_nu * t.numerator)
+    lhs = Fraction(sum(compress(tree.mu_int, above)), tree.d_mu)
+    rhs = Fraction(sum(tree.nu_int) * t.denominator, tree.d_nu * t.numerator)
     return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(1)}
 
 
@@ -223,38 +242,41 @@ def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
 
 @dataclass(frozen=True)
 class GridMeasure:
-    """Finite rational grid x_0 < ... < x_{m-1} with point masses."""
+    """Finite rational grid x_0 < ... < x_{m-1} with point masses; mu and
+    nu are read once, as on a tree, into d_mu, mu_int, d_nu and nu_int."""
 
     points: tuple[Fraction, ...]
     mu: tuple[Fraction, ...]
     nu: tuple[Fraction, ...]
+    d_mu: int = field(init=False, repr=False, compare=False)
+    mu_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    d_nu: int = field(init=False, repr=False, compare=False)
+    nu_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("points", "mu", "nu"):
-            object.__setattr__(self, name, tuple(_fractions(getattr(self, name))))
-        pts = self.points
+        pts, mu, nu = (tuple(_fractions(x)) for x in (self.points, self.mu, self.nu))
+        object.__setattr__(self, "points", pts)
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("grid points must be strictly increasing")
-        if len(self.mu) != len(pts) or len(self.nu) != len(pts):
+        if len(mu) != len(pts) or len(nu) != len(pts):
             raise ValueError(f"need {len(pts)} weights of mu and of nu, one per grid point")
-        if any(w < 0 for w in self.nu):
+        _set_integer_masses(self, mu, nu)
+        if min(self.nu_int, default=0) < 0:
             raise ValueError("nu must be nonnegative")
-        if any(w <= 0 for w in self.mu):
+        if min(self.mu_int, default=1) <= 0:
             raise DegenerateMeasure("mu must be strictly positive on the grid")
 
 
-def grid_maximal(g: GridMeasure) -> list[Fraction]:
-    """Uncentered maximal function over all subintervals of the grid.
+def _grid_pairs(g: GridMeasure) -> tuple[list[int], list[int]]:
+    """(best_n, best_d): M(i) = (best_n[i] / d_nu) / (best_d[i] / d_mu).
 
     O(m^2): M(i) is the max over left ends a <= i of a suffix maximum over
     right ends b >= i, so one downward sweep of b per a.  Ratios are
-    compared as integer prefix masses over a common denominator.
+    compared as the grid's integer prefix masses, by cross-multiplication.
     """
     m = len(g.points)
-    d_mu, mu = _integer_masses(g.mu)
-    d_nu, nu = _integer_masses(g.nu)
-    pm, pn = list(accumulate(mu, initial=0)), list(accumulate(nu, initial=0))
-    best_n, best_d = [0] * m, [1] * m  # M(i) = (best_n[i] / d_nu) / (best_d[i] / d_mu)
+    pm, pn = list(accumulate(g.mu_int, initial=0)), list(accumulate(g.nu_int, initial=0))
+    best_n, best_d = [0] * m, [1] * m
     for a in range(m):
         pn_a, pm_a = pn[a], pm[a]
         run_n, run_d = 0, 1
@@ -264,17 +286,28 @@ def grid_maximal(g: GridMeasure) -> list[Fraction]:
                 run_n, run_d = num, den
             if run_n * best_d[b] > best_n[b] * run_d:
                 best_n[b], best_d[b] = run_n, run_d
-    return [Fraction(n * d_mu, d * d_nu) for n, d in zip(best_n, best_d)]
+    return best_n, best_d
+
+
+def grid_maximal(g: GridMeasure) -> list[Fraction]:
+    """Uncentered maximal function over all subintervals of the grid, in
+    O(m^2) by ``_grid_pairs``."""
+    d_mu, d_nu = g.d_mu, g.d_nu
+    return [Fraction(n * d_mu, d * d_nu) for n, d in zip(*_grid_pairs(g))]
 
 
 def grid_weak_type(g: GridMeasure, t: Fraction, C1: Fraction = Fraction(2)) -> dict:
-    """Check mu{M(nu) > t} <= C1 t^{-1} nu(X) on the grid, for t > 0."""
+    """Check mu{M(nu) > t} <= C1 t^{-1} nu(X) on the grid, for t > 0.
+
+    O(m^2) by ``_grid_pairs``; M(i) > t is decided on its integer pair by
+    cross-multiplication, and each side is one Fraction of an int sum."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    m = grid_maximal(g)
-    lhs = _weighted_sum([w for w, v in zip(g.mu, m) if v > t], repeat(1))
-    rhs = Fraction(C1) / t * _weighted_sum(g.nu, repeat(1))
+    # M(i) > t  <=>  best_n d_mu t.den > t.num best_d d_nu
+    c_n, c_d = g.d_mu * t.denominator, t.numerator * g.d_nu
+    lhs = Fraction(sum(w for w, n, d in zip(g.mu_int, *_grid_pairs(g)) if n * c_n > d * c_d), g.d_mu)
+    rhs = Fraction(C1) / t * Fraction(sum(g.nu_int), g.d_nu)
     return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(C1)}
 
 
@@ -501,13 +534,16 @@ def _lp_constant_bounds(p: Fraction, a: Fraction, C1, prec: int) -> tuple[Fracti
     return c / hi, c / lo
 
 
-def _maximal_of_abs(f, tree: FiniteUltraTree) -> tuple[list[Fraction], list[Fraction]]:
-    """(f, M(f)): f as Fractions, one per leaf, and the maximal function of |f| mu."""
+def _abs_maximal_pairs(f, tree: FiniteUltraTree) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """(d_f, F, best): |f| = F / d_f in ints, one per leaf, and per leaf the
+    pair (a, b) with M(f) = a / (b d_f), from the leaf masses F mu_int of
+    |f| mu over d_f d_mu."""
     f = _fractions(f)
     if len(f) != tree.leaves:
         raise ValueError(f"{len(f)} values but {tree.leaves} leaves")
-    nu = tuple(abs(x) * w for x, w in zip(f, tree.mu))
-    return f, maximal_function(FiniteUltraTree(tree.spec, tree.mu, nu))
+    d_f, F = _integer_masses(f)
+    F = list(map(abs, F))
+    return d_f, F, _maximal_pairs(tree.spec, tree.mu_int, list(map(mul, F, tree.mu_int)))
 
 
 def lp_maximal_bound(
@@ -517,16 +553,24 @@ def lp_maximal_bound(
 
     The comparison is exact: for fractional p both sides are bracketed by
     rational bounds, refined until the bracket decides the inequality.
-    ``lhs`` and ``rhs`` are the bracket ends that decided it.  An integral
-    is one ``pow_bounds`` per distinct |v| and, per end, O(n) integer work
-    and a balanced sum over the distinct denominators (``_weighted_sum``).
+    ``lhs`` and ``rhs`` are the bracket ends that decided it.  M(f) comes
+    from ``_maximal_pairs`` on the integer masses |f| mu, and the leaves
+    are grouped by int keys (M's pair, |f|'s numerator over d_f), so one
+    Fraction is built per distinct value.  An integral is one
+    ``pow_bounds`` per distinct value and, per end, O(n) integer work and
+    a balanced sum over the distinct denominators (``_weighted_sum``).
     """
     p, a = _lp_exponent(p), Fraction(a)
     if not 0 < a < 1:
         raise ExponentOutOfRange("need 0 < a < 1")
-    f, m = _maximal_of_abs(f, tree)
-    D, masses = _integer_masses(tree.mu)
-    m_at, f_at = _masses_by(m, masses), _masses_by(map(abs, f), masses)  # M(f) >= 0
+    d_f, F, best = _abs_maximal_pairs(f, tree)
+    D, masses = tree.d_mu, tree.mu_int
+    # M(f) = n / (d d_f) >= 0 and |f| = F / d_f, grouped by their int keys; a
+    # value reached by two pairs is one key once each pair is reduced
+    at = _masses_by(best, masses)
+    keys = [(n // g, d * d_f // g) for n, d in at for g in [gcd(n, d * d_f)]]
+    m_at = {Fraction(*k): w for k, w in _masses_by(keys, at.values()).items()}
+    f_at = {Fraction(x, d_f): w for x, w in _masses_by(F, masses).items()}
     for prec in (64, 128, 256, 512):
         c_lo, c_hi = _lp_constant_bounds(p, a, C1, prec)
         lhs_lo, lhs_hi = _power_integral_bounds(m_at, D, p, prec)
@@ -556,9 +600,11 @@ def lp_best_a(p) -> tuple[Fraction, Fraction]:
 
 
 def sup_bound_check(f: list[Fraction], tree: FiniteUltraTree) -> bool:
-    """sup M(f) <= max |f| (the L^infinity endpoint)."""
-    f, m = _maximal_of_abs(f, tree)
-    return max(m) <= max(abs(x) for x in f)
+    """sup M(f) <= max |f| (the L^infinity endpoint): a / (b d_f) <= max F / d_f
+    for every pair (a, b) of M(f), so a <= b max F."""
+    _, F, best = _abs_maximal_pairs(f, tree)
+    top = max(F)
+    return all(a <= b * top for a, b in best)
 
 
 # ---------------------------------------------------------------------------

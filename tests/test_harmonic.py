@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import isqrt, lcm, prod
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ultrametric import harmonic
 from ultrametric.cantor import MAX_POWER_BITS, Cylinder, ProductSpec
 from ultrametric.errors import (
+    CertificationFailed,
     DegenerateMeasure,
     DegeneratePartition,
     ExponentOutOfRange,
@@ -117,6 +118,42 @@ def test_grid_measure_checks_its_weights():
             harmonic.GridMeasure((0, 1), mu, nu)
     g = harmonic.GridMeasure((0, 1), (1, 1), (0, 1))
     assert harmonic.grid_weak_type(g, 1, C1=1)["rhs"] == 1
+
+
+def test_trees_and_grids_store_their_integer_masses():
+    rng = random.Random(3103)
+    measures = oracle_trees(3103, 16, 256) + zero_nu_trees()
+    for i in range(16):
+        m = rng.randrange(1, 30)
+        weights = distinct_denominator_weights if i % 2 else oracle_weights
+        measures.append(harmonic.GridMeasure(
+            tuple(Fraction(j, 7) for j in range(m)), weights(rng, m, True), weights(rng, m, False)))
+    for x in measures:
+        for w, ints, d in ((x.mu, x.mu_int, x.d_mu), (x.nu, x.nu_int, x.d_nu)):
+            assert type(ints) is tuple and type(d) is int and d > 0
+            assert all(type(n) is int for n in ints)
+            assert [Fraction(n, d) for n in ints] == list(w)
+
+
+def test_integer_masses_are_outside_value_semantics():
+    # as Radix.prefix: equality, hash and repr read the declared fields only
+    stored = ("d_mu", "mu_int", "d_nu", "nu_int")
+    t = leaf0_tree()
+    g = harmonic.GridMeasure((0, 1), (Fraction(1, 2), Fraction(1, 3)), (0, 1))
+    for x, same in ((t, harmonic.FiniteUltraTree(BINARY3, [Fraction(1, 8)] * 8, [1] + [0] * 7)),
+                    (g, harmonic.GridMeasure([0, 1], [Fraction(1, 2), Fraction(1, 3)], [0, 1]))):
+        cls = type(x)
+        assert x == same and hash(x) == hash(same) and repr(x) == repr(same)
+        assert repr(x) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={getattr(x, name)!r}" for name in cls.__dataclass_fields__
+            if name not in stored) + ")"
+        for name in stored:
+            object.__setattr__(same, name, getattr(same, name) * 2)
+        assert x == same and hash(x) == hash(same) and repr(x) == repr(same)
+        for name in stored:
+            with pytest.raises(TypeError):
+                cls(*(getattr(x, f) for f in cls.__dataclass_fields__ if f not in stored),
+                    **{name: getattr(x, name)})
 
 
 def test_grid_weak_type_c2_random():
@@ -453,6 +490,57 @@ def test_grid_maximal_matches_cubic_oracle():
         ))
     for g in grids:
         assert_same(harmonic.grid_maximal(g), grid_maximal_oracle(g))
+
+
+# grid_weak_type and lp_maximal_bound as they were before the integer masses
+# were stored on the grid and the tree, kept verbatim as oracles: M(i) > t
+# compared as Fractions, and M(|f| mu) through a second FiniteUltraTree with
+# Fraction keys.
+
+
+def small_weights(rng, n, positive):
+    return tuple(Fraction(rng.randrange(1 if positive else 0, 4)) for _ in range(n))
+
+
+def grid_weak_type_fraction_oracle(g, t, C1=Fraction(2)):
+    """Check mu{M(nu) > t} <= C1 t^{-1} nu(X) on the grid, for t > 0."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    m = harmonic.grid_maximal(g)
+    lhs = harmonic._weighted_sum([w for w, v in zip(g.mu, m) if v > t], repeat(1))
+    rhs = Fraction(C1) / t * harmonic._weighted_sum(g.nu, repeat(1))
+    return {"holds": lhs <= rhs, "lhs": lhs, "rhs": rhs, "C1": Fraction(C1)}
+
+
+def test_grid_weak_type_matches_fraction_oracle():
+    rng = random.Random(3102)
+    grids = [harmonic.adversarial_grid()[0]]
+    for i in range(300):
+        m = rng.randrange(1, 41)
+        # small integer weights repeat ratios across intervals
+        weights = (distinct_denominator_weights, oracle_weights, small_weights)[i % 3]
+        nu = (Fraction(0),) * m if i % 5 == 0 else weights(rng, m, False)
+        grids.append(harmonic.GridMeasure(
+            tuple(Fraction(j, 3) for j in range(m)), weights(rng, m, True), nu))
+    merged = 0
+    for g in grids:
+        # values of M, where mu{M > t} jumps, points just below them, and one
+        # more; a value of M reached by two intervals must be read as one
+        M = harmonic.grid_maximal(g)
+        values = sorted(set(M) - {0})
+        merged += len(values) < len({(n, d) for n, d in zip(*harmonic._grid_pairs(g)) if n})
+        thresholds = rng.sample(values, min(3, len(values)))
+        thresholds += [v * Fraction(rng.randrange(1, 100), 99) for v in thresholds]
+        thresholds.append(Fraction(rng.randrange(1, 50), rng.randrange(1, 10**6)))
+        for t in thresholds:
+            C1 = rng.choice((None, 1, 2, Fraction(3, 2)))
+            if C1 is None:
+                assert_same(harmonic.grid_weak_type(g, t), grid_weak_type_fraction_oracle(g, t))
+            else:
+                assert_same(harmonic.grid_weak_type(g, t, C1),
+                            grid_weak_type_fraction_oracle(g, t, C1))
+    assert merged > 50
 
 
 def test_grid_maximal_m200():
@@ -902,6 +990,85 @@ def test_lp_maximal_bound_matches_per_leaf_oracle():
     rep = harmonic.lp_maximal_bound(f, t, 2, Fraction(1, 2), Fraction(1, 100))
     assert rep["holds"] is False
     assert_same(rep, lp_maximal_bound_oracle(f, t, 2, Fraction(1, 2), Fraction(1, 100)))
+
+
+def maximal_of_abs_oracle(f, tree: harmonic.FiniteUltraTree) -> tuple[list[Fraction], list[Fraction]]:
+    """(f, M(f)): f as Fractions, one per leaf, and the maximal function of |f| mu."""
+    f = harmonic._fractions(f)
+    if len(f) != tree.leaves:
+        raise ValueError(f"{len(f)} values but {tree.leaves} leaves")
+    nu = tuple(abs(x) * w for x, w in zip(f, tree.mu))
+    return f, harmonic.maximal_function(harmonic.FiniteUltraTree(tree.spec, tree.mu, nu))
+
+
+def lp_maximal_bound_fraction_keys_oracle(f, tree, p, a, C1=1):
+    p, a = harmonic._lp_exponent(p), Fraction(a)
+    if not 0 < a < 1:
+        raise ExponentOutOfRange("need 0 < a < 1")
+    f, m = maximal_of_abs_oracle(f, tree)
+    D, masses = harmonic._integer_masses(tree.mu)
+    m_at, f_at = harmonic._masses_by(m, masses), harmonic._masses_by(map(abs, f), masses)  # M(f) >= 0
+    for prec in (64, 128, 256, 512):
+        c_lo, c_hi = harmonic._lp_constant_bounds(p, a, C1, prec)
+        lhs_lo, lhs_hi = harmonic._power_integral_bounds(m_at, D, p, prec)
+        f_lo, f_hi = harmonic._power_integral_bounds(f_at, D, p, prec)
+        rhs_lo, rhs_hi = c_lo * f_lo, c_hi * f_hi
+        if lhs_hi <= rhs_lo:
+            return {"holds": True, "lhs": lhs_hi, "rhs": rhs_lo}
+        if lhs_lo > rhs_hi:
+            return {"holds": False, "lhs": lhs_lo, "rhs": rhs_hi}
+    raise CertificationFailed("power bracket did not resolve the comparison")
+
+
+def sup_bound_check_oracle(f, tree):
+    """sup M(f) <= max |f| (the L^infinity endpoint)."""
+    f, m = maximal_of_abs_oracle(f, tree)
+    return max(m) <= max(abs(x) for x in f)
+
+
+def test_lp_and_sup_bounds_match_fraction_key_oracles():
+    # M(f) = 4 on leaves 0 and 2 from two balls of different masses, so two
+    # integer pairs of one value must add into one key
+    t = harmonic.FiniteUltraTree(ProductSpec.reciprocal((2, 2)),
+                                 (Fraction(1, 8), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)),
+                                 (Fraction(0),) * 4)
+    f = [4, 0, -4, 0]
+    assert maximal_of_abs_oracle(f, t)[1] == [4, 2, 4, Fraction(3, 2)]
+    cases = [(f, t)]
+    rng = random.Random(3101)
+    for i in range(300):
+        # depth 1..4, branching 2 or 3: up to 81 leaves
+        spec = ProductSpec.reciprocal(tuple(rng.randrange(2, 4) for _ in range(1 + i % 4)))
+        n = spec.cumulative(spec.depth)
+        weights = distinct_denominator_weights if i % 3 == 0 else oracle_weights
+        nu = (Fraction(0),) * n if i % 5 == 0 else oracle_weights(rng, n, False)
+        t = harmonic.FiniteUltraTree(spec, weights(rng, n, True), nu)
+        kind = i % 4
+        if kind == 0:  # a few values, 0 and both signs of each |f|
+            pool = [Fraction(0)] + [Fraction(rng.randrange(1, 20), rng.randrange(1, 5))
+                                    for _ in range(rng.randrange(1, 4))]
+            f = [rng.choice(pool) * rng.choice((1, -1)) for _ in range(n)]
+        elif kind == 1:  # each value with its own denominator up to 10^6
+            f = [x * rng.choice((1, -1)) for x in distinct_denominator_weights(rng, n, False)]
+        elif kind == 2:  # one negative constant: M(f) = |f| everywhere
+            f = [-Fraction(rng.randrange(1, 10**4), rng.randrange(1, 10**6))] * n
+        else:
+            f = [0] * n
+        cases.append((f, t))
+    for i, (f, t) in enumerate(cases):
+        for j, p in enumerate((Fraction(3, 2), Fraction(2), Fraction(3))):
+            a = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))[(i + j) % 3]
+            assert_same(harmonic.lp_maximal_bound(f, t, p, a),
+                        lp_maximal_bound_fraction_keys_oracle(f, t, p, a))
+        assert_same(harmonic.sup_bound_check(f, t), sup_bound_check_oracle(f, t))
+    # a C1 that refutes the bound, and the refusals, as before
+    f, t = cases[0]
+    rep = harmonic.lp_maximal_bound(f, t, 2, Fraction(1, 2), Fraction(1, 100))
+    assert rep["holds"] is False
+    assert_same(rep, lp_maximal_bound_fraction_keys_oracle(f, t, 2, Fraction(1, 2), Fraction(1, 100)))
+    for call in (harmonic.sup_bound_check, lambda f, t: harmonic.lp_maximal_bound(f, t, 2, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="3 values but 4 leaves"):
+            call(f[:3], t)
 
 
 def test_lp_best_a():

@@ -73,6 +73,18 @@ REFUSALS = [
     ("harmonic: a negative nu",
      lambda: harmonic.FiniteUltraTree(SPEC, QUARTER, (Fraction(-1, 4),) + QUARTER[1:]),
      ValueError, "nonnegative"),
+    # the sign and zero-mass checks read the integer masses a tree or grid stores
+    ("harmonic: a negative mu",
+     lambda: harmonic.FiniteUltraTree(SPEC, (Fraction(-1, 4),) + QUARTER[1:], QUARTER),
+     ValueError, "weights must be nonnegative"),
+    ("harmonic: a leaf of no mu-mass",
+     lambda: harmonic.FiniteUltraTree(SPEC, (Fraction(0),) + QUARTER[1:], QUARTER),
+     DegenerateMeasure, "a leaf has zero mu-mass"),
+    ("harmonic: a grid with one nu weight for two points",
+     lambda: harmonic.GridMeasure((0, 1), (1, 1), (0,)), ValueError, "need 2 weights"),
+    ("harmonic: a negative grid nu",
+     lambda: harmonic.GridMeasure((0, 1), (1, 1), (0, Fraction(-1, 3))), ValueError,
+     "nu must be nonnegative"),
     ("harmonic: grid points out of order",
      lambda: harmonic.GridMeasure((1, 0), (1, 1), (0, 0)), ValueError, "strictly increasing"),
     ("harmonic: a grid point of no mu-mass",
