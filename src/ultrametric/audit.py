@@ -5,6 +5,9 @@ All verdicts are depth-relative: a confirmation reports the constant
 realized so far, a refutation carries a reproducible witness.  The one
 random draw is the isometry's seeded pairs past its exhaustive cap;
 dist(., A) is locally constant off A for every A, so nothing samples it.
+Every digit word comes from one rule, ``_digit_columns``: the isometry's
+enumeration and its sweep of sampled pairs both read it level by level,
+and ``mixed_radix_digits`` is its view of one value.
 """
 
 from __future__ import annotations
@@ -13,11 +16,16 @@ import random  # the isometry's sampled pairs, whose count bench/checks.py pins
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import and_, eq, ne
 
 from .cantor import Cylinder, ProductMeasure, ProductSpec, match_length
 from .errors import EmptySet
-from .radic import Radix, lr_valuation
+from .radic import Radix
+
+# values, or sampled pairs, per pass of the isometry check over the levels,
+# so its lists keep this length whatever B and ``samples`` are
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -104,13 +112,27 @@ def classify_map(phi: DigitMapFamily, spec: ProductSpec) -> dict:
     return {"one_lipschitz": True, "isometry": isometry, "onto": onto, "witness": None}
 
 
+def _digit_columns(values, radix: Radix):
+    """The digits theta_k(a) = (a div R_{k-1}) mod r_k of the values, one
+    level at a time: yields the list of level-k digits, k = 1..L, of the
+    values still kept.  A mask sent in place of ``next`` keeps the values
+    where it is true, and later levels divide only those.  The one digit
+    rule of this module: a % r_k is the digit, a // r_k goes on.
+    """
+    quotients = values
+    *inner, last = radix.factors
+    for r in inner:
+        keep = yield [a % r for a in quotients]
+        if keep is not None:
+            quotients = compress(quotients, keep)
+        quotients = [a // r for a in quotients]
+    yield [a % last for a in quotients]
+
+
 def mixed_radix_digits(a: int, radix: Radix) -> tuple[int, ...]:
-    """theta_k(a) = (a div R_{k-1}) mod r_k, the canonical digit map."""
-    digits = []
-    for r in radix.factors:
-        digits.append(a % r)
-        a //= r
-    return tuple(digits)
+    """theta(a) = (theta_1(a), ..., theta_L(a)), the canonical digit map:
+    ``_digit_columns`` read for one value."""
+    return tuple(column[0] for column in _digit_columns((a,), radix))
 
 
 def _per_level_check(words: list, radix: Radix) -> tuple[bool, bool]:
@@ -138,6 +160,68 @@ def _per_level_check(words: list, radix: Radix) -> tuple[bool, bool]:
     return isometric, pushforward_uniform
 
 
+def _sampled_pairs(radix: Radix, samples: int, seed: int):
+    """The seeded pairs, as lists xs, ys of at most ``_CHUNK`` pairs.
+
+    CPython's randrange(R) draws R.bit_length() bits until they fall below
+    R, so the accepted draws of one stream are the values randrange gives:
+    pair i is accepted draws 2i and 2i + 1, then y moves to agree with x
+    mod R_k for k = i mod L, one slice of the chunk per k.
+    """
+    R = radix.modulus
+    L = radix.depth
+    getrandbits = random.Random(seed).getrandbits
+    bits = R.bit_length()
+    for start in range(0, samples, _CHUNK):
+        need = 2 * min(_CHUNK, samples - start)
+        drawn: list[int] = []
+        while len(drawn) < need:
+            drawn += [v for v in map(getrandbits, repeat(bits, need - len(drawn))) if v < R]
+        xs, ys = drawn[::2], drawn[1::2]
+        for k in range(1, L):
+            R_k = radix.prefix[k]
+            part = slice((k - start) % L, None, L)
+            ys[part] = [y - y % R_k + x % R_k for x, y in zip(xs[part], ys[part])]
+        yield xs, ys
+
+
+def _first_failing_pair(xs: list, ys: list, radix: Radix) -> int | None:
+    """The least i with l_r(xs[i] - ys[i]) != the match length of the two
+    words, or None, in one level-by-level sweep over the pairs.
+
+    At level k a pair has two flags: ``same``, digit k of x equals digit k
+    of y, and ``div``, R_k | x - y.  The match length is the number of
+    leading levels with ``same``.  R_(k-1) | R_k, so the levels k >= 1 with
+    R_k | x - y are 1..l_r(x - y): l_r, read as L when saturated, is the
+    number of leading levels with ``div``, and ``div`` at level k is the
+    test ``lr_valuation`` makes there.  The two counts are equal iff the
+    flags agree at every level up to the first where one is false, and
+    there both are: a pair fails at the first level where ``same != div``
+    and is settled, and leaves the sweep, where both are false.  A pair
+    stays at most to its first level past its match length, so the sweep
+    costs O(levels until settled) per pair.
+    """
+    gx, gy = _digit_columns(xs, radix), _digit_columns(ys, radix)
+    cx, cy = next(gx), next(gy)
+    live = list(range(len(xs)))
+    diffs = [x - y for x, y in zip(xs, ys)]
+    first = None
+    for k, R_k in enumerate(radix.prefix[1:], 1):
+        same = list(map(eq, cx, cy))
+        div = [not d % R_k for d in diffs]
+        keep = same
+        if same != div:
+            j = list(map(ne, same, div)).index(True)
+            first = live[j] if first is None else min(first, live[j])
+            keep = list(map(and_, same, div))
+        if k == radix.depth or not any(keep):
+            break
+        live = list(compress(live, keep))
+        diffs = list(compress(diffs, keep))
+        cx, cy = gx.send(keep), gy.send(keep)
+    return first
+
+
 def build_radic_isometry(
     radix: Radix,
     exhaustive_cap: int = 4096,
@@ -157,7 +241,11 @@ def build_radic_isometry(
     match length, which decides the metric because the scales strictly
     decrease.  Pair i agrees with x mod R_k for k = i mod L, so every
     level is sampled, not only the levels two uniform points reach; a
-    pair x != y with one word also refutes ``bijective``.  There
+    pair x != y with one word also refutes ``bijective``.  The pairs are
+    compared in chunks of ``_CHUNK``, each in one sweep over the
+    levels (``_first_failing_pair``): a pair leaves the sweep at its
+    first level where neither its digits agree nor R_k divides x - y,
+    so the sampled check costs O(samples * levels until settled).  There
     ``bijective`` is the enumerated points and the pairs checked, and
     ``pushforward_uniform`` the enumerated levels only.  The check stops
     at the first failing pair; fewer than one sample raises ValueError,
@@ -168,31 +256,20 @@ def build_radic_isometry(
         raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
 
     enum_bound = max((R_k for R_k in radix.prefix if R_k <= exhaustive_cap), default=1)
-    words = [mixed_radix_digits(a, radix) for a in range(enum_bound)]
+    values = range(enum_bound)
+    words = [w for lo in range(0, enum_bound, _CHUNK)
+             for w in zip(*_digit_columns(values[lo : lo + _CHUNK], radix))]
     bijective = len(set(words)) == enum_bound
     isometric, pushforward_uniform = _per_level_check(words, radix)
     if R <= exhaustive_cap:
         pairs_checked = R * R
     else:
-        getrandbits = random.Random(seed).getrandbits
-        bits = R.bit_length()
-        L = radix.depth
         pairs_checked = samples
-        for i in range(samples):
-            # randrange(R) without its call overhead: CPython draws R.bit_length()
-            # bits until they fall below R, so the pairs are the same
-            x = getrandbits(bits)
-            while x >= R:
-                x = getrandbits(bits)
-            y = getrandbits(bits)
-            while y >= R:
-                y = getrandbits(bits)
-            R_k = radix.prefix[i % L]
-            y += x % R_k - y % R_k  # pair i agrees mod R_k, k = i mod L
-            wx, wy = mixed_radix_digits(x, radix), mixed_radix_digits(y, radix)
-            l = lr_valuation(x - y, radix)
-            if (L if l is None else l) != match_length(wx, wy):
+        for xs, ys in _sampled_pairs(radix, samples, seed):
+            i = _first_failing_pair(xs, ys, radix)
+            if i is not None:
                 isometric = False
+                wx, wy = mixed_radix_digits(xs[i], radix), mixed_radix_digits(ys[i], radix)
                 bijective = bijective and wx != wy
                 break
     return {

@@ -1,7 +1,8 @@
 """Command-line front end: wires JSON/flag configs to the module operations.
 
 Exit codes: 0 = verified or solved, 1 = a property was refuted (the report
-carries a witness), 2 = invalid input.
+carries a witness), 2 = invalid input, a modifier flag next to an operation
+that does not read it among them.
 
 Each ``cmd_*`` returns ``(exit_code, report)``, and ``main`` prints the
 report through ``encode``, the one place where a value becomes JSON.  Each
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from argparse import SUPPRESS
 from fractions import Fraction
 from math import inf, isfinite
 
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("padic", help="p-adic absolute values, arithmetic, series")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--prec", type=int, default=10)
+    p.add_argument("--prec", type=int, default=SUPPRESS)
     op = p.add_mutually_exclusive_group(required=True)
     op.add_argument("--abs", type=rational)
     op.add_argument("--geom", type=rational)
@@ -271,28 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--abs", type=int)
     op.add_argument("--preceq", type=ints)
     op.add_argument("--project", type=ints)
-    p.add_argument("--periodic", action="store_true")
-    p.add_argument("--residue", type=int, default=0)
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--periodic", action="store_true", default=SUPPRESS)
+    p.add_argument("--residue", type=int, default=SUPPRESS)
+    p.add_argument("--depth", type=int, default=SUPPRESS)
     p.set_defaults(func=cmd_radic)
 
     p = sub.add_parser("hausdorff", help="contents and dimension on Cantor products")
     p.add_argument("--factors", type=ints, required=True)
     p.add_argument("--scales", type=scale_choice, default="reciprocal")
-    p.add_argument("--alpha", type=rational, default="1")
-    p.add_argument("--delta", type=rational)
+    p.add_argument("--alpha", type=rational, default=SUPPRESS)
+    p.add_argument("--delta", type=rational, default=SUPPRESS)
     p.add_argument("--dimension", action="store_true")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=float, default=SUPPRESS)
     p.set_defaults(func=cmd_hausdorff)
 
     p = sub.add_parser("audit", help="doubling and isometry audits")
     op = p.add_mutually_exclusive_group(required=True)
     op.add_argument("--factors", type=ints)
     op.add_argument("--isometry", type=ints, help="radix digits, comma separated")
-    p.add_argument("--scales", type=scale_choice, default="reciprocal")
-    p.add_argument("--candidate", type=int)
-    p.add_argument("--measure-weights", type=weight_levels, help='per level "a/b,c/d;..."')
-    p.add_argument("--seed", type=int, default=0, help="of the isometry's sampled pairs")
+    p.add_argument("--scales", type=scale_choice, default=SUPPRESS)
+    p.add_argument("--candidate", type=int, default=SUPPRESS)
+    p.add_argument("--measure-weights", type=weight_levels, default=SUPPRESS,
+                   help='per level "a/b,c/d;..."')
+    p.add_argument("--seed", type=int, default=SUPPRESS, help="of the isometry's sampled pairs")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("maximal", help="maximal functions on weighted trees")
@@ -310,6 +313,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_characters)
 
     return top
+
+
+# The modifiers of each subcommand, by dest: the operations that read one,
+# by dest ("content" is hausdorff without --dimension), and its default.
+# build_parser declares a modifier without a default, so it is in the
+# namespace only when given; ``_read_modifiers`` refuses it next to an
+# operation that does not read it, whose report would read as if it were
+# absent, and then fills in the defaults.
+_MODIFIERS = {
+    "padic": {"prec": (("geom", "add", "mul"), 10)},
+    "radic": {"periodic": (("preceq",), False), "residue": (("project",), 0),
+              "depth": (("preceq", "project"), 64)},
+    "hausdorff": {"alpha": (("content",), Fraction(1)), "delta": (("content",), None),
+                  "tolerance": (("dimension",), 1e-6)},
+    "audit": {"scales": (("factors",), "reciprocal"), "candidate": (("factors",), None),
+              "measure_weights": (("factors",), None), "seed": (("isometry",), 0)},
+}
+# the operations of those subcommands, by dest; hausdorff without
+# --dimension gives the content
+_OPERATIONS = {"padic": ("abs", "geom", "add", "mul"),
+               "radic": ("embed", "abs", "preceq", "project"),
+               "hausdorff": ("dimension",),
+               "audit": ("factors", "isometry")}
+
+
+def _flag(dest: str) -> str:
+    return "the content" if dest == "content" else "--" + dest.replace("_", "-")
+
+
+def _read_modifiers(args) -> None:
+    """ValueError for a modifier that the chosen operation does not read,
+    naming the operations that do; else every absent modifier gets its
+    default."""
+    values = {d: getattr(args, d) for d in _OPERATIONS.get(args.command, ())}
+    # "is not": --embed 0 gives an operation, and 0 == False
+    op = next((d for d, v in values.items() if v is not None and v is not False), "content")
+    for dest, (readers, default) in _MODIFIERS.get(args.command, {}).items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
+        elif op not in readers:
+            raise ValueError(f"{_flag(dest)} is read only by {' or '.join(map(_flag, readers))}, "
+                             f"not by {_flag(op)}")
 
 
 # flags whose values may be negative numbers, with the number of values each takes
@@ -345,6 +390,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _read_modifiers(args)
         code, report = args.func(args)
         # a report integer past Python's int-to-str limit raises ValueError here
         _emit(report)

@@ -8,6 +8,7 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
+from digit_maps import digits, lift
 from ultrametric import audit, cantor, radic
 from ultrametric.errors import EmptySet
 
@@ -233,8 +234,7 @@ def test_radic_isometry_roundtrip():
 
 
 def test_radic_isometry_refutes_a_broken_digit_map(monkeypatch):
-    digits = audit.mixed_radix_digits
-    monkeypatch.setattr(audit, "mixed_radix_digits", lambda a, radix: digits(a - a % 2, radix))
+    monkeypatch.setattr(audit, "_digit_columns", lift(lambda a, radix: digits(a - a % 2, radix)))
     for factors, pairs in (((2, 3), 36), ((4, 5, 10, 25, 20), 2000)):
         rep = audit.build_radic_isometry(radic.Radix(factors))
         assert not (rep["bijective"] or rep["isometric"] or rep["pushforward_uniform"])
@@ -242,7 +242,7 @@ def test_radic_isometry_refutes_a_broken_digit_map(monkeypatch):
     # dropping digit 4 changes none of the R_3 = 200 enumerated points, so
     # only the sampled pairs can refute it
     monkeypatch.setattr(
-        audit, "mixed_radix_digits", lambda a, r: digits(a, r)[:3] + (0, digits(a, r)[4])
+        audit, "_digit_columns", lift(lambda a, r: digits(a, r)[:3] + (0, digits(a, r)[4]))
     )
     rep = audit.build_radic_isometry(radic.Radix((4, 5, 10, 25, 20)))
     assert rep["bijective"] and rep["pushforward_uniform"] and not rep["isometric"]
@@ -259,17 +259,23 @@ def test_sampled_path_refuses_fewer_than_one_sample():
     assert audit.build_radic_isometry(r, samples=1)["pairs_checked"] == 1
 
 
-def oracle_sampled_pairs(psi, radix, t, seed, samples) -> list[tuple[int, int, bool, bool]]:
-    """The seeded pairs (x, y, holds, collides), each compared in the metric,
-    in Fractions: radic_dist against t at the match length of the images, 0
-    for equal words.  Pair i is two independent draws, then y moved to agree
-    with x mod R_k, k = i mod L; it collides when x != y share a word."""
+def seeded_pairs(radix, seed, samples):
+    """The isometry's sampled pairs (x, y), drawn through randrange: pair i
+    is two independent draws, then y moved to agree with x mod R_k, k = i
+    mod L."""
     rng = random.Random(seed)
-    pairs = []
     for i in range(samples):
         x, y = rng.randrange(radix.modulus), rng.randrange(radix.modulus)
         R_k = radix.cumulative(i % radix.depth)
-        y = y // R_k * R_k + x % R_k
+        yield x, y // R_k * R_k + x % R_k
+
+
+def oracle_sampled_pairs(psi, radix, t, seed, samples) -> list[tuple[int, int, bool, bool]]:
+    """The seeded pairs (x, y, holds, collides), each compared in the metric,
+    in Fractions: radic_dist against t at the match length of the images, 0
+    for equal words.  A pair collides when x != y share a word."""
+    pairs = []
+    for x, y in seeded_pairs(radix, seed, samples):
         l = cantor.match_length(psi(x), psi(y))
         holds = radic.radic_dist(x, y, radix, t) == (Fraction(0) if l == radix.depth else t[l])
         pairs.append((x, y, holds, x != y and psi(x) == psi(y)))
@@ -280,7 +286,6 @@ def test_sampled_pairs_against_fraction_oracle(monkeypatch):
     # exhaustive_cap=1 enumerates one point, so the per-level check is vacuous;
     # with samples = 1..L, "isometric" is the integer verdict on the first
     # pairs, which together share a residue mod every R_k, k < L
-    digits = audit.mixed_radix_digits
     maps = {
         "digit map": digits,
         "collapse": lambda a, r: digits(a - a % 2, r),
@@ -300,7 +305,7 @@ def test_sampled_pairs_against_fraction_oracle(monkeypatch):
             # the closed form theta_k(a) = (a div R_{k-1}) mod r_k
             assert digits(a, r) == tuple(a // r.cumulative(k) % f for k, f in enumerate(fs))
         for name, psi in maps.items():
-            monkeypatch.setattr(audit, "mixed_radix_digits", psi)
+            monkeypatch.setattr(audit, "_digit_columns", lift(psi))
             for seed in range(100):
                 pairs = oracle_sampled_pairs(lambda a: psi(a, r), r, t, seed, r.depth)
                 for samples in range(1, r.depth + 1):
@@ -324,8 +329,7 @@ def test_sampled_path_refutes_a_last_digit_collapse(monkeypatch):
     # 20 points share each word; the R_3 = 200 enumerated points cannot see
     # it, and two uniform points share their first four digits with chance
     # 1/5000, but every fifth pair agrees mod R_4
-    digits = audit.mixed_radix_digits
-    monkeypatch.setattr(audit, "mixed_radix_digits", lambda a, r: digits(a, r)[:4] + (0,))
+    monkeypatch.setattr(audit, "_digit_columns", lift(lambda a, r: digits(a, r)[:4] + (0,)))
     r = radic.Radix((4, 5, 10, 25, 20))
     for seed in range(50):
         rep = audit.build_radic_isometry(r, seed=seed)
@@ -336,16 +340,16 @@ def test_sampled_path_refutes_a_last_digit_collapse(monkeypatch):
 
 _BROKEN_DIGIT_MAPS = """
 import sys
+from digit_maps import digits, lift
 from ultrametric import audit, radic
 
 print(sys.flags.optimize)
-digits = audit.mixed_radix_digits
 broken = {
     "a - a % 2": lambda a, r: digits(a - a % 2, r),
     "last digit": lambda a, r: digits(a, r)[:-1] + (0,),
 }
 for name, psi in broken.items():
-    audit.mixed_radix_digits = psi
+    audit._digit_columns = lift(psi)
     for fs in ((2, 3, 4), (4, 5, 10, 25, 20)):
         rep = audit.build_radic_isometry(radic.Radix(fs))
         print(name, fs, rep["bijective"], rep["isometric"])
@@ -360,7 +364,8 @@ def test_isometry_certificate_refutes_under_python_O():
 
     import ultrametric
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultrametric.__file__)))
+    path = [os.path.dirname(os.path.dirname(ultrametric.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run(
         [sys.executable, "-O", "-c", _BROKEN_DIGIT_MAPS],
         env=env, capture_output=True, text=True, check=True,
@@ -373,6 +378,186 @@ def test_isometry_certificate_refutes_under_python_O():
         "last digit (4, 5, 10, 25, 20) False False",
         "",
     ]
+
+
+def build_radic_isometry_by_pairs(radix, exhaustive_cap=4096, samples=2000, seed=0,
+                                  psi=digits) -> dict:
+    """The isometry check one sampled pair at a time, psi(a, radix) the word
+    of a: both words of each pair in full, lr_valuation(x - y) against
+    their match length, and the first failing pair ends the check."""
+    R = radix.modulus
+    if R > exhaustive_cap and samples < 1:
+        raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
+
+    enum_bound = max((R_k for R_k in radix.prefix if R_k <= exhaustive_cap), default=1)
+    words = [psi(a, radix) for a in range(enum_bound)]
+    bijective = len(set(words)) == enum_bound
+    isometric, pushforward_uniform = audit._per_level_check(words, radix)
+    if R <= exhaustive_cap:
+        pairs_checked = R * R
+    else:
+        getrandbits = random.Random(seed).getrandbits
+        bits = R.bit_length()
+        L = radix.depth
+        pairs_checked = samples
+        for i in range(samples):
+            # randrange(R) without its call overhead: CPython draws R.bit_length()
+            # bits until they fall below R, so the pairs are the same
+            x = getrandbits(bits)
+            while x >= R:
+                x = getrandbits(bits)
+            y = getrandbits(bits)
+            while y >= R:
+                y = getrandbits(bits)
+            R_k = radix.prefix[i % L]
+            y += x % R_k - y % R_k  # pair i agrees mod R_k, k = i mod L
+            wx, wy = psi(x, radix), psi(y, radix)
+            l = radic.lr_valuation(x - y, radix)
+            if (L if l is None else l) != cantor.match_length(wx, wy):
+                isometric = False
+                bijective = bijective and wx != wy
+                break
+    return {
+        "bijective": bijective,
+        "isometric": isometric,
+        "pushforward_uniform": pushforward_uniform,
+        "pairs_checked": pairs_checked,
+    }
+
+
+# the broken maps of the tests above, each at every depth it keeps: at
+# depth 5 "drop digit 4" and "drop the last digit" are the two maps the
+# (4, 5, 10, 25, 20) tests patch in
+SWEEP_MAPS = {
+    "digit map": None,  # the routine itself, unpatched
+    "collapse": lambda a, r: digits(a - a % 2, r),
+    "drop digit 4": lambda a, r: digits(a, r)[:3] + (0,) + digits(a, r)[4:],
+    "drop the last digit": lambda a, r: digits(a, r)[:-1] + (0,),
+}
+
+
+def assert_same_report(got, want, case):
+    assert got == want, case
+    assert list(got) == list(want), case
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()], case
+
+
+def test_level_sweep_equals_the_pair_by_pair_check(monkeypatch):
+    unpatched = audit._digit_columns
+    chunk = audit._CHUNK
+    rng = random.Random(32)
+    outcomes = Counter()
+    for case in range(2000):
+        fs = [rng.randrange(2, rng.choice((3, 5, 7))) for _ in range(rng.randrange(1, 8))]
+        cap = rng.choice((1, 64, 4096))
+        if case % 20 == 0:
+            fs[0] = cap + rng.randrange(1, 50)  # B = 1: no prefix level is enumerated
+        r = radic.Radix(tuple(fs))
+        samples = chunk + case % 3 - 1 if case % 40 == 1 else rng.randrange(1, 301)
+        seed = rng.randrange(10**6)
+        name = rng.choice([n for n in SWEEP_MAPS if n != "drop digit 4" or r.depth >= 4])
+        psi = SWEEP_MAPS[name]
+        monkeypatch.setattr(audit, "_digit_columns", unpatched if psi is None else lift(psi))
+        got = audit.build_radic_isometry(r, cap, samples, seed)
+        want = build_radic_isometry_by_pairs(r, cap, samples, seed, psi or digits)
+        assert_same_report(got, want, (fs, cap, samples, seed, name))
+        sampled = r.modulus > cap
+        outcomes[name, sampled, got["isometric"], got["bijective"]] += 1
+        if sampled:
+            outcomes["samples", samples - chunk] += 1
+            outcomes["first factor above the cap"] += fs[0] > cap
+            outcomes["x = y"] += any(x == y for x, y in seeded_pairs(r, seed, samples))
+    assert outcomes["digit map", True, True, True] > 0
+    assert all(not key[0] == "digit map" or key[2:] == (True, True) for key in outcomes)
+    for name in ("collapse", "drop digit 4", "drop the last digit"):
+        assert outcomes[name, True, False, False] > 0
+    # a failing pair of two words leaves ``bijective`` to the enumeration
+    assert outcomes["collapse", True, False, True] > 0
+    assert outcomes["drop digit 4", True, False, True] > 0
+    assert all(outcomes["samples", d] > 0 for d in (-1, 0, 1))
+    assert outcomes["first factor above the cap"] > 0 and outcomes["x = y"] > 0
+
+
+def test_level_sweep_finds_the_first_failing_pair_across_chunks(monkeypatch):
+    # a map broken at the one value x of pair i, x != y and in no earlier
+    # pair, fails first at pair i: i = 0 mod L draws y apart from x, so every
+    # other i has x = y mod r_1, and digit 1 of x + 1 tells them apart.
+    # Pairs on both sides of a chunk end
+    chunk = audit._CHUNK
+    r = radic.Radix((4, 5, 10, 25, 20))
+    R = r.modulus
+    checked = 0
+    for seed in range(4):
+        pairs = list(seeded_pairs(r, seed, 2 * chunk + 2))
+        for i in (chunk - 1, chunk, chunk + 2, 2 * chunk, 2 * chunk + 1):
+            assert i % r.depth
+            bad, y = pairs[i]
+            if bad == y or any(bad in p for p in pairs[:i]):
+                continue
+
+            def psi(a, radix, bad=bad):
+                return digits((a + 1) % R if a == bad else a, radix)
+
+            monkeypatch.setattr(audit, "_digit_columns", lift(psi))
+            for samples in (i, i + 1, 2 * chunk + 2):
+                got = audit.build_radic_isometry(r, samples=samples, seed=seed)
+                want = build_radic_isometry_by_pairs(r, samples=samples, seed=seed, psi=psi)
+                assert_same_report(got, want, (seed, i, samples))
+                assert got["isometric"] is (samples <= i), (seed, i, samples)
+            checked += 1
+    assert checked >= 15
+
+
+def test_level_sweep_reports_the_lowest_failing_pair_not_the_deepest(monkeypatch):
+    # pair i fails at level 1 with two words (x moved to the word of x + 1),
+    # the later pair j at a deeper level with one word (x moved to the word
+    # of y): the report is pair i's, so ``bijective`` stands.  Both moved
+    # values lie past the R_3 = 200 enumerated points
+    r = radic.Radix((4, 5, 10, 25, 20))
+    checked = 0
+    for seed in range(20):
+        pairs = list(seeded_pairs(r, seed, 10))
+        (xi, yi), (xj, yj) = pairs[3], pairs[7]
+        if (len({xi, yi, xj, yj}) < 4 or min(xi, xj) < r.cumulative(3)
+                or any({xi, xj} & set(p) for p in pairs[:3])):
+            continue
+        moved = {xi: xi + 1, xj: yj}
+
+        def psi(a, radix, moved=moved):
+            return digits(moved.get(a, a), radix)
+
+        monkeypatch.setattr(audit, "_digit_columns", lift(psi))
+        for samples in (4, 8, 10):
+            got = audit.build_radic_isometry(r, samples=samples, seed=seed)
+            want = build_radic_isometry_by_pairs(r, samples=samples, seed=seed, psi=psi)
+            assert_same_report(got, want, (seed, samples))
+            assert not got["isometric"] and got["bijective"]
+        checked += 1
+    assert checked >= 10
+
+
+def test_sampled_pairs_are_the_randrange_pairs():
+    # one batch of getrandbits per chunk is the stream randrange(R) reads
+    for fs in ((2, 3), (4, 5, 10, 25, 20), (7,), (3,) * 40):
+        r = radic.Radix(fs)
+        for seed in range(3):
+            for samples in (1, audit._CHUNK, audit._CHUNK + 5):
+                drawn = [p for xs, ys in audit._sampled_pairs(r, samples, seed)
+                         for p in zip(xs, ys)]
+                assert drawn == list(seeded_pairs(r, seed, samples))
+
+
+def test_digit_columns_keep_the_masked_values():
+    r = radic.Radix((3, 4, 5))
+    values = [0, 7, 59, 13, 42]
+    columns = audit._digit_columns(values, r)
+    assert next(columns) == [digits(a, r)[0] for a in values]
+    keep = [True, False, True, True, False]
+    kept = [a for a, k in zip(values, keep) if k]
+    assert columns.send(keep) == [digits(a, r)[1] for a in kept]
+    assert next(columns) == [digits(a, r)[2] for a in kept]
+    assert next(columns, None) is None
+    assert audit.mixed_radix_digits(59, r) == digits(59, r) == (2, 3, 4)
 
 
 def oracle_isometric(words, radix) -> bool:

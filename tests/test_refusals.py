@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultrametric import cantor, characters, harmonic, hensel, linalg, padic, radic
+from ultrametric import cantor, characters, cli, harmonic, hensel, linalg, padic, radic
 from ultrametric.errors import (
     DegenerateMeasure,
     InvalidGauge,
@@ -111,3 +111,70 @@ REFUSALS = [
 def test_invalid_input_is_refused_with_a_typed_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# A modifier next to an operation that does not read it: exit 2, naming the
+# operations that read it, one row per modifier of cli._MODIFIERS.  Once
+# each exited 0 with the report of the plain operation.
+UNREAD_MODIFIERS = [
+    ("padic --prime 3 --abs 9 --prec 4", "--prec is read only by --geom or --add or --mul, not by --abs"),
+    ("radic --radix 2,3 --embed 5 --periodic --residue 3",
+     "--periodic is read only by --preceq, not by --embed"),
+    ("radic --radix 2,3 --preceq 6 --residue 3", "--residue is read only by --project, not by --preceq"),
+    ("radic --radix 2,3 --abs 0 --depth 3", "--depth is read only by --preceq or --project, not by --abs"),
+    ("hausdorff --factors 2,2 --dimension --alpha 1/2",
+     "--alpha is read only by the content, not by --dimension"),
+    ("hausdorff --factors 2,2 --delta 1/4 --dimension",
+     "--delta is read only by the content, not by --dimension"),
+    ("hausdorff --factors 2,2 --tolerance 1e-3", "--tolerance is read only by --dimension, not by the content"),
+    ("audit --isometry 2,3 --scales geometric:1/2", "--scales is read only by --factors, not by --isometry"),
+    ("audit --isometry 2,3 --candidate 1", "--candidate is read only by --factors, not by --isometry"),
+    ("audit --isometry 2,3 --measure-weights 1/2,1/2;1/2,1/2",
+     "--measure-weights is read only by --factors, not by --isometry"),
+    ("audit --factors 2,2 --seed 7", "--seed is read only by --isometry, not by --factors"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_MODIFIERS, ids=[r[0] for r in UNREAD_MODIFIERS])
+def test_a_modifier_the_operation_does_not_read_exits_2(capsys, argv, message):
+    assert cli.main(argv.split()) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == message + "\n"
+
+
+def test_every_modifier_has_a_refusal_row_and_reaches_its_readers(capsys):
+    rows = {(argv.split()[0], message.split()[0]) for argv, message in UNREAD_MODIFIERS}
+    declared = {(command, "--" + dest.replace("_", "-"))
+                for command, modifiers in cli._MODIFIERS.items() for dest in modifiers}
+    assert rows == declared
+    # the FOUND example with both modifiers names the first in declaration order
+    assert cli.main("audit --isometry 2,3 --candidate 1 --scales geometric:1/2".split()) == 2
+    assert capsys.readouterr().err.startswith("--scales is read only by --factors")
+    # next to an operation that reads them, modifiers keep working
+    for argv in ("radic --radix 8 --preceq 2 --periodic --depth 3",
+                 "radic --radix 2,2 --project 2,2,2 --residue 5 --depth 8",
+                 "hausdorff --factors 2,2 --dimension --tolerance 1e-3",
+                 "hausdorff --factors 2,2 --alpha 1/2 --delta 1/4",
+                 "padic --prime 3 --prec 4 --geom 3",
+                 "audit --factors 2,2 --candidate 2 --scales geometric:1/2"
+                 " --measure-weights 1/2,1/2;1/2,1/2",
+                 "audit --isometry 2,3 --seed 7"):
+        assert cli.main(argv.split()) == 0, argv
+    capsys.readouterr()
+
+
+def test_an_unread_modifier_is_refused_before_any_module_loads():
+    import os
+    import subprocess
+    import sys
+
+    import ultrametric
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultrametric.__file__)))
+    child = ("import sys\nfrom ultrametric import cli\ncode = cli.main(sys.argv[1:])\n"
+             "print(code, sorted(m for m in sys.modules if m.startswith('ultrametric.')))\n")
+    for argv in ("radic --radix 2,3 --embed 5 --periodic --residue 3",
+                 "audit --isometry 2,3 --candidate 1 --scales geometric:1/2"):
+        out = subprocess.run([sys.executable, "-c", child, *argv.split()], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "2 ['ultrametric.cli', 'ultrametric.errors']\n", argv
