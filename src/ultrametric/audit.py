@@ -5,9 +5,10 @@ All verdicts are depth-relative: a confirmation reports the constant
 realized so far, a refutation carries a reproducible witness.  The one
 random draw is the isometry's seeded pairs past its exhaustive cap;
 dist(., A) is locally constant off A for every A, so nothing samples it.
-Every digit word comes from one rule, ``_digit_columns``: the isometry's
-enumeration and its sweep of sampled pairs both read it level by level,
-and ``mixed_radix_digits`` is its view of one value.
+Every digit comes from one rule, ``_digit_columns``: the isometry's
+enumeration streams its columns into one prefix-id sweep, which stops
+once the levels left can change no verdict, its sampled pairs are read
+level by level, and ``mixed_radix_digits`` is its view of one value.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import random  # the isometry's sampled pairs, whose count bench/checks.py pins
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import and_, eq, ne
 
 from .cantor import Cylinder, ProductMeasure, ProductSpec, match_length
 from .errors import EmptySet
 from .radic import Radix
 
-# values, or sampled pairs, per pass of the isometry check over the levels,
-# so its lists keep this length whatever B and ``samples`` are
+# sampled pairs per pass of the isometry check over the levels, so its
+# lists keep this length whatever ``samples`` is
 _CHUNK = 1024
 
 
@@ -65,15 +66,16 @@ class DoublingReport:
         }
 
 
-def _prefix_ids(words: list, depth: int):
-    """For k = 1..depth, yield (count, ids): ids[i] numbers the k-prefix of
-    words[i] in order of first occurrence, and count is how many there are.
+def _prefix_ids(columns):
+    """For each column k = 1, 2, ... of the digit columns, yield (count, ids):
+    ids[i] numbers the k-prefix of word i in order of first occurrence, and
+    count is how many there are.
 
     The k-prefix id is a dict lookup on (the (k-1)-prefix id, digit k), so
     the whole sweep is O(N * depth) and never slices a prefix.
     """
-    ids = [0] * len(words)
-    for column in islice(zip(*words), depth):
+    ids = repeat(0)
+    for column in columns:
         number: dict[tuple[int, int], int] = {}
         ids = [number.setdefault(key, len(number)) for key in zip(ids, column)]
         yield len(number), ids
@@ -100,7 +102,7 @@ def classify_map(phi: DigitMapFamily, spec: ProductSpec) -> dict:
     onto = len(set(images)) == n
     isometry = True
     block = n
-    for factor, (count, ids) in zip(spec.factors, _prefix_ids(images, spec.depth)):
+    for factor, (count, ids) in zip(spec.factors, _prefix_ids(zip(*images))):
         block //= factor
         for start in range(0, n, block):
             run = ids[start : start + block]
@@ -135,29 +137,32 @@ def mixed_radix_digits(a: int, radix: Radix) -> tuple[int, ...]:
     return tuple(column[0] for column in _digit_columns((a,), radix))
 
 
-def _per_level_check(words: list, radix: Radix) -> tuple[bool, bool]:
-    """(isometric, pushforward_uniform) for a -> words[a] on 0 <= a < n = len(words).
+def _per_level_check(columns, n: int, radix: Radix) -> tuple[bool, bool, bool]:
+    """(bijective, isometric, pushforward_uniform) for the map from
+    0 <= a < n to the words whose digit columns ``columns`` yields.
 
     At each level k with R_k | n, "a = b mod R_k" must be the same relation
     as "same first k digits": the k-prefix ids repeat with period R_k and
     take R_k values.  Each prefix must also carry n / R_k points, the Haar
     mass 1/R_k; periodic ids give every prefix that mass iff they take R_k
     values, so the masses are counted only at levels that are not periodic.
-    Levels past the first R_k not dividing n are skipped.  One prefix-id
-    sweep, O(n * L).
+    Levels past the first R_k not dividing n are not checked.  The map is
+    bijective iff the last level read has n distinct prefixes; the count
+    never falls as k grows, so the sweep stops at the first level past the
+    checked ones where it is n, and reads no deeper column.  One prefix-id
+    sweep, O(n * levels read).
     """
-    n = len(words)
     isometric = pushforward_uniform = True
-    levels = _prefix_ids(words, radix.depth)
-    for R_k in radix.prefix[1:]:
+    for R_k, (count, ids) in zip(radix.prefix[1:], _prefix_ids(columns)):
         if n % R_k:
-            break
-        count, ids = next(levels)
+            if count == n:
+                break
+            continue
         periodic = ids == ids[:R_k] * (n // R_k)
         isometric = isometric and periodic and count == R_k
         pushforward_uniform = pushforward_uniform and count == R_k and (
             periodic or all(c * R_k == n for c in Counter(ids).values()))
-    return isometric, pushforward_uniform
+    return count == n, isometric, pushforward_uniform
 
 
 def _sampled_pairs(radix: Radix, samples: int, seed: int):
@@ -230,16 +235,17 @@ def build_radic_isometry(
 ) -> dict:
     """Bijection Z/R_L -> digit words preserving the r-adic metric.
 
-    The digit words of 0 <= a < B are computed once, B = R_L when
+    The digit columns of 0 <= a < B are enumerated, B = R_L when
     R_L <= exhaustive_cap, else the largest R_k <= exhaustive_cap (1 when
     already r_1 exceeds it).  On them the map must be injective, and at
     every level k with R_k | B the residues mod R_k must match the k-digit
     prefixes one to one, each prefix receiving Haar mass 1/R_k: one
-    prefix-id sweep, O(B * L), equivalent to l_r(a - b) = match length
-    for all R_L^2 pairs when B = R_L.  Past the cap, ``samples`` seeded
-    random pairs are also compared in integers: l_r(a - b) against the
-    match length, which decides the metric because the scales strictly
-    decrease.  Pair i agrees with x mod R_k for k = i mod L, so every
+    prefix-id sweep over the columns as they are yielded, which stops at
+    the first level past R_k | B whose B prefixes are distinct (O(B * L)
+    at most), equivalent to l_r(a - b) = match length for all R_L^2 pairs
+    when B = R_L.  Past the cap, ``samples`` seeded random pairs are also
+    compared in integers: l_r(a - b) against the match length, which
+    decides the metric because the scales strictly decrease.  Pair i agrees with x mod R_k for k = i mod L, so every
     level is sampled, not only the levels two uniform points reach; a
     pair x != y with one word also refutes ``bijective``.  The pairs are
     compared in chunks of ``_CHUNK``, each in one sweep over the
@@ -256,11 +262,8 @@ def build_radic_isometry(
         raise ValueError(f"the sampled check needs samples >= 1, got {samples}")
 
     enum_bound = max((R_k for R_k in radix.prefix if R_k <= exhaustive_cap), default=1)
-    values = range(enum_bound)
-    words = [w for lo in range(0, enum_bound, _CHUNK)
-             for w in zip(*_digit_columns(values[lo : lo + _CHUNK], radix))]
-    bijective = len(set(words)) == enum_bound
-    isometric, pushforward_uniform = _per_level_check(words, radix)
+    bijective, isometric, pushforward_uniform = _per_level_check(
+        _digit_columns(range(enum_bound), radix), enum_bound, radix)
     if R <= exhaustive_cap:
         pairs_checked = R * R
     else:

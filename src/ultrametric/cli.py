@@ -357,28 +357,14 @@ def _read_modifiers(args) -> None:
                              f"not by {_flag(op)}")
 
 
-# flags whose values may be negative numbers, with the number of values each takes
-_NUMERIC_FLAGS = {"--coeffs": 1, "--abs": 1, "--geom": 1, "--delta": 1, "--alpha": 1,
-                  "--add": 2, "--mul": 2, "--weak-type": 1, "--lp": 2, "--doob": 1}
-
-
 def _mark_dash_values(argv: list[str]) -> list[str]:
-    """Prefix a space to flag values that begin with a dash (such as
-    --coeffs -17,0,1 or --add -3/5 1): argparse reads a token holding a
-    space as a value, never as an option, and int() and Fraction() ignore
-    the space."""
-    out = []
-    i = 0
-    while i < len(argv):
-        out.append(argv[i])
-        n = _NUMERIC_FLAGS.get(argv[i], 0)
-        i += 1
-        for value in argv[i : i + n]:
-            if value.startswith("--"):
-                break
-            out.append(" " + value if value.startswith("-") else value)
-            i += 1
-    return out
+    """Prefix a space to each token that begins with one dash, other than
+    -h and a bare -: no flag here begins with one dash, so such a token is
+    a value (--coeffs -17,0,1, --add -3/5 1, --tolerance -1e-3).  argparse
+    reads a token holding a space as a value, never as an option, and
+    int(), float() and Fraction() ignore the space."""
+    return [" " + a if a.startswith("-") and not a.startswith("--") and a not in ("-", "-h")
+            else a for a in argv]
 
 
 def main(argv=None) -> int:
@@ -386,7 +372,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_mark_dash_values(list(argv)))
+        args = parser.parse_args(_mark_dash_values(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

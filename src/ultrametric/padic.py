@@ -188,7 +188,9 @@ def rational_residue(x, p: int, N: int) -> int:
 
 def _cleared(values) -> tuple[int, list[int]]:
     """(m, [x m for x in values]) for a sequence of Fractions, m the lcm of
-    their denominators: the one routine that clears denominators."""
+    their denominators: the one routine of the arithmetic modules that
+    clears denominators.  ``harmonic._integer_masses`` keeps its own, so
+    that ``maximal`` loads no ``padic``."""
     m = lcm(*(x.denominator for x in values))
     return m, [x.numerator * (m // x.denominator) for x in values]
 

@@ -392,7 +392,7 @@ def build_radic_isometry_by_pairs(radix, exhaustive_cap=4096, samples=2000, seed
     enum_bound = max((R_k for R_k in radix.prefix if R_k <= exhaustive_cap), default=1)
     words = [psi(a, radix) for a in range(enum_bound)]
     bijective = len(set(words)) == enum_bound
-    isometric, pushforward_uniform = audit._per_level_check(words, radix)
+    _, isometric, pushforward_uniform = audit._per_level_check(zip(*words), enum_bound, radix)
     if R <= exhaustive_cap:
         pairs_checked = R * R
     else:
@@ -560,6 +560,61 @@ def test_digit_columns_keep_the_masked_values():
     assert audit.mixed_radix_digits(59, r) == digits(59, r) == (2, 3, 4)
 
 
+def test_enumeration_reads_no_column_past_the_distinct_prefixes(monkeypatch):
+    # B = R_12 = 4096 of R = 2^64: the canonical words are distinct from
+    # level 12 on, so the sweep stops at level 13, the first past the checked
+    # levels; the collapse shares each word between a and a + 1, and only
+    # the last level can show that no deeper one splits them
+    r = radic.Radix((2,) * 64)
+    for psi, read in ((None, 13), (lambda a, radix: digits(a - a % 2, radix), 64)):
+        routine = audit._digit_columns if psi is None else lift(psi)
+        calls = []
+
+        def counted(values, radix, routine=routine, calls=calls):
+            calls.append([values, 0])
+            columns = routine(values, radix)
+            keep = None
+            while True:
+                try:
+                    column = columns.send(keep)
+                except StopIteration:
+                    return
+                calls[-1][1] += 1
+                keep = yield column
+
+        monkeypatch.setattr(audit, "_digit_columns", counted)
+        got = audit.build_radic_isometry(r, samples=1)
+        assert calls[0] == [range(4096), read]
+        want = build_radic_isometry_by_pairs(r, samples=1, psi=psi or digits)
+        assert_same_report(got, want, read)
+        assert all(got.values()) is (psi is None)
+
+
+def test_per_level_check_reads_bijectivity_off_the_last_level():
+    # the sweep stops reading columns once the prefixes are distinct; its
+    # verdict must still be the word set's, on every block of leading words
+    rng = random.Random(33)
+    outcomes = Counter()
+    for _ in range(100):
+        r = _random_radix(rng)
+        R = r.modulus
+        canonical = [audit.mixed_radix_digits(a, r) for a in range(R)]
+        b, c = rng.sample(range(R), 2)
+        families = (
+            canonical,
+            [w[::-1] for w in canonical],
+            rng.sample(canonical, R),
+            [canonical[a - a % 2] for a in range(R)],
+            [canonical[c] if a == b else w for a, w in enumerate(canonical)],
+        )
+        for words in families:
+            for n in {*r.prefix[1:], rng.randrange(1, R + 1)}:
+                got = audit._per_level_check(zip(*words[:n]), n, r)[0]
+                assert got is (len(set(words[:n])) == n), (r, n)
+                outcomes[got] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def oracle_isometric(words, radix) -> bool:
     """The pairwise R x R check, in blocks of rows: for every pair a, b the
     number of levels l with R_l | b - a equals the number of leading digits
@@ -614,15 +669,15 @@ def test_per_level_check_against_numpy_oracle():
         shuffled = rng.sample(canonical, R)
         collapsed = [canonical[a - a % 2] for a in range(R)]
         for words in isometries:
-            assert audit._per_level_check(words, r) == (True, True)
+            assert audit._per_level_check(zip(*words), R, r) == (True, True, True)
             assert oracle_isometric(words, r)
         for words in (msd_first, finer, shuffled, collapsed):
-            assert audit._per_level_check(words, r)[0] == oracle_isometric(words, r)
+            assert audit._per_level_check(zip(*words), R, r)[1] == oracle_isometric(words, r)
         # only even points have images, so prefixes carry no uniform mass
-        assert audit._per_level_check(collapsed, r) == (False, False)
+        assert audit._per_level_check(zip(*collapsed), R, r) == (False, False, False)
         if r.depth >= 2:
-            assert not audit._per_level_check(msd_first, r)[0]
-            assert not audit._per_level_check(finer, r)[0]
+            assert not audit._per_level_check(zip(*msd_first), R, r)[1]
+            assert not audit._per_level_check(zip(*finer), R, r)[1]
 
 
 def per_level_check_by_slices(words, radix) -> tuple[bool, bool]:
@@ -671,7 +726,7 @@ def test_per_level_check_against_slicing_kernel():
             # every prefix of n = R_k words for each k, and a block of words
             # whose length some R_k does not divide
             for n in {*r.prefix[1:], rng.randrange(1, R + 1)}:
-                got = audit._per_level_check(words[:n], r)
+                got = audit._per_level_check(zip(*words[:n]), n, r)[1:]
                 want = per_level_check_by_slices(words[:n], r)
                 assert got == want and type(got) is tuple
                 assert [type(v) for v in got] == [bool, bool]

@@ -307,25 +307,26 @@ def test_each_invocation_runs_exactly_one_operation(capsys, tmp_path, argv, mess
     assert message in err
 
 
-def test_numeric_flags_cover_every_rational_flag(capsys, tmp_path):
-    # a flag typed rational must be in _NUMERIC_FLAGS with its count of values,
-    # or argparse reads a negative value such as -1/2 as an option
-    top = cli.build_parser()
-    subparsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    rational_flags = {
-        flag: action.nargs or 1
-        for parser in subparsers.choices.values() for action in parser._actions
-        if action.type in (cli.rational, cli.rationals) for flag in action.option_strings
-    }
-    assert {"--coeffs", "--weak-type", "--lp", "--doob"} <= rational_flags.keys()
-    assert rational_flags.items() <= cli._NUMERIC_FLAGS.items()
-    # so a negative value reaches the check that refuses it
+def test_a_value_that_starts_with_a_dash_reaches_its_check(capsys, tmp_path):
+    # every token with one leading dash but -h is a value, so a negative
+    # value of each type is refused by its own check, not read as an option
     path = tree_file(tmp_path)
-    for flag, message in (("--weak-type", "t must be positive"), ("--doob", "t must be positive")):
-        code, out, err = run(capsys, "maximal", "--tree", path, flag, "-1/2")
-        assert code == 2 and out == "" and err == message
-    code, _, err = run(capsys, "maximal", "--tree", path, "--lp", "2", "-1/2")
-    assert code == 2 and err == "need 0 < a < 1"
+    rows = [
+        ("hensel --prime 2 --coeffs -2,0,1 --x0 -3", "|f(x0)|_p = p^-0 is not < |f'(x0)|_p^2"),
+        ("padic --prime 5 --prec -1 --geom 1/5", "precision must be a positive int, not -1"),
+        # a float of the form -1e-3 once gave "expected one argument"
+        ("hausdorff --factors 2,2 --dimension --tolerance -1e-3", "need tolerance >= 0"),
+        ("hausdorff --factors 2,2 --scales -1/2,1/4,1/8", "t_0 must equal 1"),
+        ("radic --radix -2,3 --embed 5", "every factor must be >= 2"),
+        (f"maximal --tree {path} --weak-type -1/2", "t must be positive"),
+        (f"maximal --tree {path} --doob -1/2", "t must be positive"),
+        (f"maximal --tree {path} --lp 2 -1/2", "need 0 < a < 1"),
+    ]
+    for argv, message in rows:
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "" and err.startswith(message), argv
+    code, out, _ = run(capsys, "padic", "-h")
+    assert code == 0 and out.startswith("usage: ultrametric padic [-h]")
 
 
 def test_bad_subcommand(capsys):
