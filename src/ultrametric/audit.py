@@ -20,13 +20,9 @@ from fractions import Fraction
 from itertools import compress, repeat
 from operator import and_, eq, ne
 
-from .cantor import Cylinder, ProductMeasure, ProductSpec, match_length
+from .cantor import Cylinder, ProductMeasure, ProductSpec, check_point, match_length, validate_cylinder
 from .errors import EmptySet
 from .radic import Radix
-
-# sampled pairs per pass of the isometry check over the levels, so its
-# lists keep this length whatever ``samples`` is
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -165,29 +161,27 @@ def _per_level_check(columns, n: int, radix: Radix) -> tuple[bool, bool, bool]:
     return count == n, isometric, pushforward_uniform
 
 
-def _sampled_pairs(radix: Radix, samples: int, seed: int):
-    """The seeded pairs, as lists xs, ys of at most ``_CHUNK`` pairs.
+def _sampled_pairs(radix: Radix, samples: int, seed: int) -> tuple[list[int], list[int]]:
+    """The seeded pairs, as lists xs, ys drawn in one batch.
 
     CPython's randrange(R) draws R.bit_length() bits until they fall below
     R, so the accepted draws of one stream are the values randrange gives:
     pair i is accepted draws 2i and 2i + 1, then y moves to agree with x
-    mod R_k for k = i mod L, one slice of the chunk per k.
+    mod R_k for k = i mod L, one slice of the pairs per k.
     """
     R = radix.modulus
     L = radix.depth
     getrandbits = random.Random(seed).getrandbits
     bits = R.bit_length()
-    for start in range(0, samples, _CHUNK):
-        need = 2 * min(_CHUNK, samples - start)
-        drawn: list[int] = []
-        while len(drawn) < need:
-            drawn += [v for v in map(getrandbits, repeat(bits, need - len(drawn))) if v < R]
-        xs, ys = drawn[::2], drawn[1::2]
-        for k in range(1, L):
-            R_k = radix.prefix[k]
-            part = slice((k - start) % L, None, L)
-            ys[part] = [y - y % R_k + x % R_k for x, y in zip(xs[part], ys[part])]
-        yield xs, ys
+    drawn: list[int] = []
+    while len(drawn) < 2 * samples:
+        drawn += [v for v in map(getrandbits, repeat(bits, 2 * samples - len(drawn))) if v < R]
+    xs, ys = drawn[::2], drawn[1::2]
+    for k in range(1, L):
+        R_k = radix.prefix[k]
+        part = slice(k, None, L)
+        ys[part] = [y - y % R_k + x % R_k for x, y in zip(xs[part], ys[part])]
+    return xs, ys
 
 
 def _first_failing_pair(xs: list, ys: list, radix: Radix) -> int | None:
@@ -245,17 +239,17 @@ def build_radic_isometry(
     at most), equivalent to l_r(a - b) = match length for all R_L^2 pairs
     when B = R_L.  Past the cap, ``samples`` seeded random pairs are also
     compared in integers: l_r(a - b) against the match length, which
-    decides the metric because the scales strictly decrease.  Pair i agrees with x mod R_k for k = i mod L, so every
-    level is sampled, not only the levels two uniform points reach; a
-    pair x != y with one word also refutes ``bijective``.  The pairs are
-    compared in chunks of ``_CHUNK``, each in one sweep over the
-    levels (``_first_failing_pair``): a pair leaves the sweep at its
-    first level where neither its digits agree nor R_k divides x - y,
-    so the sampled check costs O(samples * levels until settled).  There
-    ``bijective`` is the enumerated points and the pairs checked, and
-    ``pushforward_uniform`` the enumerated levels only.  The check stops
-    at the first failing pair; fewer than one sample raises ValueError,
-    since no pair would be checked.
+    decides the metric because the scales strictly decrease.  Pair i
+    agrees with x mod R_k for k = i mod L, so every level is sampled, not
+    only the levels two uniform points reach; a pair x != y with one word
+    also refutes ``bijective``.  All the pairs are drawn at once and
+    compared in one sweep over the levels (``_first_failing_pair``): a
+    pair leaves the sweep at its first level where neither its digits
+    agree nor R_k divides x - y, so the sampled check costs
+    O(samples * levels until settled).  There ``bijective`` is the
+    enumerated points and the lowest failing pair, and
+    ``pushforward_uniform`` the enumerated levels only.  Fewer than one
+    sample raises ValueError, since no pair would be checked.
     """
     R = radix.modulus
     if R > exhaustive_cap and samples < 1:
@@ -268,13 +262,12 @@ def build_radic_isometry(
         pairs_checked = R * R
     else:
         pairs_checked = samples
-        for xs, ys in _sampled_pairs(radix, samples, seed):
-            i = _first_failing_pair(xs, ys, radix)
-            if i is not None:
-                isometric = False
-                wx, wy = mixed_radix_digits(xs[i], radix), mixed_radix_digits(ys[i], radix)
-                bijective = bijective and wx != wy
-                break
+        xs, ys = _sampled_pairs(radix, samples, seed)
+        i = _first_failing_pair(xs, ys, radix)
+        if i is not None:
+            isometric = False
+            wx, wy = mixed_radix_digits(xs[i], radix), mixed_radix_digits(ys[i], radix)
+            bijective = bijective and wx != wy
     return {
         "bijective": bijective,
         "isometric": isometric,
@@ -401,8 +394,10 @@ def dist_to_set(x, A: list[Cylinder], spec: ProductSpec) -> Fraction:
     """dist(x, A) over a nonempty cylinder union, exact on the scale grid."""
     if not A:
         raise EmptySet("distance to the empty set is undefined")
+    x = check_point(x, spec)
+    for c in A:
+        validate_cylinder(c, spec)
     best = None
-    x = tuple(x)
     for c in A:
         l = match_length(x[: c.depth], c.digits)
         if l == c.depth:

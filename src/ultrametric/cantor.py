@@ -81,11 +81,23 @@ class Cylinder:
         )
 
 
+def _digits_fit(digits: tuple[int, ...], factors: tuple[int, ...]) -> bool:
+    """No more digits than factors, and digit j in 0..n_j - 1."""
+    return len(digits) <= len(factors) and all(0 <= d < n for d, n in zip(digits, factors))
+
+
 def validate_cylinder(c: Cylinder, spec: ProductSpec) -> None:
-    if c.depth > spec.depth or any(
-        not 0 <= d < spec.factors[i] for i, d in enumerate(c.digits)
-    ):
+    if not _digits_fit(c.digits, spec.factors):
         raise ValueError(f"cylinder {c.digits} invalid for spec {spec.factors}")
+
+
+def check_point(x, spec: ProductSpec) -> tuple[int, ...]:
+    """x's digits; ValueError unless x has full depth and each digit below its factor."""
+    c = Cylinder(tuple(x))
+    if c.depth != spec.depth:
+        raise ValueError("points must have full depth")
+    validate_cylinder(c, spec)
+    return c.digits
 
 
 def match_length(x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -101,10 +113,7 @@ def match_length(x: tuple[int, ...], y: tuple[int, ...]) -> int:
 
 def match_and_dist(x, y, spec: ProductSpec) -> tuple[int, Fraction]:
     """(l(x,y), d(x,y) = t_{l(x,y)}); d = 0 for equal words."""
-    x, y = tuple(x), tuple(y)
-    if len(x) != spec.depth or len(y) != spec.depth:
-        raise ValueError("points must have full depth")
-    l = match_length(x, y)
+    l = match_length(check_point(x, spec), check_point(y, spec))
     if l == spec.depth:
         return l, Fraction(0)
     return l, spec.scales[l]
@@ -130,6 +139,9 @@ class ProductMeasure:
 
 def ball_measure(B: Cylinder, mu: ProductMeasure) -> Fraction:
     """mu(B_k(x)) = prod_{j<=k} mu_j({x_j}); the whole space has mass 1."""
+    sizes = tuple(map(len, mu.weights))
+    if not _digits_fit(B.digits, sizes):
+        raise ValueError(f"cylinder {B.digits} invalid for weights of lengths {sizes}")
     out = Fraction(1)
     for j, d in enumerate(B.digits):
         out *= mu.weights[j][d]
@@ -356,36 +368,34 @@ def dimension_estimate(spec: ProductSpec, tolerance: float = 1e-6) -> tuple:
     return lo, hi
 
 
+def _rank(digits: tuple[int, ...], spec: ProductSpec) -> int:
+    """N_k sum_j x_j / N_j for k digits: the integer with mixed-radix digits x."""
+    r = 0
+    for d, n in zip(digits, spec.factors):
+        r = r * n + d
+    return r
+
+
 def monotone_map_point(x, spec: ProductSpec) -> Fraction:
-    """f(x) = sum_j x_j / N_j, defined for the t_l = 1/N_l scales."""
+    """f(x) = sum_j x_j / N_j for a point or prefix x, defined for the t_l = 1/N_l scales."""
     if not spec.is_reciprocal():
         raise ScaleMismatch("monotone map needs t_l = 1/N_l scales")
-    return sum(
-        (Fraction(d, spec.cumulative(j + 1)) for j, d in enumerate(x)), Fraction(0)
-    )
+    B = Cylinder(tuple(x))
+    validate_cylinder(B, spec)
+    return Fraction(_rank(B.digits, spec), spec.cumulative(B.depth))
 
 
 def monotone_map_cylinder(B: Cylinder, spec: ProductSpec) -> tuple[Fraction, Fraction]:
     """Image interval [f_k(x), f_k(x) + 1/N_k] of the cylinder."""
-    validate_cylinder(B, spec)
     lo = monotone_map_point(B.digits, spec)
     return lo, lo + Fraction(1, spec.cumulative(B.depth))
 
 
 def monotone_map_collides(x, y, spec: ProductSpec) -> bool:
-    """f(x) = f(y) for distinct x < y iff y jumps by one digit and the
-    tails are all-(n-1) against all-0."""
-    x, y = tuple(x), tuple(y)
-    if x == y:
-        return True
-    if x > y:
-        x, y = y, x
-    k = match_length(x, y)
-    if y[k] != x[k] + 1:
-        return False
-    return all(x[l] == spec.factors[l] - 1 for l in range(k + 1, spec.depth)) and all(
-        y[l] == 0 for l in range(k + 1, spec.depth)
-    )
+    """Whether the image intervals [f(x), f(x) + 1/N_L] of the points x
+    and y touch: |f(x) - f(y)| is 0 or 1/N_L, so their ranks N_L f differ
+    by at most 1.  ValueError unless both are points of spec."""
+    return abs(_rank(check_point(x, spec), spec) - _rank(check_point(y, spec), spec)) <= 1
 
 
 def gauge_transform(spec: ProductSpec, sigma) -> ProductSpec:
@@ -426,6 +436,8 @@ class ProductJoin:
 
     def rect_diam(self, ka: int, kb: int) -> Fraction:
         """Diameter of a product of depth-ka and depth-kb cylinders."""
+        if not (0 <= ka <= self.a.depth and 0 <= kb <= self.b.depth):
+            raise ValueError(f"depths ({ka}, {kb}) outside 0..{self.a.depth} and 0..{self.b.depth}")
         return max(self.a.scales[ka], self.b.scales[kb])
 
     def as_product_spec(self) -> ProductSpec:
@@ -466,4 +478,6 @@ def measure_bound_check(
 
 
 def cylinders_at_depth(spec: ProductSpec, k: int) -> list[Cylinder]:
+    if not 0 <= k <= spec.depth:
+        raise ValueError(f"depth {k} outside 0..{spec.depth}")
     return [Cylinder(digits) for digits in product(*[range(n) for n in spec.factors[:k]])]

@@ -192,6 +192,14 @@ def _excess(tree: FiniteUltraTree, t: Fraction) -> list[list[int]]:
     return _ball_sums(tree.spec, leaf)
 
 
+def _positive_threshold(t) -> Fraction:
+    """t as a Fraction; ValueError unless t > 0."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return t
+
+
 def superlevel_cylinders(tree: FiniteUltraTree, t: Fraction) -> list[Cylinder]:
     """{M(nu) > t} as a disjoint union of maximal cylinders."""
     excess = _excess(tree, Fraction(t))
@@ -222,9 +230,7 @@ def weak_type_verify(tree: FiniteUltraTree, t: Fraction) -> dict:
     The values v of M(nu), where t -> mu{M > t} jumps, test it with slack:
     {M > v} leaves out {M = v}, and sup t mu{M > t} = v mu{M >= v} over
     (v_prev, v) is approached only as t rises to v."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _positive_threshold(t)
     excess = _excess(tree, t)
     above = [excess[0][0] > 0]
     for k in range(1, tree.spec.depth + 1):
@@ -301,9 +307,7 @@ def grid_weak_type(g: GridMeasure, t: Fraction, C1: Fraction = Fraction(2)) -> d
 
     O(m^2) by ``_grid_pairs``; M(i) > t is decided on its integer pair by
     cross-multiplication, and each side is one Fraction of an int sum."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _positive_threshold(t)
     # M(i) > t  <=>  best_n d_mu t.den > t.num best_d d_nu
     c_n, c_d = g.d_mu * t.denominator, t.numerator * g.d_nu
     lhs = Fraction(sum(w for w, n, d in zip(g.mu_int, *_grid_pairs(g)) if n * c_n > d * c_d), g.d_mu)
@@ -352,10 +356,7 @@ def _sample_points(family: list[Interval]) -> list[Fraction]:
     """Endpoints and midpoints of consecutive endpoints; coverage is
     piecewise constant between these, so they decide all interval facts."""
     ends = sorted({iv.a for iv in family} | {iv.b for iv in family})
-    pts = list(ends)
-    for u, v in zip(ends, ends[1:]):
-        pts.append((u + v) / 2)
-    return sorted(pts)
+    return sorted(ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])])
 
 
 def interval_multiplicity(family: list[Interval]) -> int:
@@ -671,26 +672,16 @@ class Filtration:
     @classmethod
     def dyadic(cls, spec: ProductSpec) -> "Filtration":
         """Cylinder partitions of a product space, depth 1..L."""
-        m = spec.cumulative(spec.depth)
-        levels = []
-        for k in range(1, spec.depth + 1):
-            width = m // spec.cumulative(k)
-            levels.append(
-                tuple(
-                    tuple(range(i * width, (i + 1) * width))
-                    for i in range(spec.cumulative(k))
-                )
-            )
-        return cls(tuple(levels))
+        m = spec.modulus
+        return cls(tuple(tuple(tuple(range(i, i + m // N)) for i in range(0, m, m // N))
+                         for N in spec.prefix[1:]))
 
 
 def martingale_maximal(
     f: list[Fraction], filtration: Filtration, mu: list[Fraction], t
 ) -> dict:
     """Doob's inequality mu{f_l^* > t} <= t^{-1} int_{A_l} |f| <= t^{-1} int |f|."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = _positive_threshold(t)
     d_f, d_mu, fm, m = _integer_products(f, mu)
     # |f| mu / t over d_f d_mu, as one Fraction
     scale = Fraction(t.denominator, d_f * d_mu * t.numerator)

@@ -444,7 +444,6 @@ def assert_same_report(got, want, case):
 
 def test_level_sweep_equals_the_pair_by_pair_check(monkeypatch):
     unpatched = audit._digit_columns
-    chunk = audit._CHUNK
     rng = random.Random(32)
     outcomes = Counter()
     for case in range(2000):
@@ -453,7 +452,7 @@ def test_level_sweep_equals_the_pair_by_pair_check(monkeypatch):
         if case % 20 == 0:
             fs[0] = cap + rng.randrange(1, 50)  # B = 1: no prefix level is enumerated
         r = radic.Radix(tuple(fs))
-        samples = chunk + case % 3 - 1 if case % 40 == 1 else rng.randrange(1, 301)
+        samples = 1024 + case % 3 - 1 if case % 40 == 1 else rng.randrange(1, 301)
         seed = rng.randrange(10**6)
         name = rng.choice([n for n in SWEEP_MAPS if n != "drop digit 4" or r.depth >= 4])
         psi = SWEEP_MAPS[name]
@@ -464,7 +463,7 @@ def test_level_sweep_equals_the_pair_by_pair_check(monkeypatch):
         sampled = r.modulus > cap
         outcomes[name, sampled, got["isometric"], got["bijective"]] += 1
         if sampled:
-            outcomes["samples", samples - chunk] += 1
+            outcomes["samples", samples - 1024] += 1
             outcomes["first factor above the cap"] += fs[0] > cap
             outcomes["x = y"] += any(x == y for x, y in seeded_pairs(r, seed, samples))
     assert outcomes["digit map", True, True, True] > 0
@@ -482,14 +481,13 @@ def test_level_sweep_finds_the_first_failing_pair_across_chunks(monkeypatch):
     # a map broken at the one value x of pair i, x != y and in no earlier
     # pair, fails first at pair i: i = 0 mod L draws y apart from x, so every
     # other i has x = y mod r_1, and digit 1 of x + 1 tells them apart.
-    # Pairs on both sides of a chunk end
-    chunk = audit._CHUNK
+    # Pairs on both sides of 1024 and of 2048
     r = radic.Radix((4, 5, 10, 25, 20))
     R = r.modulus
     checked = 0
     for seed in range(4):
-        pairs = list(seeded_pairs(r, seed, 2 * chunk + 2))
-        for i in (chunk - 1, chunk, chunk + 2, 2 * chunk, 2 * chunk + 1):
+        pairs = list(seeded_pairs(r, seed, 2 * 1024 + 2))
+        for i in (1024 - 1, 1024, 1024 + 2, 2 * 1024, 2 * 1024 + 1):
             assert i % r.depth
             bad, y = pairs[i]
             if bad == y or any(bad in p for p in pairs[:i]):
@@ -499,7 +497,7 @@ def test_level_sweep_finds_the_first_failing_pair_across_chunks(monkeypatch):
                 return digits((a + 1) % R if a == bad else a, radix)
 
             monkeypatch.setattr(audit, "_digit_columns", lift(psi))
-            for samples in (i, i + 1, 2 * chunk + 2):
+            for samples in (i, i + 1, 2 * 1024 + 2):
                 got = audit.build_radic_isometry(r, samples=samples, seed=seed)
                 want = build_radic_isometry_by_pairs(r, samples=samples, seed=seed, psi=psi)
                 assert_same_report(got, want, (seed, i, samples))
@@ -537,14 +535,13 @@ def test_level_sweep_reports_the_lowest_failing_pair_not_the_deepest(monkeypatch
 
 
 def test_sampled_pairs_are_the_randrange_pairs():
-    # one batch of getrandbits per chunk is the stream randrange(R) reads
+    # one batch of getrandbits is the stream randrange(R) reads
     for fs in ((2, 3), (4, 5, 10, 25, 20), (7,), (3,) * 40):
         r = radic.Radix(fs)
         for seed in range(3):
-            for samples in (1, audit._CHUNK, audit._CHUNK + 5):
-                drawn = [p for xs, ys in audit._sampled_pairs(r, samples, seed)
-                         for p in zip(xs, ys)]
-                assert drawn == list(seeded_pairs(r, seed, samples))
+            for samples in (1, 1024, 1024 + 5):
+                xs, ys = audit._sampled_pairs(r, samples, seed)
+                assert list(zip(xs, ys)) == list(seeded_pairs(r, seed, samples))
 
 
 def test_digit_columns_keep_the_masked_values():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultrametric import cantor, characters, cli, harmonic, hensel, linalg, padic, radic
+from ultrametric import audit, cantor, characters, cli, harmonic, hensel, linalg, padic, radic
 from ultrametric.errors import (
     DegenerateMeasure,
     InvalidGauge,
@@ -15,6 +15,7 @@ from ultrametric.errors import (
 )
 
 SPEC = cantor.ProductSpec.reciprocal((2, 2))
+SPEC23 = cantor.ProductSpec.reciprocal((2, 3))
 QUARTER = (Fraction(1, 4),) * 4
 
 REFUSALS = [
@@ -31,6 +32,30 @@ REFUSALS = [
      lambda: cantor.validate_cylinder(cantor.Cylinder((0, 0, 0)), SPEC), ValueError, "invalid"),
     ("cantor: a point short of full depth", lambda: cantor.match_and_dist((0,), (0, 1), SPEC),
      ValueError, "full depth"),
+    # a word outside X once gave a distance: 0, 1 and (0, 1) for these three
+    ("audit: a point deeper than the space",
+     lambda: audit.dist_to_set((0, 0, 7, 7), [cantor.Cylinder((0, 0))], SPEC), ValueError, "full depth"),
+    ("audit: a cylinder digit past its factor",
+     lambda: audit.dist_to_set((0, 0), [cantor.Cylinder((5,))], SPEC), ValueError, "invalid for spec"),
+    ("cantor: a point digit past its factor", lambda: cantor.match_and_dist((9, 9), (0, 0), SPEC),
+     ValueError, "invalid for spec"),
+    # digit -1 once read the last weight, and a level past the last an IndexError
+    ("cantor: a ball of digit -1",
+     lambda: cantor.ball_measure(cantor.Cylinder((0, -1)), cantor.ProductMeasure.uniform(SPEC23)),
+     ValueError, "invalid for weights"),
+    ("cantor: a ball deeper than the measure",
+     lambda: cantor.ball_measure(cantor.Cylinder((0, 0, 0)), cantor.ProductMeasure.uniform(SPEC23)),
+     ValueError, "invalid for weights"),
+    # k = -1 once gave the depth-1 cylinders and k = 5 the depth-2 ones
+    ("cantor: cylinders at depth -1", lambda: cantor.cylinders_at_depth(SPEC23, -1), ValueError, "depth -1"),
+    ("cantor: cylinders past the depth", lambda: cantor.cylinders_at_depth(SPEC23, 5), ValueError, "depth 5"),
+    ("cantor: a rectangle of depth -1", lambda: cantor.ProductJoin(SPEC23, SPEC23).rect_diam(-1, 2),
+     ValueError, "outside"),
+    # f((5, 5)) once read 15/4, outside [0, 1]
+    ("cantor: a monotone image of a digit past its factor",
+     lambda: cantor.monotone_map_point((5, 5), SPEC), ValueError, "invalid for spec"),
+    ("cantor: a collision test of short words",
+     lambda: cantor.monotone_map_collides((0,), (1,), SPEC23), ValueError, "full depth"),
     ("cantor: weights summing to 5/6", lambda: cantor.ProductMeasure(((Fraction(1, 2), Fraction(1, 3)),)),
      ValueError, "probability vector"),
     ("cantor: a negative weight", lambda: cantor.ProductMeasure(((Fraction(3, 2), Fraction(-1, 2)),)),
