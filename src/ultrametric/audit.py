@@ -32,7 +32,9 @@ class DigitMapFamily:
     level_maps: tuple  # level k entry: callable prefix(len k) -> digit
 
     def apply(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.level_maps[k](x[: k + 1]) for k in range(len(x)))
+        """One digit per level map, so a family of another depth than x
+        gives an image of another length, which ``classify_map`` refuses."""
+        return tuple([phi(x[:k]) for k, phi in enumerate(self.level_maps, 1)])
 
     @classmethod
     def from_level_permutations(cls, perms) -> "DigitMapFamily":
@@ -89,16 +91,22 @@ def classify_map(phi: DigitMapFamily, spec: ProductSpec) -> dict:
     distinct image prefixes.  One prefix-id sweep of the images, O(N * L).
     The witness is the first violating pair at the shallowest such level:
     the first point of its block and the first point that breaks it.
+    Images must be points of X: ValueError for a word of another depth or
+    a level-k digit outside 0..n_k - 1, checked once per image column.
     """
     pts = list(spec.points())
     images = [phi.apply(x) for x in pts]
-    if any(len(w) != spec.depth for w in images):
+    if set(map(len, images)) != {spec.depth}:
         raise ValueError("points must have full depth")
+    columns = list(zip(*images))
+    for k, (factor, column) in enumerate(zip(spec.factors, columns), 1):
+        if not set(column).issubset(range(factor)):
+            raise ValueError(f"image digits at level {k} must lie in 0..{factor - 1}")
     n = len(pts)
     onto = len(set(images)) == n
     isometry = True
     block = n
-    for factor, (count, ids) in zip(spec.factors, _prefix_ids(zip(*images))):
+    for factor, (count, ids) in zip(spec.factors, _prefix_ids(columns)):
         block //= factor
         for start in range(0, n, block):
             run = ids[start : start + block]

@@ -9,10 +9,14 @@ plain integers at a working modulus with headroom above p^N, so dividing
 by f'(x) never loses any of the N digits.
 
 A Newton lift takes one inverse mod p, of f'(x0) over its power of p.
-Each step then evaluates f and f' once, takes one valuation, and lifts
-the previous step's inverse to the digits this step consumes with
-``padic.unit_inverse``: O(log n) products in place of an extended-Euclid
-inverse at the full working precision.  The iterates are those of the
+Each step then evaluates f and f' once, takes one valuation, and inverts
+f'(x_j)/p^k to the digits this step consumes with ``padic.unit_inverse``,
+seeded with the previous step's inverse.  That seed is right only to
+v_(j-1) - 2k digits, v_(j-1) = v_p(f(x_(j-1))), since x_j moves by
+p^(v_(j-1) - k) and f'(x_j)/p^k by p^(v_(j-1) - 2k): ``unit_inverse``
+reads those digits with one full-size product, cuts the seed to them, and
+runs each Newton doubling at the precision p^e it reaches, so only the
+last one works at the full n digits.  The iterates are those of the
 exact inverse, bit for bit.
 """
 

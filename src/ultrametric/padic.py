@@ -128,9 +128,11 @@ def unit_inverse(u: int, p: int, n: int, seed: int | None = None) -> int:
     k = (p^n)^-1 mod u: one inverse mod u and O(n) word operations.  Any
     other u takes Newton's iteration y <- y (2 - u y) from the seed, by
     default ``pow(u % p, -1, p)``.  Its correct digits are read once, as
-    e = v_p(u y - 1) capped at n.  Each step doubles e, since
-    1 - u y' = (1 - u y)^2, so it takes O(log n) products and reductions
-    mod p^e, the last at p^n, where the extended Euclid of
+    e = v_p(u y - 1) capped at n, from one product at full size; a seed
+    is worth only those e digits, so it is cut to y mod p^e.  Each step
+    doubles e, since 1 - u y' = (1 - u y)^2, and runs on u mod p^e and y
+    at that precision, so only the last step, from e >= n/2 to n, works
+    at p^n: O(log(n/e)) products, where the extended Euclid of
     ``pow(u, -1, p^n)`` takes O(n log p) division steps at full size.
     CertificationFailed if u does not divide 1 - k p^n, or if e = 0.
     """
@@ -148,11 +150,13 @@ def unit_inverse(u: int, p: int, n: int, seed: int | None = None) -> int:
     e = vp(u * seed - 1, p, n)
     if e == 0:
         raise CertificationFailed(f"{seed} is not an inverse of {u} mod {p}")
-    y = seed
+    u %= m
+    y = seed % p**e
     while e < n:
         e = min(2 * e, n)
-        y = y * (2 - u * y) % p**e
-    return y % m
+        q = p**e
+        y = y * (2 - u % q * y) % q
+    return y
 
 
 def rational_valuation(x: Fraction, p: int) -> int | None:
@@ -193,6 +197,37 @@ def _cleared(values) -> tuple[int, list[int]]:
     that ``maximal`` loads no ``padic``."""
     m = lcm(*(x.denominator for x in values))
     return m, [x.numerator * (m // x.denominator) for x in values]
+
+
+_Pair = tuple[int, int | None]  # (exponent, unit residue), unit None for zero
+
+
+def _normal(p: int, e: int, s: int) -> _Pair:
+    """p^e * s for a residue s mod p^N as the pair (e + v, s / p^v), v = v_p(s);
+    the zero pair (0, None) when s = 0 mod p^N."""
+    if s == 0:
+        return 0, None
+    v = vp(s, p)
+    return e + v, s // p**v
+
+
+def _add(p: int, m: int, x: _Pair, y: _Pair) -> _Pair:
+    """x + y for (exponent, unit) pairs mod m = p^N, unit None for zero: the
+    one add rule of ``PAdicScalar``, in which ``ultrametric_sum`` and
+    ``cauchy_product`` fold their partial sums as plain ints.  A zero
+    returns the other pair as it stands; otherwise s = u + w p^(f - e)
+    mod p^N for e <= f, so every partial sum keeps the N digits from its
+    lowest exponent on, and the fold order decides the digits kept when
+    terms cancel."""
+    (e, u), (f, w) = x, y
+    if u is None:
+        return y
+    if w is None:
+        return x
+    if f < e:
+        e, u, f, w = f, w, e, u
+    # s = 0 mod p^N is cancellation below the working precision
+    return _normal(p, e, (u + w * p ** (f - e)) % m)
 
 
 class _Residues:
@@ -304,15 +339,6 @@ class PAdicScalar(_Residues):
         return cls(p, N, 0, None)
 
     @classmethod
-    def _normalised(cls, p: int, N: int, e: int, s: int) -> "PAdicScalar":
-        """p^e * s for a residue s mod p^N, as p^(e + v) * unit with v = v_p(s);
-        zero when s = 0 mod p^N."""
-        if s == 0:
-            return cls.zero(p, N)
-        v = vp(s, p)
-        return cls(p, N, e + v, s // p**v)
-
-    @classmethod
     def from_rational(cls, x, p: int, N: int) -> "PAdicScalar":
         modulus(p, N)  # checks p and N before v_p uses them
         x = Fraction(x)
@@ -324,11 +350,15 @@ class PAdicScalar(_Residues):
 
     @classmethod
     def from_padic_int(cls, x: PAdicInt) -> "PAdicScalar":
-        return cls._normalised(x.p, x.precision, 0, x.residue)
+        return cls(x.p, x.precision, *_normal(x.p, 0, x.residue))
 
     @property
     def is_zero(self) -> bool:
         return self.unit_residue is None
+
+    @property
+    def _pair(self) -> _Pair:
+        return self.exponent, self.unit_residue
 
     def abs(self) -> Fraction:
         return abs_from_valuation(None if self.is_zero else self.exponent, self.p)
@@ -361,14 +391,8 @@ class PAdicScalar(_Residues):
 
     def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
         self._check_compatible(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo, hi = (self, other) if self.exponent <= other.exponent else (other, self)
-        s = lo.unit_residue + hi.unit_residue * self.p ** (hi.exponent - lo.exponent)
-        # s = 0 mod p^N is cancellation below the working precision
-        return PAdicScalar._normalised(self.p, self.precision, lo.exponent, s % self.modulus)
+        return PAdicScalar(self.p, self.precision, *_add(
+            self.p, self.modulus, self._pair, other._pair))
 
     def __sub__(self, other: "PAdicScalar") -> "PAdicScalar":
         return self + (-other)
@@ -398,27 +422,44 @@ def geometric_sum(y: PAdicScalar) -> PAdicScalar:
 
 
 def ultrametric_sum(terms: list[PAdicScalar]) -> tuple[PAdicScalar, bool]:
-    """Sum of the terms plus the check |sum|_p <= max |a_j|_p."""
+    """Sum of the terms plus the check |sum|_p <= max |a_j|_p.
+
+    The terms are folded left to right in (exponent, unit) int pairs by
+    ``_add``, after one (p, N) check each, and one scalar is built."""
     if not terms:
         raise ValueError("empty term list")
-    total = terms[0]
+    first = terms[0]
+    p, m = first.p, first.modulus
+    total = first._pair
     for t in terms[1:]:
-        total = total + t
+        first._check_compatible(t)
+        total = _add(p, m, total, t._pair)
+    total = PAdicScalar(p, first.precision, *total)
     bound = max(t.abs() for t in terms)
     return total, total.abs() <= bound
 
 
 def cauchy_product(a: list[PAdicScalar], b: list[PAdicScalar]) -> list[PAdicScalar]:
-    """c_l = sum_{j<=l} a_j b_{l-j}, indexwise exact."""
+    """c_l = sum_{j<=l} a_j b_{l-j}, indexwise exact.
+
+    Each input is checked against the (p, N) of a_0 once; the products of
+    units are ints mod p^N, each c_l is folded over j ascending by ``_add``
+    and built as one scalar: O(len(a) len(b)) int products and additions."""
     if not a or not b:
         raise ValueError("empty term list")
-    p, N = a[0].p, a[0].precision
+    first = a[0]
+    for x in (*a, *b):
+        first._check_compatible(x)
+    p, N, m = first.p, first.precision, first.modulus
+    A = [x._pair for x in a]
+    B = [x._pair for x in b]
     out = []
     for l in range(len(a) + len(b) - 1):
-        c = PAdicScalar.zero(p, N)
+        c = (0, None)
         for j in range(max(0, l - len(b) + 1), min(l + 1, len(a))):
-            c = c + a[j] * b[l - j]
-        out.append(c)
+            (e, u), (f, w) = A[j], B[l - j]
+            c = _add(p, m, c, (0, None) if u is None or w is None else (e + f, u * w % m))
+        out.append(PAdicScalar(p, N, *c))
     return out
 
 

@@ -361,6 +361,95 @@ def test_cauchy_product_matches_brute_force():
             assert got_res % m == expect % m
 
 
+def ultrametric_sum_oracle(terms):
+    """The checked-scalar fold that ``padic.ultrametric_sum`` replaced."""
+    if not terms:
+        raise ValueError("empty term list")
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    bound = max(t.abs() for t in terms)
+    return total, total.abs() <= bound
+
+
+def cauchy_product_oracle(a, b):
+    """The checked-scalar fold that ``padic.cauchy_product`` replaced: one
+    ``PAdicScalar`` product and sum per term, j ascending."""
+    if not a or not b:
+        raise ValueError("empty term list")
+    p, N = a[0].p, a[0].precision
+    out = []
+    for l in range(len(a) + len(b) - 1):
+        c = padic.PAdicScalar.zero(p, N)
+        for j in range(max(0, l - len(b) + 1), min(l + 1, len(a))):
+            c = c + a[j] * b[l - j]
+        out.append(c)
+    return out
+
+
+# the primes of the benchmark's Cauchy products, and of the Hensel lifts
+ADD_PRIMES = sorted(set(LIFT_PRIMES) | {11, 2**31 - 1})
+
+
+def _typed(x):
+    """A scalar as its type and its fields with their types."""
+    return type(x), [(type(v), v) for v in (x.p, x.precision, x.exponent, x.unit_residue)]
+
+
+def _random_scalar(rng, p, N):
+    """Zero (at a random exponent, as a built zero may carry one), or
+    p^e u with e from -3 to 4 and u a unit mod p^N."""
+    if rng.random() < 0.15:
+        return padic.PAdicScalar(p, N, rng.choice((0, rng.randrange(-3, 5))), None)
+    return padic.PAdicScalar(p, N, rng.randrange(-3, 5), _random_unit(rng, p, p**N))
+
+
+def _cancelling(rng, x):
+    """A scalar that cancels x exactly, or in its first few digits."""
+    if x.is_zero or rng.random() < 0.5:
+        return -x
+    k = rng.randrange(1, x.precision + 1)
+    return padic.PAdicScalar(x.p, x.precision, x.exponent,
+                             -x.unit_residue + x.p**k * rng.randrange(x.p**2))
+
+
+def test_add_rule_against_checked_scalar_folds():
+    rng = random.Random(35)
+    cancelled = negative = zeros = 0
+    for case in range(20000):
+        p = rng.choice(ADD_PRIMES)
+        N = rng.randrange(1, 25)
+        a = [_random_scalar(rng, p, N) for _ in range(rng.randrange(1, 6))]
+        b = [_random_scalar(rng, p, N) for _ in range(rng.randrange(1, 6))]
+        if case % 3 == 0:
+            a.insert(rng.randrange(len(a) + 1), _cancelling(rng, rng.choice(a)))
+        if case % 5 == 0 and len(a) > 1 and not (a[0].is_zero or a[1].is_zero or b[0].is_zero):
+            # c_1 = a_0 b_1 + a_1 b_0 = 0 up to the digits cut at the partial sum
+            b.insert(1, -(a[1] * b[0] * a[0].invert()))
+        got, want = padic.ultrametric_sum(a), ultrametric_sum_oracle(a)
+        assert _typed(got[0]) == _typed(want[0]) and got[1] is want[1], (a, got, want)
+        got, want = padic.cauchy_product(a, b), cauchy_product_oracle(a, b)
+        assert list(map(_typed, got)) == list(map(_typed, want)), (a, b, got, want)
+        x, y = a[0], b[0]
+        assert _typed(x + y) == _typed(ultrametric_sum_oracle([x, y])[0])
+        cancelled += any(c.is_zero for c in got) and not any(t.is_zero for t in a + b)
+        negative += any(c.exponent < 0 for c in got if not c.is_zero)
+        zeros += any(t.is_zero for t in a + b)
+    assert min(cancelled, negative, zeros) >= 500, (cancelled, negative, zeros)
+
+
+def test_add_rule_keeps_the_precision_checks():
+    x, y = padic.PAdicScalar(3, 4, 0, 1), padic.PAdicScalar(3, 5, 0, 1)
+    for call in (lambda a, b: a + b, lambda a, b: padic.ultrametric_sum([a, b]),
+                 lambda a, b: padic.cauchy_product([a], [b]),
+                 lambda a, b: padic.cauchy_product([a, b], [a]),
+                 lambda a, b: padic.cauchy_product([a], [a, b])):
+        with pytest.raises(PrecisionMismatch, match=r"mod 3\^4 with mod 3\^5"):
+            call(x, y)
+        with pytest.raises(PrecisionMismatch):
+            call(y, padic.PAdicScalar(5, 5, 0, 1))
+
+
 def test_cauchy_product_annihilation():
     p, N = 2, 6
     a = [padic.PAdicScalar.from_rational(3, p, N)]
@@ -453,6 +542,21 @@ def test_unit_inverse_against_pow(p):
         # a seed right to j <= n digits lifts to the same inverse
         j = rng.randrange(1, n + 1)
         assert padic.unit_inverse(u + m * rng.randrange(-3, 4), p, n, y % p**j) == y
+
+
+@pytest.mark.parametrize("p", LIFT_PRIMES)
+def test_unit_inverse_seeds_with_wrong_high_digits(p):
+    # a seed y + p^j r is worth its j low digits, whatever r puts above them
+    rng = random.Random(p + 35)
+    sizes = sorted({1, 2, 3, 400, *rng.sample(range(4, 400), 30 if p < 100 else 12)})
+    for n in sizes:
+        m = p**n
+        u = _random_unit(rng, p, m) + m * rng.randrange(-3, 4)
+        want = pow(u, -1, m)
+        for j in {1, n, rng.randrange(1, n + 1)}:
+            r = rng.choice((rng.randrange(1, p), rng.randrange(-(m**2), m**2)))
+            seed = want % p**j + p**j * r
+            assert padic.unit_inverse(u, p, n, seed) == want, (n, j)
 
 
 def test_unit_inverse_refuses_non_units_and_wrong_seeds():

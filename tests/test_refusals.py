@@ -37,6 +37,16 @@ REFUSALS = [
      lambda: audit.dist_to_set((0, 0, 7, 7), [cantor.Cylinder((0, 0))], SPEC), ValueError, "full depth"),
     ("audit: a cylinder digit past its factor",
      lambda: audit.dist_to_set((0, 0), [cantor.Cylinder((5,))], SPEC), ValueError, "invalid for spec"),
+    # an image digit outside X once read isometry and onto, and 1-Lipschitz
+    ("audit: a level map sending a digit to -1",
+     lambda: audit.classify_map(audit.DigitMapFamily.from_level_permutations([(1, 0), (-1, 1)]), SPEC),
+     ValueError, "level 2 must lie in 0..1"),
+    ("audit: a constant map outside the space",
+     lambda: audit.classify_map(audit.DigitMapFamily.constant((5, 7)), SPEC),
+     ValueError, "level 1 must lie in 0..1"),
+    ("audit: a family deeper than the space",
+     lambda: audit.classify_map(audit.DigitMapFamily.constant((0, 0, 0)), SPEC),
+     ValueError, "full depth"),
     ("cantor: a point digit past its factor", lambda: cantor.match_and_dist((9, 9), (0, 0), SPEC),
      ValueError, "invalid for spec"),
     # digit -1 once read the last weight, and a level past the last an IndexError
