@@ -67,7 +67,7 @@ class DoublingReport:
 def _prefix_ids(columns):
     """For each column k = 1, 2, ... of the digit columns, yield (count, ids):
     ids[i] numbers the k-prefix of word i in order of first occurrence, and
-    count is how many there are.
+    count is how many there are.  Its one caller is ``_per_level_check``.
 
     The k-prefix id is a dict lookup on (the (k-1)-prefix id, digit k), so
     the whole sweep is O(N * depth) and never slices a prefix.
@@ -83,14 +83,19 @@ def classify_map(phi: DigitMapFamily, spec: ProductSpec) -> dict:
     """Semantic classification of phi from its N images, in match lengths.
 
     Scales strictly decrease, so phi is 1-Lipschitz iff at every level k
-    the k-prefix of x determines that of phi(x), and an isometry iff this
-    prefix map is also injective.  The points are in lexicographic order,
-    so the k-prefix classes of x are blocks of N / N_k consecutive points:
-    phi is 1-Lipschitz at level k iff the image prefix ids are constant on
-    each block, and then an isometry there iff the N_k blocks have N_k
-    distinct image prefixes.  One prefix-id sweep of the images, O(N * L).
-    The witness is the first violating pair at the shallowest such level:
-    the first point of its block and the first point that breaks it.
+    the k-prefix of x determines that of phi(x).  Two lemmas decide it.
+    Lipschitz: the points are in lexicographic order, so the k-prefix
+    classes of x are blocks of N / N_k consecutive points, and once the
+    levels below k are constant on the (k-1)-blocks, phi is 1-Lipschitz
+    at level k iff image column k alone is constant on each k-block.
+    Isometry: a 1-Lipschitz phi: X -> X is an isometry iff it is onto
+    (Freudenthal and Hurewicz, Fund. Math. 26 (1936), for compact X).
+    If phi is onto, each k-prefix map F_k maps the N_k k-prefixes onto
+    themselves, so it is a bijection and no distance shrinks.  An isometry
+    is injective, so onto, since X is finite.
+    After the images this costs O(N * L) slice comparisons.  The witness
+    is the first violating pair at the shallowest such level: the first
+    point of its block and the first point that breaks it.
     Images must be points of X: ValueError for a word of another depth or
     a level-k digit outside 0..n_k - 1, checked once per image column.
     """
@@ -102,20 +107,16 @@ def classify_map(phi: DigitMapFamily, spec: ProductSpec) -> dict:
     for k, (factor, column) in enumerate(zip(spec.factors, columns), 1):
         if not set(column).issubset(range(factor)):
             raise ValueError(f"image digits at level {k} must lie in 0..{factor - 1}")
-    n = len(pts)
-    onto = len(set(images)) == n
-    isometry = True
-    block = n
-    for factor, (count, ids) in zip(spec.factors, _prefix_ids(columns)):
+    onto = len(set(images)) == len(pts)
+    block = len(pts)
+    for factor, column in zip(spec.factors, columns):
         block //= factor
-        for start in range(0, n, block):
-            run = ids[start : start + block]
-            if run.count(run[0]) != block:
-                bad = next(i for i, v in enumerate(run) if v != run[0])
-                return {"one_lipschitz": False, "isometry": False, "onto": onto,
-                        "witness": (pts[start], pts[start + bad])}
-        isometry = isometry and count * block == n
-    return {"one_lipschitz": True, "isometry": isometry, "onto": onto, "witness": None}
+        heads = column[::block]
+        if any(column[j::block] != heads for j in range(1, block)):
+            bad = next(i for i, d in enumerate(column) if d != column[i - i % block])
+            return {"one_lipschitz": False, "isometry": False, "onto": onto,
+                    "witness": (pts[bad - bad % block], pts[bad])}
+    return {"one_lipschitz": True, "isometry": onto, "onto": onto, "witness": None}
 
 
 def _digit_columns(values, radix: Radix):

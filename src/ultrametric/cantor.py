@@ -93,11 +93,12 @@ def validate_cylinder(c: Cylinder, spec: ProductSpec) -> None:
 
 def check_point(x, spec: ProductSpec) -> tuple[int, ...]:
     """x's digits; ValueError unless x has full depth and each digit below its factor."""
-    c = Cylinder(tuple(x))
-    if c.depth != spec.depth:
+    digits = tuple(map(index, x))
+    if len(digits) != spec.depth:
         raise ValueError("points must have full depth")
-    validate_cylinder(c, spec)
-    return c.digits
+    if not _digits_fit(digits, spec.factors):
+        raise ValueError(f"cylinder {digits} invalid for spec {spec.factors}")
+    return digits
 
 
 def match_length(x: tuple[int, ...], y: tuple[int, ...]) -> int:

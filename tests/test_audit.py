@@ -137,6 +137,8 @@ def test_classify_map_against_pairwise_oracle():
         phi = _random_map(rng, spec)
         rep = audit.classify_map(phi, spec)
         want = oracle_classify(phi, spec)
+        # the lemma classify_map rests on, read off the pairwise oracle alone
+        assert want["isometry"] == (want["one_lipschitz"] and want["onto"])
         verdict = (rep["one_lipschitz"], rep["isometry"], rep["onto"])
         assert verdict == (want["one_lipschitz"], want["isometry"], want["onto"])
         shapes[verdict] += 1
